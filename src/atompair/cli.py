@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .dynamics import (
     leak_series,
     sample_closed_form,
 )
-from .model import InitialAmplitudes, SystemParams, bell_state, validate_initial
+from .model import InitialAmplitudes, SystemParams, bell_state, derive, validate_initial
 from .verification import (
+    COMPARE_POINTS,
     LEAK_IDENTITY_TOL,
     THREE_SOLVER_TOL,
     compare_solvers,
@@ -93,13 +94,45 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require_number(cfg: dict, key: str) -> float:
-    if key not in cfg:
-        raise ConfigError(f"missing required field '{key}'")
-    v = cfg[key]
+def _finite(key: str, v) -> float:
+    """``v`` as a float, if it is a finite number; otherwise a ConfigError naming ``key``."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"field '{key}' must be a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"field '{key}' must be finite, got {v!r}")
+    return x
+
+
+def _number(cfg: dict, key: str, default: float | None = None) -> float:
+    """Finite number field ``key``; required unless ``default`` is given."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing required field '{key}'")
+        return default
+    return _finite(key, cfg[key])
+
+
+def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
+    """Integer field ``key`` (an integral JSON float counts) of at least ``minimum``."""
+    v = cfg.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"field '{key}' must be an integer, got {v!r}")
+    if v < minimum:
+        raise ConfigError(f"field '{key}' must be >= {minimum}, got {v}")
+    return v
+
+
+def _number_list(cfg: dict, key: str) -> list[float]:
+    value = cfg[key]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field '{key}' must be a nonempty list of numbers")
+    return [_finite(key, v) for v in value]
 
 
 def params_from_config(cfg: dict) -> SystemParams:
@@ -112,29 +145,52 @@ def params_from_config(cfg: dict) -> SystemParams:
         )
     try:
         if dimless:
-            lam = float(cfg.get("lambda", 1.0))
-            r1 = _require_number(cfg, "r1")
+            lam = _number(cfg, "lambda", 1.0)
+            r1 = _number(cfg, "r1")
             if not 0.0 <= r1 <= 1.0:
                 raise ConfigError(f"field 'r1' must lie in [0, 1], got {r1}")
             r2 = math.sqrt(max(0.0, 1.0 - r1 * r1))
-            return SystemParams(
+            fields = ("R_rel", "K_rel")
+            params = SystemParams(
                 lam=lam,
-                W=_require_number(cfg, "R_rel") * lam,
+                W=_number(cfg, "R_rel") * lam,
                 alpha1=r1,
                 alpha2=r2,
-                K=float(cfg.get("K_rel", 0.0)) * lam,
-                omega0=float(cfg.get("omega0", 0.0)),
+                K=_number(cfg, "K_rel", 0.0) * lam,
+                omega0=_number(cfg, "omega0", 0.0),
             )
-        return SystemParams(
-            lam=_require_number(cfg, "lambda"),
-            W=_require_number(cfg, "W"),
-            alpha1=_require_number(cfg, "alpha1"),
-            alpha2=_require_number(cfg, "alpha2"),
-            K=_require_number(cfg, "K"),
-            omega0=float(cfg.get("omega0", 0.0)),
-        )
+        else:
+            fields = ("W", "K")
+            params = SystemParams(
+                lam=_number(cfg, "lambda"),
+                W=_number(cfg, "W"),
+                alpha1=_number(cfg, "alpha1"),
+                alpha2=_number(cfg, "alpha2"),
+                K=_number(cfg, "K"),
+                omega0=_number(cfg, "omega0", 0.0),
+            )
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
+    _check_cubic_finite(params, *fields)
+    return params
+
+
+def _check_cubic_finite(params: SystemParams, r_field: str, k_field: str) -> None:
+    """Refuse parameters too large for the characteristic cubic, naming the largest input.
+
+    Cardano's formula cubes the cubic's coefficients.  Once one of those
+    cubes overflows, the roots come out NaN or the complex cube root raises.
+    """
+    cubic = char_cubic(params)
+    for name, c in (("a2", cubic.a2), ("a1", cubic.a1), ("a0", cubic.a0)):
+        size = math.hypot(c.real, c.imag)
+        if not math.isfinite(size * size * size):
+            inputs = {r_field: derive(params).R, k_field: params.K, "lambda": params.lam}
+            field = max(inputs, key=lambda k: abs(inputs[k]))
+            raise ConfigError(
+                f"field '{field}' is too large: the characteristic cubic's coefficient "
+                f"{name} = {c} overflows when cubed"
+            )
 
 
 def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes:
@@ -172,11 +228,11 @@ def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
     try:
         return IntegratorConfig(
-            rel_tol=float(cfg.get("rel_tol", 1e-9)),
-            abs_tol=float(cfg.get("abs_tol", 1e-12)),
-            dt=float(cfg["fixed_dt"]) if cfg.get("fixed_dt") is not None else None,
+            rel_tol=_number(cfg, "rel_tol", 1e-9),
+            abs_tol=_number(cfg, "abs_tol", 1e-12),
+            dt=_number(cfg, "fixed_dt") if cfg.get("fixed_dt") is not None else None,
             max_step=float(cfg.get("max_step", math.inf)),
-            sample_stride=int(cfg.get("sample_stride", 1)),
+            sample_stride=_integer(cfg, "sample_stride", 1, 1),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid integrator settings: {exc}") from exc
@@ -218,24 +274,20 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         traj.b.real, traj.b.imag,
         clip(p1), clip(p2), clip(pb), p_leak, conc,
     ]
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    _write_table(path, TRAJECTORY_COLUMNS, cols)
 
 
 def _write_sweep_csv(path: str, tau: np.ndarray, k_values, columns) -> None:
-    header = ["tau"] + [f"K={_fmt(k)}" for k in k_values]
+    _write_table(path, ["tau"] + [f"K={_fmt(k)}" for k in k_values], [tau, *columns])
+
+
+def _write_table(path: str, header, cols) -> None:
+    """Write ``cols`` as CSV columns under ``header``, every cell formatted like :func:`_fmt`."""
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for i, tv in enumerate(tau):
-                fh.write(
-                    ",".join([_fmt(tv)] + [_fmt(col[i]) for col in columns]) + "\n"
-                )
+            fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -251,9 +303,7 @@ def _run_trajectory(
     solver: str,
     cfg_json: dict,
 ) -> Trajectory:
-    samples = int(cfg_json.get("samples", 2001))
-    if samples < 2:
-        raise ConfigError(f"field 'samples' must be >= 2, got {samples}")
+    samples = _integer(cfg_json, "samples", 2001, 2)
     grid = np.linspace(0.0, t_end, samples)
     icfg = integrator_from_config(cfg_json)
     if solver == "closed":
@@ -271,7 +321,7 @@ def _run_trajectory(
             return integrate_pseudomode(params, init, t_end, cfg=icfg)
         return integrate_pseudomode(params, init, t_end, cfg=icfg, times=grid)
     if solver == "volterra":
-        n_steps = int(cfg_json.get("n_steps", 20000))
+        n_steps = _integer(cfg_json, "n_steps", 20000, 1)
         per = max(1, math.ceil(n_steps / (samples - 1)))
         traj = integrate_volterra(params, init, t_end, per * (samples - 1))
         idx = slice(None, None, per)
@@ -296,7 +346,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     init = init_from_config(cfg)
     if "t_end" not in cfg:
         raise ConfigError("missing required field 't_end' (or --t-end)")
-    t_end = _require_number(cfg, "t_end")
+    t_end = _number(cfg, "t_end")
     if t_end <= 0.0:
         raise ConfigError(f"field 't_end' must be positive, got {t_end}")
     solver = cfg.get("solver", "ode")
@@ -330,9 +380,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _sweep_column(task) -> np.ndarray:
+def _sweep_column(params: SystemParams, init: InitialAmplitudes, times: np.ndarray) -> np.ndarray:
     """Concurrence column for one dipole strength; closed form with ODE fallback."""
-    params, init, times = task
     try:
         sol = residue_coefficients(params, init)
         c1, c2, _ = sol.evolve(times)
@@ -358,13 +407,13 @@ def _tau_grid_from_config(cfg: dict) -> np.ndarray:
         and isinstance(value[2], int)
         and not isinstance(value[2], bool)
     ):
-        start, stop, num = float(value[0]), float(value[1]), value[2]
+        start, stop, num = _finite("tau_grid", value[0]), _finite("tau_grid", value[1]), value[2]
         if num < 2 or stop <= start or start < 0.0:
             raise ConfigError("field 'tau_grid' [start, stop, num] must satisfy 0 <= start < stop, num >= 2")
         return np.linspace(start, stop, num)
     if isinstance(value, (list, tuple)) and value:
-        grid = np.asarray(value, dtype=float)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
+        grid = np.array([_finite("tau_grid", v) for v in value])
+        if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
             raise ConfigError("field 'tau_grid' must be strictly increasing and nonnegative")
         return grid
     raise ConfigError("field 'tau_grid' must be [start, stop, num] or a nonempty list")
@@ -378,29 +427,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "K_values" in cfg and "K_rel_values" in cfg:
         raise ConfigError("give 'K_values' or 'K_rel_values', not both")
     if "K_values" in cfg:
-        k_values = [float(v) for v in cfg["K_values"]]
+        axis = "K_values"
+        k_values = _number_list(cfg, axis)
     elif "K_rel_values" in cfg:
-        k_values = [float(v) * base.lam for v in cfg["K_rel_values"]]
+        axis = "K_rel_values"
+        k_values = [_finite(axis, v * base.lam) for v in _number_list(cfg, axis)]
     else:
         raise ConfigError("missing required field 'K_values' (or 'K_rel_values')")
-    if not k_values:
-        raise ConfigError("sweep axis must be nonempty")
+    # accepted so that existing command lines keep working; sweeps run in
+    # one process, since the columns cost less than a worker pool's start-up
+    _integer(cfg, "jobs", 1, 1)
+    points = [replace(base, K=k) for k in k_values]
+    r_field = "R_rel" if "R_rel" in cfg else "W"
+    for p in points:
+        _check_cubic_finite(p, r_field, axis)
 
     times = tau / base.lam
-    tasks = []
-    for k in k_values:
-        p = SystemParams(
-            lam=base.lam, W=base.W, alpha1=base.alpha1, alpha2=base.alpha2,
-            K=k, omega0=base.omega0,
-        )
-        tasks.append((p, init, times))
-
-    jobs = int(cfg.get("jobs") or os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(_sweep_column, tasks))
-    else:
-        columns = [_sweep_column(t) for t in tasks]
+    columns = [_sweep_column(p, init, times) for p in points]
 
     out = cfg.get("out", "sweep.csv")
     _write_sweep_csv(out, tau, k_values, columns)
@@ -463,13 +506,11 @@ def cmd_roots(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"verdict: not applicable ({exc})")
     if cfg.get("out"):
-        try:
-            with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-                fh.write("re_s,im_s,abs_D\n")
-                for s in roots.roots:
-                    fh.write(f"{_fmt(s.real)},{_fmt(s.imag)},{_fmt(abs(cubic(s)))}\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {cfg['out']}: {exc}") from exc
+        _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), [
+            [s.real for s in roots.roots],
+            [s.imag for s in roots.roots],
+            [abs(cubic(s)) for s in roots.roots],
+        ])
     return EXIT_OK
 
 
@@ -481,10 +522,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     params = params_from_config(cfg)
     init = init_from_config(cfg)
-    t_end = float(cfg.get("t_end", 10.0))
+    t_end = _number(cfg, "t_end", 10.0)
     if t_end <= 0.0:
         raise ConfigError(f"field 't_end' must be positive, got {t_end}")
-    n_steps = int(cfg.get("n_steps", 20000))
+    n_steps = _integer(cfg, "n_steps", 20000, COMPARE_POINTS - 1)
+    if n_steps % (COMPARE_POINTS - 1):
+        raise ConfigError(
+            f"field 'n_steps' must be a multiple of {COMPARE_POINTS - 1} for 'verify', got {n_steps}"
+        )
     solver = cfg.get("solver", "all")
     if solver not in ("closed", "ode", "volterra", "all"):
         raise ConfigError(
@@ -549,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")
         if solver_choices:
             p.add_argument("--solver", choices=solver_choices, help="solution route")
-        p.add_argument("--jobs", type=int, help="worker processes for sweeps")
+        p.add_argument("--jobs", type=int,
+                       help="accepted for compatibility; has no effect (sweeps run in one process)")
         p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
         p.add_argument("--fixed-dt", dest="fixed_dt", type=float,
                        help="fixed RK4 step (reproducible grids)")

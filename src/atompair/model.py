@@ -61,6 +61,10 @@ class SystemParams:
     omega0: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("lam", "W", "alpha1", "alpha2", "K", "omega0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.W < 0.0:
@@ -162,10 +166,17 @@ def validate_initial(init: InitialAmplitudes, mode: str = "strict") -> InitialAm
 
     ``mode="strict"`` returns ``init`` unchanged if ``|c10|^2 + |c20|^2`` is
     within :data:`NORM_TOL` of one, and raises otherwise.
-    ``mode="renormalize"`` rescales to unit norm.  A zero vector is rejected
-    in either mode.
+    ``mode="renormalize"`` rescales to unit norm.  A zero vector, and one
+    whose norm is not finite, is rejected in either mode.
     """
-    n2 = init.norm_sq
+    try:
+        n2 = init.norm_sq
+    except OverflowError:
+        n2 = math.inf
+    if not math.isfinite(n2):
+        raise ValueError(
+            f"initial amplitudes must have a finite norm, got c10={init.c10}, c20={init.c20}"
+        )
     if n2 == 0.0:
         raise ValueError("initial amplitudes cannot both be zero")
     if mode == "strict":

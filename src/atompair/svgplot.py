@@ -113,18 +113,25 @@ def line_chart(path, x, series: dict[str, np.ndarray], title="", xlabel="", ylab
     fr.save(path)
 
 
-def _viridis(v: float) -> str:
-    stops = [
-        (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
-        (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
-        (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
-        (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
-    ]
-    v = min(max(v, 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(v), len(stops) - 2)
-    f = v - i
-    rgb = [stops[i][c] * (1 - f) + stops[i + 1][c] * f for c in range(3)]
-    return "#" + "".join(f"{int(255 * c):02x}" for c in rgb)
+_VIRIDIS = np.array([
+    (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
+    (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
+    (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
+    (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
+])
+
+
+def _viridis_rgb(v: np.ndarray) -> np.ndarray:
+    """24-bit RGB codes of the viridis colours for ``v``, clipped to [0, 1].
+
+    Each channel blends the two neighbouring stops linearly and truncates
+    ``255 * c`` to an integer.
+    """
+    v = np.clip(v, 0.0, 1.0) * (len(_VIRIDIS) - 1)
+    i = np.minimum(v.astype(np.intp), len(_VIRIDIS) - 2)
+    f = (v - i)[..., None]
+    rgb = (255 * (_VIRIDIS[i] * (1 - f) + _VIRIDIS[i + 1] * f)).astype(np.intp)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, zhi=1.0) -> None:
@@ -133,20 +140,25 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     fr = _Frame(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]), title, xlabel, ylabel)
-    # cap the rendered resolution; the CSV holds the full grid
+    # an axis of n >= 440 points keeps every (n // 220)-th one; shorter axes
+    # draw one cell per point.  The CSV holds the full grid either way.
     sx = max(1, x.size // 220)
     sy = max(1, y.size // 220)
     xs, ys, zs = x[::sx], y[::sy], z[::sy, ::sx]
-    for j in range(ys.size):
-        y0 = fr.py(float(ys[j]))
-        y1 = fr.py(float(ys[j + 1])) if j + 1 < ys.size else fr.py(fr.yhi)
-        for i in range(xs.size):
-            x0 = fr.px(float(xs[i]))
-            x1 = fr.px(float(xs[i + 1])) if i + 1 < xs.size else fr.px(fr.xhi)
-            v = (zs[j, i] - zlo) / (zhi - zlo or 1.0)
-            fr.parts.append(
-                f'<rect x="{x0:.1f}" y="{min(y0, y1):.1f}" width="{abs(x1 - x0) + 0.5:.1f}" '
-                f'height="{abs(y0 - y1) + 0.5:.1f}" fill="{_viridis(v)}"/>'
-            )
+    # a cell spans from its point to the next one, the last to the frame edge
+    x0 = fr.px(xs)
+    x1 = np.append(x0[1:], fr.px(fr.xhi))
+    y0 = fr.py(ys)
+    y1 = np.append(y0[1:], fr.py(fr.yhi))
+    lefts = [f"{v:.1f}" for v in x0.tolist()]
+    widths = [f"{v:.1f}" for v in (np.abs(x1 - x0) + 0.5).tolist()]
+    tops = [f"{v:.1f}" for v in np.minimum(y0, y1).tolist()]
+    heights = [f"{v:.1f}" for v in (np.abs(y0 - y1) + 0.5).tolist()]
+    fills = _viridis_rgb((zs - zlo) / (zhi - zlo or 1.0))
+    for top, height, row in zip(tops, heights, fills):
+        fr.parts.append("\n".join(
+            f'<rect x="{left}" y="{top}" width="{width}" height="{height}" fill="#{rgb:06x}"/>'
+            for left, width, rgb in zip(lefts, widths, row.tolist())
+        ))
     fr.axes()
     fr.save(path)

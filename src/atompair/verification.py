@@ -23,6 +23,7 @@ from .dynamics import (
 from .model import InitialAmplitudes, SystemParams
 
 __all__ = [
+    "COMPARE_POINTS",
     "THREE_SOLVER_TOL",
     "LEAK_IDENTITY_TOL",
     "SolverComparison",
@@ -32,6 +33,10 @@ __all__ = [
 
 THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
+
+# Default size of the shared comparison grid; ``n_steps`` must be a multiple
+# of ``COMPARE_POINTS - 1``.
+COMPARE_POINTS = 2001
 
 
 def _sup_norm(a: Trajectory, b: Trajectory, idx_a=slice(None), idx_b=slice(None)) -> float:
@@ -73,7 +78,7 @@ def compare_solvers(
     init: InitialAmplitudes,
     t_end: float = 10.0,
     n_steps: int = 20000,
-    n_compare: int = 2001,
+    n_compare: int = COMPARE_POINTS,
     cfg: IntegratorConfig | None = None,
     _kernel_sign: float = 1.0,
 ) -> SolverComparison:

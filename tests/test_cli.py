@@ -11,10 +11,14 @@ from atompair.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     TRAJECTORY_COLUMNS,
+    _write_sweep_csv,
     main,
+    write_trajectory_csv,
 )
+from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
+from atompair.model import bell_state
 
-from conftest import SQRT3_2
+from conftest import SQRT3_2, fig_params, random_init
 
 FIG1A_K0 = {
     "R_rel": 10.0,
@@ -36,6 +40,62 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+def _fmt_reference(x):
+    return format(float(x), ".17g")
+
+
+def write_trajectory_csv_reference(path, traj):
+    """The per-cell trajectory writer, kept as the byte-for-byte reference."""
+    tau = traj.params.lam * traj.t
+    _, p_leak = leak_series(traj)
+    conc = np.minimum(2.0 * np.abs(traj.c1) * np.abs(traj.c2), 1.0)
+    clip = lambda a: np.clip(a, 0.0, 1.0)
+    cols = [
+        tau,
+        traj.c1.real, traj.c1.imag,
+        traj.c2.real, traj.c2.imag,
+        traj.b.real, traj.b.imag,
+        clip(traj.p1), clip(traj.p2), clip(traj.pb), p_leak, conc,
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(_fmt_reference(v) for v in row) + "\n")
+
+
+def write_sweep_csv_reference(path, tau, k_values, columns):
+    """The per-cell sweep writer, kept as the byte-for-byte reference."""
+    header = ["tau"] + [f"K={_fmt_reference(k)}" for k in k_values]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, tv in enumerate(tau):
+            fh.write(",".join([_fmt_reference(tv)] + [_fmt_reference(col[i]) for col in columns]) + "\n")
+
+
+class TestCsvBytes:
+    def test_trajectory_csv_matches_per_cell_writer(self, tmp_path, rng):
+        grid = np.linspace(0.0, 4.0, 41)
+        trajs = [
+            sample_closed_form(fig_params(K=2.0, lam=0.5), bell_state("minus"), grid),
+            integrate_pseudomode(fig_params(K=-7.0, R=0.5, r1=0.3), random_init(rng), 4.0, times=grid),
+        ]
+        for k, traj in enumerate(trajs):
+            ref, new = tmp_path / f"ref{k}.csv", tmp_path / f"new{k}.csv"
+            write_trajectory_csv_reference(ref, traj)
+            write_trajectory_csv(str(new), traj)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_sweep_csv_matches_per_cell_writer(self, tmp_path, rng):
+        tau = np.array([0.0, 1e-300, 0.1, 1.0 / 3.0, 7.0, 1e17])
+        special = np.array([-0.0, 5e-324, 1.0, 0.1, math.nan, 2.0 / 3.0])
+        columns = [rng.uniform(0.0, 1.0, tau.size) for _ in range(4)] + [special]
+        k_values = [-20.0, 0.0, 0.1, 1.0 / 7.0, 1e-9]
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        write_sweep_csv_reference(ref, tau, k_values, columns)
+        _write_sweep_csv(str(new), tau, k_values, columns)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 class TestConfigErrors:
@@ -83,6 +143,67 @@ class TestConfigErrors:
             tmp_path, "c.json", {**FIG1A_K0, "init": {"c10": [1.0], "c20": [0.0, 0.0]}}
         )
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+
+_RUN = {**FIG1A_K0, "K_rel": 2.0, "t_end": 2.0, "samples": 21}
+_SWEEP = {
+    "R_rel": 10.0, "r1": SQRT3_2, "init": "phi_minus",
+    "K_rel_values": [0.0, 2.0], "tau_grid": [0.0, 2.0, 21],
+}
+
+
+class TestFaultyInputs:
+    """Each bad input exits 2 promptly, naming the offending field."""
+
+    @pytest.mark.parametrize(
+        "command, payload, extra, field",
+        [
+            ("run", {"lambda": 1.0, "W": math.nan, "alpha1": SQRT3_2, "alpha2": 0.5,
+                     "K": 2.0, "init": "phi_minus", "t_end": 2.0}, [], "W"),
+            ("run", {**_RUN, "K_rel": math.inf}, ["--solver", "closed"], "K_rel"),
+            ("verify", {**_RUN, "K_rel": math.inf}, [], "K_rel"),
+            ("run", {**_RUN, "t_end": math.nan}, [], "t_end"),
+            ("run", _RUN, ["--fixed-dt", "inf"], "fixed_dt"),
+            ("roots", {**_RUN, "R_rel": 1e200}, [], "R_rel"),
+            ("roots", {**_RUN, "K_rel": -1e160}, [], "K_rel"),
+            ("run", {**_RUN, "R_rel": 1e200}, ["--solver", "closed"], "R_rel"),
+            ("run", {**_RUN, "R_rel": 1e60}, ["--solver", "closed"], "R_rel"),
+            ("run", {**_RUN, "samples": "abc"}, [], "samples"),
+            ("run", {**_RUN, "samples": 2.7}, [], "samples"),
+            ("run", {**_RUN, "samples": True}, [], "samples"),
+            ("run", {**_RUN, "sample_stride": 0}, [], "sample_stride"),
+            ("run", {**_RUN, "n_steps": "many"}, ["--solver", "volterra"], "n_steps"),
+            ("verify", {**_RUN, "n_steps": 3000}, [], "n_steps"),
+            ("sweep", _SWEEP, ["--jobs", "0"], "jobs"),
+            ("sweep", {**_SWEEP, "jobs": 1.5}, [], "jobs"),
+            ("sweep", {**_SWEEP, "K_rel_values": [0.0, math.nan]}, [], "K_rel_values"),
+            ("sweep", {**_SWEEP, "K_rel_values": [0.0, "2"]}, [], "K_rel_values"),
+            ("sweep", {**_SWEEP, "K_rel_values": [1e200]}, [], "K_rel_values"),
+            ("sweep", {**_SWEEP, "lambda": 10.0, "K_rel_values": [1e308]}, [], "K_rel_values"),
+            ("sweep", {**_SWEEP, "tau_grid": [0.0, math.inf, 11]}, [], "tau_grid"),
+            ("sweep", {**_SWEEP, "tau_grid": [0.0, 1.0, math.nan]}, [], "tau_grid"),
+        ],
+    )
+    def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_initial_amplitude(self, tmp_path, capsys):
+        payload = {**_RUN, "init": {"c10": [math.nan, 0.0], "c20": [0.0, 0.8]}}
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed"]) == EXIT_CONFIG
+        assert "invalid init" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_as_integer(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "samples": 21.0})
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 22
 
 
 class TestRun:
@@ -191,6 +312,18 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
         assert main(["sweep", "--config", cfg, "--out", str(out2), "--jobs", "4"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_svg_heatmap_written(self, tmp_path):
+        payload = {
+            "R_rel": 10.0, "r1": SQRT3_2, "init": "phi_minus",
+            "K_rel_values": [-2.0, 0.0, 2.0], "tau_grid": [0.0, 5.0, 11],
+        }
+        cfg = write_config(tmp_path, "s.json", payload)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_OK
+        svg = (tmp_path / "s.svg").read_text()
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert svg.count("<rect") == 3 * 11 + 2  # one per cell, background, frame
 
     def test_empty_grid_is_config_error(self, tmp_path):
         payload = {

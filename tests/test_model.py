@@ -36,6 +36,14 @@ class TestSystemParams:
     def test_signed_dipole_strength_allowed(self):
         SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=-3.0)
 
+    @pytest.mark.parametrize("field", ["lam", "W", "alpha1", "alpha2", "K", "omega0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        kwargs = dict(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0, omega0=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SystemParams(**kwargs)
+
 
 class TestDerive:
     def test_printed_definitions(self):
@@ -111,6 +119,12 @@ class TestInitialStates:
         for mode in ("strict", "renormalize"):
             with pytest.raises(ValueError, match="zero"):
                 validate_initial(InitialAmplitudes(0.0, 0.0), mode)
+
+    @pytest.mark.parametrize("mode", ["strict", "renormalize"])
+    @pytest.mark.parametrize("c10", [complex(math.nan, 0.0), complex(0.6, math.inf), 1e200])
+    def test_non_finite_norm_rejected(self, mode, c10):
+        with pytest.raises(ValueError, match="finite norm"):
+            validate_initial(InitialAmplitudes(c10, 0.8j), mode)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

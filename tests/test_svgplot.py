@@ -1,0 +1,84 @@
+"""The array-at-a-time heatmap writes the same bytes as the per-cell loop it replaced."""
+
+import numpy as np
+import pytest
+
+from atompair import svgplot
+
+
+def _viridis_reference(v: float) -> str:
+    stops = [
+        (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
+        (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
+        (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
+        (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
+    ]
+    v = min(max(v, 0.0), 1.0) * (len(stops) - 1)
+    i = min(int(v), len(stops) - 2)
+    f = v - i
+    rgb = [stops[i][c] * (1 - f) + stops[i + 1][c] * f for c in range(3)]
+    return "#" + "".join(f"{int(255 * c):02x}" for c in rgb)
+
+
+def heatmap_reference(path, x, y, z, title="", xlabel="", ylabel="", zlo=0.0, zhi=1.0):
+    """The per-cell heatmap loop, kept as the byte-for-byte reference."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    fr = svgplot._Frame(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]), title, xlabel, ylabel)
+    sx = max(1, x.size // 220)
+    sy = max(1, y.size // 220)
+    xs, ys, zs = x[::sx], y[::sy], z[::sy, ::sx]
+    for j in range(ys.size):
+        y0 = fr.py(float(ys[j]))
+        y1 = fr.py(float(ys[j + 1])) if j + 1 < ys.size else fr.py(fr.yhi)
+        for i in range(xs.size):
+            x0 = fr.px(float(xs[i]))
+            x1 = fr.px(float(xs[i + 1])) if i + 1 < xs.size else fr.px(fr.xhi)
+            v = (zs[j, i] - zlo) / (zhi - zlo or 1.0)
+            fr.parts.append(
+                f'<rect x="{x0:.1f}" y="{min(y0, y1):.1f}" width="{abs(x1 - x0) + 0.5:.1f}" '
+                f'height="{abs(y0 - y1) + 0.5:.1f}" fill="{_viridis_reference(v)}"/>'
+            )
+    fr.axes()
+    fr.save(path)
+
+
+def _edge_values():
+    """Out-of-range values, both ends, every colour-stop boundary and its neighbours."""
+    stops = [k / 10 for k in range(11)]
+    return np.array(
+        [-1.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 1e-15, 2.0, 1e300]
+        + stops
+        + [np.nextafter(s, -np.inf) for s in stops]
+        + [np.nextafter(s, np.inf) for s in stops]
+    )
+
+
+def _grid(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.25, 1.25, size=(ny, nx)).ravel()
+    edges = _edge_values()
+    z[: min(z.size, edges.size)] = edges[: z.size]
+    return np.linspace(0.0, 15.0, nx), np.linspace(-20.0, 20.0, ny), z.reshape(ny, nx)
+
+
+@pytest.mark.parametrize(
+    "nx, ny",
+    [(2, 2), (7, 5), (41, 3), (3, 450), (445, 2)],  # 440+ points thin the axis
+)
+def test_heatmap_bytes_match_per_cell_loop(tmp_path, nx, ny):
+    x, y, z = _grid(nx, ny, seed=nx * 1000 + ny)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+@pytest.mark.parametrize("zlo, zhi", [(-2.0, 3.0), (0.5, 0.5)])
+def test_heatmap_bytes_match_with_other_colour_ranges(tmp_path, zlo, zhi):
+    x, y, z = _grid(9, 6, seed=3)
+    z = 4.0 * z - 1.0
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, zlo=zlo, zhi=zhi)
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, zlo=zlo, zhi=zhi)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
