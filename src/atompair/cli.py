@@ -226,12 +226,18 @@ def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes
 
 
 def integrator_from_config(cfg: dict) -> IntegratorConfig:
+    # max_step alone may be Infinity, its default (no cap on the step)
+    max_step = cfg.get("max_step", math.inf)
+    if max_step != math.inf:
+        max_step = _finite("max_step", max_step)
+        if max_step <= 0.0:
+            raise ConfigError(f"field 'max_step' must be positive, got {max_step}")
     try:
         return IntegratorConfig(
             rel_tol=_number(cfg, "rel_tol", 1e-9),
             abs_tol=_number(cfg, "abs_tol", 1e-12),
             dt=_number(cfg, "fixed_dt") if cfg.get("fixed_dt") is not None else None,
-            max_step=float(cfg.get("max_step", math.inf)),
+            max_step=max_step,
             sample_stride=_integer(cfg, "sample_stride", 1, 1),
         )
     except (TypeError, ValueError) as exc:
@@ -491,20 +497,23 @@ def cmd_roots(args: argparse.Namespace) -> int:
     )
     if roots.degenerate:
         print("note: (near-)degenerate roots; closed-form evolution is refused here")
-    pole = surviving_pole(roots, params.lam)
-    if pole is None:
-        print("surviving pole: none")
-    else:
-        print(f"surviving pole: {pole.real:+.3e} {pole.imag:+.6e}i")
     try:
         verdict = steady_state_verdict(params, init)
-        print(
+        pole = verdict.surviving_pole
+        verdict_line = (
             f"verdict: {'steady' if verdict.steady else 'fully decaying'} "
             f"(regime {verdict.regime}, asymptotic concurrence "
             f"{verdict.asymptotic_concurrence:.6f})"
         )
     except ValueError as exc:
-        print(f"verdict: not applicable ({exc})")
+        # no analytic verdict (W = 0): report the numerically located pole
+        pole = surviving_pole(roots, params.lam)
+        verdict_line = f"verdict: not applicable ({exc})"
+    if pole is None:
+        print("surviving pole: none")
+    else:
+        print(f"surviving pole: {pole.real:+.3e} {pole.imag:+.6e}i")
+    print(verdict_line)
     if cfg.get("out"):
         _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), [
             [s.real for s in roots.roots],

@@ -4,8 +4,8 @@ Two independent routes produce trajectories:
 
 * :func:`integrate_pseudomode` integrates the local-in-time three-amplitude
   system (the memory of the Lorentzian reservoir is carried by one auxiliary
-  mode ``b``) with an adaptive Runge-Kutta 5(4) pair, or with fixed-step RK4
-  when bit-reproducible grids matter.
+  mode ``b``) with the adaptive Dormand-Prince 5(4) pair, or with fixed-step
+  RK4 when bit-reproducible grids matter.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closedform import (
     SURVIVING_POLE_TOL,
@@ -54,7 +53,10 @@ SOLVER_TAGS = ("closed_form", "pseudomode_ode", "volterra")
 
 
 class StepUnderflowError(Exception):
-    """The adaptive integrator needed a pathologically small step."""
+    """The adaptive integrator cannot go on.
+
+    Its step fell below the minimum, or its error norm is not finite.
+    """
 
 
 @dataclass(frozen=True)
@@ -177,17 +179,12 @@ def rhs(params: SystemParams, state: TrajectoryState) -> tuple[complex, complex,
         dc2/dt = -i W alpha2 b - i K c1
         db/dt  = -lam b - i W (alpha1 c1 + alpha2 c2)
     """
-    W, K, lam = params.W, params.K, params.lam
-    a1, a2 = params.alpha1, params.alpha2
-    c1, c2, b = state.c1, state.c2, state.b
-    return (
-        -1j * W * a1 * b - 1j * K * c2,
-        -1j * W * a2 * b - 1j * K * c1,
-        -lam * b - 1j * W * (a1 * c1 + a2 * c2),
-    )
+    y = np.array([state.c1, state.c2, state.b], dtype=complex)
+    return tuple((_system_matrix(params) @ y).tolist())
 
 
 def _system_matrix(params: SystemParams) -> np.ndarray:
+    """The constant matrix M of dy/dt = M y for y = (c1, c2, b); see :func:`rhs`."""
     W, K, lam = params.W, params.K, params.lam
     a1, a2 = params.alpha1, params.alpha2
     return np.array(
@@ -250,44 +247,225 @@ def integrate_pseudomode(
             solver_tag="pseudomode_ode",
         )
 
-    M = _system_matrix(params)
-
-    def f(t, y):
-        return M @ y
-
     if times is not None:
         times = np.asarray(times, dtype=float)
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("sample grid must start at t = 0")
+        if not np.all(np.diff(times) > 0.0):
+            raise ValueError("sample grid must be strictly increasing")
         if times[-1] > t_end:
             raise ValueError("sample grid extends past t_end")
-    sol = solve_ivp(
-        f,
-        (0.0, t_end),
-        y0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        t_eval=times,
-        dense_output=False,
+    t, y = _dopri45(
+        _system_matrix(params), y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, times
     )
-    if not sol.success:
-        raise StepUnderflowError(f"adaptive integration failed: {sol.message}")
-    if times is None:
-        idx = _stride_indices(sol.t.size, cfg.sample_stride)
-    else:
-        idx = slice(None)
+    idx = _stride_indices(t.size, cfg.sample_stride) if times is None else slice(None)
     return Trajectory(
         params=params,
         derived=d,
         init=init,
-        t=sol.t[idx],
-        c1=sol.y[0, idx],
-        c2=sol.y[1, idx],
-        b=sol.y[2, idx],
+        t=t[idx],
+        c1=y[0, idx],
+        c2=y[1, idx],
+        b=y[2, idx],
         solver_tag="pseudomode_ode",
     )
+
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage
+# coefficients, fifth-order weights and the 5(4) error weights (the seventh
+# stage is the derivative at the step's end, reused as the next first stage),
+# with Shampine's quartic dense output (Math. Comp. 46, 1986): the solution at
+# x = (t - t_old) / h is y_old + h * (K^T P) @ (x, x^2, x^3, x^4).
+_A2 = 1 / 5
+_A3 = (3 / 40, 9 / 40)
+_A4 = (44 / 45, -56 / 15, 32 / 9)
+_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
+_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)  # stage 2 weighs 0
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(x1: complex, x2: complex, x3: complex, s1: float, s2: float, s3: float) -> float:
+    """RMS norm of ``(x1/s1, x2/s2, x3/s3)``.
+
+    It squares by multiplication, so an overflow gives inf rather than an
+    OverflowError from ``**``.
+    """
+    r1, r2, r3 = x1 / s1, x2 / s2, x3 / s3
+    return math.sqrt(
+        (
+            r1.real * r1.real + r1.imag * r1.imag
+            + r2.real * r2.real + r2.imag * r2.imag
+            + r3.real * r3.real + r3.imag * r3.imag
+        )
+        / 3.0
+    )
+
+
+def _dopri45(
+    M: np.ndarray,
+    y0: np.ndarray,
+    t_end: float,
+    rtol: float,
+    atol: float,
+    max_step: float,
+    times: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive Dormand-Prince 5(4) for dy/dt = M y on [0, t_end].
+
+    The step-size controller is that of ``scipy.integrate.RK45``, so the
+    accepted steps are the same: Hairer-Norsett-Wanner (II.4) initial step,
+    RMS error norm scaled by ``atol + max(|y|, |y_new|) rtol`` with
+    ``rtol >= 100 eps``, safety 0.9, step factors clamped to [0.2, 10] with
+    exponent -1/5 and no growth right after a rejection, ``min_step`` of ten
+    ulps of t, and the last step clipped to ``t_end``.  The stepping runs on
+    Python complex scalars; dense output on ``times`` is evaluated for all
+    requested times at once after the loop.
+
+    Returns ``(t, y)`` with ``y`` of shape ``(3, t.size)``: the accepted step
+    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
+
+    def f(a, b, c):
+        return (
+            m00 * a + m01 * b + m02 * c,
+            m10 * a + m11 * b + m12 * c,
+            m20 * a + m21 * b + m22 * c,
+        )
+
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    y = tuple(y0.tolist())
+    k1 = f(*y)
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(*y, *scale), _rms(*k1, *scale)
+    if not math.isfinite(d1):
+        raise StepUnderflowError(f"non-finite error norm {d1} of the derivative at t = 0")
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    probe = f(*(v + h0 * k for v, k in zip(y, k1)))
+    d2 = _rms(*(p - k for p, k in zip(probe, k1)), *scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end, max_step)
+
+    a21 = _A2
+    a31, a32 = _A3
+    a41, a42, a43 = _A4
+    a51, a52, a53, a54 = _A5
+    a61, a62, a63, a64, a65 = _A6
+    b1, b3, b4, b5, b6 = _B
+    e1, e3, e4, e5, e6, e7 = _E
+    t = 0.0
+    starts = []
+    steps = []  # per accepted step: y at its start, then the seven stages
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        y1, y2, y3 = y
+        p1, p2, p3 = k1
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflowError(f"step size fell below {min_step:.3e} at t = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            k2 = f(y1 + h * (a21 * p1), y2 + h * (a21 * p2), y3 + h * (a21 * p3))
+            q1, q2, q3 = k2
+            k3 = f(
+                y1 + h * (a31 * p1 + a32 * q1),
+                y2 + h * (a31 * p2 + a32 * q2),
+                y3 + h * (a31 * p3 + a32 * q3),
+            )
+            r1, r2, r3 = k3
+            k4 = f(
+                y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
+                y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
+                y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
+            )
+            s1, s2, s3 = k4
+            k5 = f(
+                y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
+                y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
+                y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
+            )
+            u1, u2, u3 = k5
+            k6 = f(
+                y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1),
+                y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2),
+                y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3),
+            )
+            v1, v2, v3 = k6
+            y_new = (
+                y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1),
+                y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2),
+                y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3),
+            )
+            k7 = f(*y_new)
+            w1, w2, w3 = k7
+            n1, n2, n3 = y_new
+            error_norm = _rms(
+                h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1),
+                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2),
+                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3),
+                atol + max(abs(y1), abs(n1)) * rtol,
+                atol + max(abs(y2), abs(n2)) * rtol,
+                atol + max(abs(y3), abs(n3)) * rtol,
+            )
+            # a non-finite state makes the norm non-finite too
+            if not math.isfinite(error_norm):
+                raise StepUnderflowError(f"non-finite error norm {error_norm} at t = {t!r}")
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+            rejected = True
+        starts.append(t)
+        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        t, y, k1 = t_new, y_new, k7
+
+    bounds = np.array(starts + [t_end])
+    data = np.array(steps, dtype=complex).reshape(-1, 8, 3)
+    if times is None:
+        return bounds, np.concatenate([data[:, 0], [y]]).T
+    # A time equal to a step's end belongs to that step.
+    idx = np.searchsorted(bounds[1:], times, side="left")
+    step = np.diff(bounds)
+    x = (times - bounds[idx]) / step[idx]
+    hQ = np.einsum("nsc,sk->ckn", data[:, 1:], _P) * step
+    out = np.empty((3, times.size), dtype=complex)
+    for c in range(3):
+        acc = hQ[c, 3].take(idx)
+        for j in (2, 1, 0):
+            acc *= x
+            acc += hQ[c, j].take(idx)
+        acc *= x
+        acc += data[:, 0, c].take(idx)
+        out[c] = acc
+    return times, out
 
 
 def _rk4_fixed(

@@ -182,6 +182,12 @@ class TestFaultyInputs:
             ("sweep", {**_SWEEP, "lambda": 10.0, "K_rel_values": [1e308]}, [], "K_rel_values"),
             ("sweep", {**_SWEEP, "tau_grid": [0.0, math.inf, 11]}, [], "tau_grid"),
             ("sweep", {**_SWEEP, "tau_grid": [0.0, 1.0, math.nan]}, [], "tau_grid"),
+            ("run", {**_RUN, "max_step": "0.1"}, [], "max_step"),
+            ("run", {**_RUN, "max_step": True}, [], "max_step"),
+            ("run", {**_RUN, "max_step": math.nan}, [], "max_step"),
+            ("run", {**_RUN, "max_step": -math.inf}, [], "max_step"),
+            ("run", {**_RUN, "max_step": 0.0}, [], "max_step"),
+            ("run", {**_RUN, "max_step": -0.5}, [], "max_step"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -198,6 +204,12 @@ class TestFaultyInputs:
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed"]) == EXIT_CONFIG
         assert "invalid init" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_max_step_is_allowed(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": math.inf})
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 22
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**_RUN, "samples": 21.0})
@@ -371,6 +383,17 @@ class TestRoots:
         assert rows[:, 2].max() < 1e-8
 
 
+    def test_pole_line_agrees_with_verdict(self, tmp_path, capsys):
+        # the numerically smallest |Re s| is far below the root finder's axis
+        # tolerance here, but the verdict is analytic: no surviving pole
+        payload = {"R_rel": 1e30, "K_rel": 2.0, "r1": 0.8}
+        cfg = write_config(tmp_path, "r.json", payload)
+        assert main(["roots", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "surviving pole: none" in out
+        assert "verdict: fully decaying" in out
+
+
 class TestVerify:
     def test_passes_on_reference_config(self, tmp_path):
         payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}
@@ -417,6 +440,17 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, atompair.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

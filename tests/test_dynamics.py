@@ -1,3 +1,7 @@
+import math
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from atompair import (
     residue_coefficients,
     rhs,
 )
+from atompair.dynamics import StepUnderflowError
 from atompair.verification import compare_solvers, leak_identity_residual
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
@@ -112,12 +117,87 @@ class TestPseudomode:
         c1, c2, b = residue_coefficients(p, init).evolve(traj.t)
         assert np.abs(c1 - traj.c1).max() < 1e-7
 
+    def test_overflowing_derivative_fails_fast(self):
+        # the derivative's error norm overflows at t = 0; stepping on would
+        # take about 1e200 steps
+        p = SystemParams(lam=1.0, W=1e200, alpha1=0.8, alpha2=0.6, K=0.0)
+        start = time.perf_counter()
+        with pytest.raises(StepUnderflowError, match="non-finite"):
+            integrate_pseudomode(p, InitialAmplitudes(1.0, 0.0), 1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_unsorted_grid(self):
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_pseudomode(
+                fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array([0.0, 2.0, 1.0])
+            )
+
     def test_population_never_increases(self, rng):
         for _ in range(5):
             p = random_params(rng)
             traj = integrate_pseudomode(p, random_init(rng), 10.0)
             pop = traj.tracked_population
             assert np.all(np.diff(pop) <= 1e-8)
+
+
+def _rk45_reference(p, init, t_end, cfg):
+    """scipy's RK45 on the same system, with its dense output."""
+    integrate = pytest.importorskip("scipy.integrate")
+    basis = np.eye(3, dtype=complex)
+    M = np.array([rhs(p, TrajectoryState(0.0, *e)) for e in basis]).T
+    with warnings.catch_warnings():
+        # rel_tol below 100 eps: scipy warns and raises it to that floor
+        warnings.simplefilter("ignore", UserWarning)
+        sol = integrate.solve_ivp(
+            lambda t, y: M @ y, (0.0, t_end), [init.c10, init.c20, 0.0], method="RK45",
+            rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
+        )
+    assert sol.success
+    return sol
+
+
+def _sup_diff(traj, y):
+    return max(np.abs(a - b).max() for a, b in zip((traj.c1, traj.c2, traj.b), y))
+
+
+class TestAgainstScipyRK45:
+    """The in-repo Dormand-Prince stepper takes the steps of scipy's RK45."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            IntegratorConfig(),
+            IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13),
+            IntegratorConfig(max_step=0.05),
+            IntegratorConfig(rel_tol=1e-15, abs_tol=1e-13),
+        ],
+        ids=["default", "leak_check", "max_step", "rtol_floor"],
+    )
+    def test_same_steps_and_values(self, rng, cfg):
+        t_end = 5.0
+        grid = np.linspace(0.0, t_end, 2001)
+        points = [(fig_params(K=2.0), bell_state("minus"))]
+        points += [(random_params(rng), random_init(rng)) for _ in range(3)]
+        for p, init in points:
+            sol = _rk45_reference(p, init, t_end, cfg)
+            steps = integrate_pseudomode(p, init, t_end, cfg=cfg)
+            assert steps.t.size == sol.t.size
+            assert steps.t[-1] == t_end
+            # the two step sequences drift apart by rounding (by up to about
+            # 1e-8 in t over thousands of steps), so compare the values at
+            # these step ends through scipy's dense output
+            assert _sup_diff(steps, sol.sol(steps.t)) <= 1e-12
+            on_grid = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
+            assert _sup_diff(on_grid, sol.sol(grid)) <= 1e-12
+
+    def test_sample_stride_thins_the_same_steps(self):
+        p, init = fig_params(K=2.0), bell_state("minus")
+        cfg = IntegratorConfig(sample_stride=7)
+        sol = _rk45_reference(p, init, 10.0, cfg)
+        traj = integrate_pseudomode(p, init, 10.0, cfg=cfg)
+        n = sol.t.size
+        assert traj.t.size == math.ceil(n / 7) + ((n - 1) % 7 != 0)
+        assert _sup_diff(traj, sol.sol(traj.t)) <= 1e-12
 
 
 class TestVolterra:
