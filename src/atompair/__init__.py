@@ -19,9 +19,7 @@ from .closedform import (
     CubicRoots,
     DegenerateRootsError,
     ResidueSolution,
-    char_poly_eval,
     char_roots,
-    evolve_closed_form,
     residue_coefficients,
     surviving_pole,
 )
@@ -52,8 +50,7 @@ __all__ = [
     "SystemParams", "DerivedParams", "InitialAmplitudes",
     "derive", "bell_state", "validate_initial",
     "CharacteristicCubic", "CubicRoots", "ResidueSolution", "DegenerateRootsError",
-    "char_poly_eval", "char_roots", "residue_coefficients",
-    "evolve_closed_form", "surviving_pole",
+    "char_roots", "residue_coefficients", "surviving_pole",
     "Trajectory", "TrajectoryState", "IntegratorConfig", "StepUnderflowError",
     "rhs", "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
     "leak_series", "asymptotic_t_end",

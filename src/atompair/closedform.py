@@ -35,10 +35,8 @@ __all__ = [
     "CubicRoots",
     "ResidueSolution",
     "char_cubic",
-    "char_poly_eval",
     "char_roots",
     "residue_coefficients",
-    "evolve_closed_form",
     "surviving_pole",
 ]
 
@@ -102,11 +100,6 @@ def char_cubic(params: SystemParams) -> CharacteristicCubic:
         a1=R2 + K * K,
         a0=complex(K * K * params.lam, -2.0 * K * R2 * d.r1 * d.r2),
     )
-
-
-def char_poly_eval(params: SystemParams, s: complex) -> complex:
-    """Evaluate D(s) for ``params`` at the complex point ``s``."""
-    return char_cubic(params)(s)
 
 
 def _cardano(a2: float, a1: float, a0: complex) -> tuple[complex, complex, complex]:
@@ -284,11 +277,6 @@ def residue_coefficients(
         coeff_c2=tuple(n_c2(s) / dp for s, dp in zip(roots.roots, dps)),
         coeff_b=tuple(n_b(s) / dp for s, dp in zip(roots.roots, dps)),
     )
-
-
-def evolve_closed_form(sol: ResidueSolution, t):
-    """Evaluate the residue solution at ``t`` (scalar or array), O(1) per sample."""
-    return sol.evolve(t)
 
 
 def surviving_pole(

@@ -10,8 +10,14 @@ Two independent routes produce trajectories:
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
   ``W^2 exp(-lam (t - t1))`` convolved against the stored amplitude history.
-  It exists to cross-check the other solvers, so it shares no stepping code
-  with them.
+  It exists to cross-check the other solvers, so it shares no discretization
+  with the pseudomode routes.
+
+Both fixed-grid schemes, RK4 and the Volterra predictor-corrector, are
+linear recurrences with constant coefficients: each step multiplies a state
+vector by a fixed matrix.  They are evaluated as a blocked scan over powers
+of that matrix (:func:`_power_scan`), not one Python step at a time.  The
+scan holds no discretization of its own; each scheme builds its matrix.
 
 Both return :class:`Trajectory` values sampled on their respective grids.
 """
@@ -78,8 +84,7 @@ class Trajectory:
     """A solved time series with its provenance.
 
     Samples are strictly increasing in time and start at
-    ``(0, c10, c20, 0)``.  The arrays are made read-only so trajectories can
-    be shared across workers safely.
+    ``(0, c10, c20, 0)``.  The arrays are read-only.
     """
 
     params: SystemParams
@@ -333,7 +338,9 @@ def _dopri45(
     requested times at once after the loop.
 
     Returns ``(t, y)`` with ``y`` of shape ``(3, t.size)``: the accepted step
-    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.
+    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.  Only
+    the dense output needs the stages, so without ``times`` each accepted
+    step keeps just its start and its state there.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
 
@@ -369,9 +376,10 @@ def _dopri45(
     a61, a62, a63, a64, a65 = _A6
     b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
+    dense = times is not None
     t = 0.0
     starts = []
-    steps = []  # per accepted step: y at its start, then the seven stages
+    steps = []  # per accepted step: y at its start, then the seven stages if dense
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -444,13 +452,13 @@ def _dopri45(
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
             rejected = True
         starts.append(t)
-        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7) if dense else y)
         t, y, k1 = t_new, y_new, k7
 
     bounds = np.array(starts + [t_end])
+    if not dense:
+        return bounds, np.array(steps + [y], dtype=complex).T
     data = np.array(steps, dtype=complex).reshape(-1, 8, 3)
-    if times is None:
-        return bounds, np.concatenate([data[:, 0], [y]]).T
     # A time equal to a step's end belongs to that step.
     idx = np.searchsorted(bounds[1:], times, side="left")
     step = np.diff(bounds)
@@ -468,10 +476,60 @@ def _dopri45(
     return times, out
 
 
+# Powers of the step matrix that _power_scan forms; carrying the state
+# between blocks then takes n / _SCAN_BLOCK steps.
+_SCAN_BLOCK = 128
+
+
+def _power_scan(C: np.ndarray, D: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``C P^j x0`` for ``j = 0..n`` with ``P = I + D``: the recurrence ``x -> x + D x``.
+
+    A blocked scan (Blelloch, *Prefix Sums and Their Applications*,
+    CMU-CS-90-190, 1990): the powers of ``P`` up to the block length ``B``
+    are formed once, each block's start state is carried to the next by
+    ``P^B``, and one product expands every block.
+
+    The powers are kept as ``P^j - I`` and built one factor at a time.
+    Forming ``P`` itself would round a step that changes ``x`` little to the
+    identity's ulp, and squaring would repeat rounding errors coherently;
+    either makes the drift from a per-step loop grow in proportion to ``n``.
+    (On ten points of the verification box, 100,000 Volterra steps drift
+    3.5e-12 from the loop with ``P`` formed, 2.4e-13 without.)
+    Every product is :func:`numpy.einsum`, which does not call BLAS, so the
+    result does not depend on the BLAS thread count.
+    """
+    block = min(_SCAN_BLOCK, n + 1)
+    powers = [np.zeros_like(D)]
+    for _ in range(block):
+        powers.append(D + powers[-1] + np.einsum("ij,jk->ik", D, powers[-1]))
+    stack = C + np.einsum("ij,bjk->bik", C, powers[:-1])
+    starts = np.empty((n // block + 1, x0.size), dtype=complex)
+    starts[0] = x0
+    for i in range(1, starts.shape[0]):
+        starts[i] = starts[i - 1] + np.einsum("ij,j->i", powers[-1], starts[i - 1])
+    return np.einsum("nj,bij->nbi", starts, stack).reshape(-1, C.shape[0])[: n + 1]
+
+
+def _rk4_increment(M: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of length h on dy/dt = M y is y -> y + D y; returns D.
+
+    D = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, the fourth-order Taylor
+    polynomial of exp(hM) - I, in Horner form.
+    """
+    hM = h * M
+    eye = np.eye(M.shape[0])
+    return hM @ (eye + hM @ (eye + hM @ (eye + hM / 4.0) / 3.0) / 2.0)
+
+
 def _rk4_fixed(
     params: SystemParams, y0: np.ndarray, t_end: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 with a deterministic grid; the last step shrinks to land on t_end."""
+    """Classic RK4 with a deterministic grid; the last step shrinks to land on t_end.
+
+    The steps of length dt are powers of one matrix, evaluated by
+    :func:`_power_scan`; the last step, which may be shrunk or clipped to
+    t_end, applies the increment of its own length.
+    """
     M = _system_matrix(params)
     n_full = int(math.floor(t_end / dt))
     t = dt * np.arange(n_full + 1)
@@ -479,18 +537,12 @@ def _rk4_fixed(
         t = np.append(t, t_end)
     else:
         t[-1] = min(t[-1], t_end)
-    y = np.empty((3, t.size), dtype=complex)
-    y[:, 0] = y0
-    cur = y0
-    for k in range(t.size - 1):
-        h = t[k + 1] - t[k]
-        k1 = M @ cur
-        k2 = M @ (cur + 0.5 * h * k1)
-        k3 = M @ (cur + 0.5 * h * k2)
-        k4 = M @ (cur + h * k3)
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[:, k + 1] = cur
-    return t, y
+    y = np.empty((t.size, 3), dtype=complex)
+    y[0] = y0
+    if t.size > 1:
+        y[:-1] = _power_scan(np.eye(3), _rk4_increment(M, dt), y0, t.size - 2)
+        y[-1] = y[-2] + np.einsum("ij,j->i", _rk4_increment(M, t[-1] - t[-2]), y[-2])
+    return t, y.T
 
 
 def integrate_volterra(
@@ -511,6 +563,13 @@ def integrate_volterra(
     system, which is linear in the unknown amplitudes, exactly.  The
     reservoir-mode amplitude is reported as the derived quantity
     b = -i W I(t) on the same grid.
+
+    From node 3 on, one step is a fixed linear map on a 13-entry state, with
+    one matrix for steps to even nodes and one for steps to odd nodes.  The
+    matrices are read off the step by probing it with basis vectors, and
+    their product, which advances two nodes, is powered in blocks by
+    :func:`_power_scan`.  This changes only how the recurrence is
+    evaluated: it agrees with a per-step loop to about 1e-13.
 
     ``_kernel_sign`` is a verification hook that flips the sign of the memory
     kernel; leave it at +1 for physical results.
@@ -538,7 +597,7 @@ def integrate_volterra(
 
     c1 = np.empty(n_steps + 1, dtype=complex)
     c2 = np.empty(n_steps + 1, dtype=complex)
-    u = np.empty(n_steps + 1, dtype=complex)
+    u = np.empty(4, dtype=complex)
     conv = np.empty(n_steps + 1, dtype=complex)
     c1[0], c2[0] = init.c10, init.c20
     u[0] = a1 * c1[0] + a2 * c2[0]
@@ -586,40 +645,64 @@ def integrate_volterra(
         m = W2 * conv[k]
         return (-a1 * m - 1j * K * c2[k], -a2 * m - 1j * K * c1[k])
 
-    fk3, fk2, fk1, fk = (f_at(k) for k in range(4))
-
-    # Simpson prefix sums at the two most recent even nodes; the exponential
-    # kernel telescopes exactly, so advancing them is O(1) and reproduces the
-    # dense composite rule to rounding.
-    E_old, E_new = complex(conv[0]), complex(conv[2])
-
     h38 = 3.0 * h / 8.0
     h13 = h / 3.0
     ab = (55.0 * h / 24.0, -59.0 * h / 24.0, 37.0 * h / 24.0, -9.0 * h / 24.0)
     am = (9.0 * h / 24.0, 19.0 * h / 24.0, -5.0 * h / 24.0, h / 24.0)
 
-    for k in range(3, n_steps):
-        m = k + 1
-        p1 = c1[k] + ab[0] * fk[0] + ab[1] * fk1[0] + ab[2] * fk2[0] + ab[3] * fk3[0]
-        p2 = c2[k] + ab[0] * fk[1] + ab[1] * fk1[1] + ab[2] * fk2[1] + ab[3] * fk3[1]
+    def abm_increment(x, even: bool) -> np.ndarray:
+        """The change of the state over the step from node k to k + 1, even or odd.
+
+        The state holds c1, c2 and conv at node k, the right-hand sides f at
+        k - 1, k - 2 and k - 3, u at k - 1 and k - 2, and the Simpson prefix
+        sums at the two most recent even nodes; the exponential kernel
+        telescopes exactly, so advancing those sums reproduces the dense
+        composite rule to rounding.  The step is linear, so each entry may
+        be a row of probes.  It returns the change rather than the new
+        state so that no slowly changing entry is rounded to 1 + small.
+        """
+        c1k, c2k, conv_k, f1a, f2a, f1b, f2b, f1c, f2c, u1, u2, E_old, E_new = x
+        m = W2 * conv_k
+        f1k = -a1 * m - 1j * K * c2k
+        f2k = -a2 * m - 1j * K * c1k
+        p1 = c1k + ab[0] * f1k + ab[1] * f1a + ab[2] * f1b + ab[3] * f1c
+        p2 = c2k + ab[0] * f2k + ab[1] * f2a + ab[2] * f2b + ab[3] * f2c
         up = a1 * p1 + a2 * p2
-        if m % 2 == 0:
-            base = e2 * E_new + h13 * (e2 * u[m - 2] + 4.0 * e1 * u[m - 1])
+        uk = a1 * c1k + a2 * c2k
+        if even:
+            dE = (e2 - 1.0) * E_new + h13 * (e2 * u1 + 4.0 * e1 * uk)
+            base = E_new + dE
             w_last = h13
         else:
-            base = e3 * E_old + h38 * (e3 * u[m - 3] + 3.0 * e2 * u[m - 2] + 3.0 * e1 * u[m - 1])
+            base = e3 * E_old + h38 * (e3 * u2 + 3.0 * e2 * u1 + 3.0 * e1 * uk)
             w_last = h38
         mem_p = W2 * (base + w_last * up)
         fp1 = -a1 * mem_p - 1j * K * p2
         fp2 = -a2 * mem_p - 1j * K * p1
-        c1[m] = c1[k] + am[0] * fp1 + am[1] * fk[0] + am[2] * fk1[0] + am[3] * fk2[0]
-        c2[m] = c2[k] + am[0] * fp2 + am[1] * fk[1] + am[2] * fk1[1] + am[3] * fk2[1]
-        u[m] = a1 * c1[m] + a2 * c2[m]
-        conv[m] = base + w_last * u[m]
-        if m % 2 == 0:
-            E_old, E_new = E_new, complex(conv[m])
-        fk3, fk2, fk1 = fk2, fk1, fk
-        fk = f_at(m)
+        d1 = am[0] * fp1 + am[1] * f1k + am[2] * f1a + am[3] * f1b
+        d2 = am[0] * fp2 + am[1] * f2k + am[2] * f2a + am[3] * f2b
+        um = a1 * (c1k + d1) + a2 * (c2k + d2)
+        conv_m = base + w_last * um
+        if even:
+            dE_old, dE_new = E_new - E_old, dE + w_last * um
+        else:
+            dE_old = dE_new = np.zeros_like(E_old)
+        return np.array([
+            d1, d2, conv_m - conv_k, f1k - f1a, f2k - f2a, f1a - f1b, f2a - f2b,
+            f1b - f1c, f2b - f2c, uk - u1, u1 - u2, dE_old, dE_new,
+        ])
+
+    probes = np.eye(13, dtype=complex)
+    D_even, D_odd = abm_increment(probes, True), abm_increment(probes, False)
+    x3 = np.array(
+        [c1[3], c2[3], conv[3], *f_at(2), *f_at(1), *f_at(0), u[2], u[1], conv[0], conv[2]]
+    )
+    # Node 3 is odd, so the steps from it alternate even, odd: scan their
+    # product, I + D_pair, and read off each odd node and the even node after it.
+    D_pair = D_odd + D_even + np.einsum("ij,jk->ik", D_odd, D_even)
+    C = np.concatenate([probes[:3], probes[:3] + D_even[:3]])
+    nodes = _power_scan(C, D_pair, x3, (n_steps - 3) // 2).reshape(-1, 3)
+    c1[3:], c2[3:], conv[3:] = nodes[: n_steps - 2].T
 
     t = np.linspace(0.0, t_end, n_steps + 1)
     b = -1j * W * _kernel_sign * conv

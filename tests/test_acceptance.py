@@ -190,9 +190,9 @@ def test_criterion_4_analytic_pole_identities():
         pe = equal_params(K=K, R=R, lam=lam)
         roots = char_roots(pe)
         assert min(abs(s - 1j * K) for s in roots.roots) <= 1e-9 * scale_lin
-        from atompair import char_poly_eval
+        from atompair.closedform import char_cubic
 
-        assert abs(char_poly_eval(pe, 1j * K)) <= 1e-9 * scale_cub
+        assert abs(char_cubic(pe)(1j * K)) <= 1e-9 * scale_cub
     print("\nPASS criterion 4: s=0 root at K=0 and s=iK root at equal couplings "
           "for 20 random (lam, R, K)")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -440,6 +441,27 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "solver_args", [["--fixed-dt", "1e-3"], ["--solver", "volterra"]], ids=["rk4", "volterra"]
+    )
+    def test_csv_does_not_depend_on_blas_threads(self, tmp_path, solver_args):
+        cfg = tmp_path / "ref.json"
+        cfg.write_text(json.dumps({**FIG1A_K0, "K_rel": 2.0, "t_end": 10.0}))
+        runs = {}
+        for threads in ("1", "2"):  # the two children run side by side
+            out = tmp_path / f"threads{threads}.csv"
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-m", "atompair", "run", "--config", str(cfg),
+                 "--out", str(out), *solver_args],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+        for proc in runs.values():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        one, two = (out.read_bytes() for out in runs)
+        assert one == two
 
     def test_cli_import_loads_no_scipy(self):
         code = (

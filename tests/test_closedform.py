@@ -8,10 +8,8 @@ from atompair import (
     InitialAmplitudes,
     SystemParams,
     bell_state,
-    char_poly_eval,
     char_roots,
     derive,
-    evolve_closed_form,
     integrate_pseudomode,
     residue_coefficients,
     surviving_pole,
@@ -44,7 +42,7 @@ def assert_root_invariants(params: SystemParams) -> None:
 class TestCharPoly:
     def test_constant_term_vanishes_without_dipole(self):
         p = fig_params(K=0.0)
-        assert char_poly_eval(p, 0.0) == 0.0
+        assert char_cubic(p)(0.0) == 0.0
 
     def test_equal_coupling_imaginary_zero(self, rng):
         # D(iK) cancels exactly when r1 r2 = 1/2: the imaginary parts
@@ -54,13 +52,13 @@ class TestCharPoly:
             R = rng.uniform(0.5, 20.0)
             K = rng.uniform(-20.0, 20.0)
             p = equal_params(K=K, R=R, lam=lam)
-            val = char_poly_eval(p, 1j * K)
+            val = char_cubic(p)(1j * K)
             assert abs(val) <= 1e-9 * cubic_scale(p)
 
     def test_spot_value(self):
         p = fig_params(K=2.0)
         expected = complex(110.0, -100.0 * math.sqrt(3.0))
-        assert char_poly_eval(p, 1.0) == pytest.approx(expected, abs=1e-10)
+        assert char_cubic(p)(1.0) == pytest.approx(expected, abs=1e-10)
 
 
 class TestCharRoots:
@@ -181,7 +179,7 @@ class TestClosedFormEvolution:
     def test_negative_time_rejected(self):
         sol = residue_coefficients(fig_params(K=0.0), bell_state("plus"))
         with pytest.raises(ValueError):
-            evolve_closed_form(sol, -1.0)
+            sol.evolve(-1.0)
 
     def test_scalar_and_array_evaluation_agree(self):
         sol = residue_coefficients(fig_params(K=3.0), bell_state("plus"))

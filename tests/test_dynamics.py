@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from atompair import (
     residue_coefficients,
     rhs,
 )
-from atompair.dynamics import StepUnderflowError
+from atompair.dynamics import StepUnderflowError, _rk4_fixed, _system_matrix
 from atompair.verification import compare_solvers, leak_identity_residual
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
@@ -131,6 +132,21 @@ class TestPseudomode:
             integrate_pseudomode(
                 fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array([0.0, 2.0, 1.0])
             )
+
+    def test_keeps_only_step_ends_without_grid(self):
+        # without a sample grid the route keeps each accepted step's start and
+        # state, not its seven stages (about 1.4 KB per step)
+        p, init = fig_params(K=2.0), bell_state("minus")
+        integrate_pseudomode(p, init, 1.0)
+        tracemalloc.start()
+        try:
+            traj = integrate_pseudomode(p, init, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        steps = traj.t.size - 1
+        assert 800 < steps < 1400
+        assert peak / steps < 500
 
     def test_population_never_increases(self, rng):
         for _ in range(5):
@@ -246,6 +262,174 @@ class TestVolterra:
         good = integrate_volterra(p, init, 5.0, 2000)
         bad = integrate_volterra(p, init, 5.0, 2000, _kernel_sign=-1.0)
         assert np.abs(good.c1 - bad.c1).max() > 1e-2
+
+
+def rk4_loop_reference(params, y0, t_end, dt):
+    """The per-step fixed-step RK4 loop, kept as the reference for the blocked scan."""
+    M = _system_matrix(params)
+    n_full = int(math.floor(t_end / dt))
+    t = dt * np.arange(n_full + 1)
+    if t[-1] < t_end - 1e-12 * max(1.0, t_end):
+        t = np.append(t, t_end)
+    else:
+        t[-1] = min(t[-1], t_end)
+    y = np.empty((3, t.size), dtype=complex)
+    y[:, 0] = y0
+    cur = y0
+    for k in range(t.size - 1):
+        h = t[k + 1] - t[k]
+        k1 = M @ cur
+        k2 = M @ (cur + 0.5 * h * k1)
+        k3 = M @ (cur + 0.5 * h * k2)
+        k4 = M @ (cur + h * k3)
+        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[:, k + 1] = cur
+    return t, y
+
+
+def volterra_loop_reference(params, init, t_end, n_steps, kernel_sign=1.0):
+    """The per-step Volterra loop, kept as the reference for the blocked scan.
+
+    Returns ``(t, c1, c2, b)``.
+    """
+    lam, K, W = params.lam, params.K, params.W
+    a1, a2 = params.alpha1, params.alpha2
+    W2 = kernel_sign * W * W
+    h = t_end / n_steps
+    e1 = math.exp(-lam * h)
+    e2 = e1 * e1
+    e3 = e2 * e1
+
+    c1 = np.empty(n_steps + 1, dtype=complex)
+    c2 = np.empty(n_steps + 1, dtype=complex)
+    u = np.empty(n_steps + 1, dtype=complex)
+    conv = np.empty(n_steps + 1, dtype=complex)
+    c1[0], c2[0] = init.c10, init.c20
+    u[0] = a1 * c1[0] + a2 * c2[0]
+    conv[0] = 0.0
+
+    g_row = [np.exp(lam * h * (np.arange(4.0) - k)) for k in range(4)]
+    w1 = h * np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+    w2 = h * np.array([1.0, 4.0, 1.0, 0.0]) / 3.0
+    w3 = 3.0 * h * np.array([1.0, 3.0, 3.0, 1.0]) / 8.0
+    weights = (w1, w2, w3)
+
+    def startup_map(x):
+        cc1 = np.array([c1[0], x[0], x[2], x[4]])
+        cc2 = np.array([c2[0], x[1], x[3], x[5]])
+        uu = a1 * cc1 + a2 * cc2
+        integ = np.array(
+            [0.0] + [np.dot(w, g_row[k + 1] * uu) for k, w in enumerate(weights)]
+        )
+        f1 = -a1 * W2 * integ - 1j * K * cc2
+        f2 = -a2 * W2 * integ - 1j * K * cc1
+        out = np.empty(6, dtype=complex)
+        for k, w in enumerate(weights):
+            out[2 * k] = c1[0] + np.dot(w, f1)
+            out[2 * k + 1] = c2[0] + np.dot(w, f2)
+        return out
+
+    d0 = startup_map(np.zeros(6, dtype=complex))
+    T = np.empty((6, 6), dtype=complex)
+    for j in range(6):
+        e = np.zeros(6, dtype=complex)
+        e[j] = 1.0
+        T[:, j] = startup_map(e) - d0
+    x = np.linalg.solve(np.eye(6) - T, d0)
+    c1[1:4] = x[0::2]
+    c2[1:4] = x[1::2]
+    u[1:4] = a1 * c1[1:4] + a2 * c2[1:4]
+    for k, w in enumerate(weights):
+        conv[k + 1] = np.dot(w, g_row[k + 1] * u[:4])
+
+    def f_at(k):
+        m = W2 * conv[k]
+        return (-a1 * m - 1j * K * c2[k], -a2 * m - 1j * K * c1[k])
+
+    fk3, fk2, fk1, fk = (f_at(k) for k in range(4))
+    E_old, E_new = complex(conv[0]), complex(conv[2])
+
+    h38 = 3.0 * h / 8.0
+    h13 = h / 3.0
+    ab = (55.0 * h / 24.0, -59.0 * h / 24.0, 37.0 * h / 24.0, -9.0 * h / 24.0)
+    am = (9.0 * h / 24.0, 19.0 * h / 24.0, -5.0 * h / 24.0, h / 24.0)
+
+    for k in range(3, n_steps):
+        m = k + 1
+        p1 = c1[k] + ab[0] * fk[0] + ab[1] * fk1[0] + ab[2] * fk2[0] + ab[3] * fk3[0]
+        p2 = c2[k] + ab[0] * fk[1] + ab[1] * fk1[1] + ab[2] * fk2[1] + ab[3] * fk3[1]
+        up = a1 * p1 + a2 * p2
+        if m % 2 == 0:
+            base = e2 * E_new + h13 * (e2 * u[m - 2] + 4.0 * e1 * u[m - 1])
+            w_last = h13
+        else:
+            base = e3 * E_old + h38 * (e3 * u[m - 3] + 3.0 * e2 * u[m - 2] + 3.0 * e1 * u[m - 1])
+            w_last = h38
+        mem_p = W2 * (base + w_last * up)
+        fp1 = -a1 * mem_p - 1j * K * p2
+        fp2 = -a2 * mem_p - 1j * K * p1
+        c1[m] = c1[k] + am[0] * fp1 + am[1] * fk[0] + am[2] * fk1[0] + am[3] * fk2[0]
+        c2[m] = c2[k] + am[0] * fp2 + am[1] * fk[1] + am[2] * fk1[1] + am[3] * fk2[1]
+        u[m] = a1 * c1[m] + a2 * c2[m]
+        conv[m] = base + w_last * u[m]
+        if m % 2 == 0:
+            E_old, E_new = E_new, complex(conv[m])
+        fk3, fk2, fk1 = fk2, fk1, fk
+        fk = f_at(m)
+
+    t = np.linspace(0.0, t_end, n_steps + 1)
+    return t, c1, c2, -1j * W * kernel_sign * conv
+
+
+def _rounding_bound(ref):
+    """1e-12, relative to the largest magnitude once that exceeds 1."""
+    return 1e-12 * max(1.0, max(np.abs(v).max() for v in ref))
+
+
+class TestBlockedRecurrences:
+    """The blocked scans agree with the per-step loops they replaced."""
+
+    @pytest.mark.parametrize("n_steps", [100, 101, 2001, 20000])
+    def test_volterra_matches_loop(self, rng, n_steps):
+        # at 100 and 101 steps the scheme is unstable for some of the random
+        # points, whose amplitudes grow by many orders of magnitude; the
+        # bound scales with them
+        points = [(fig_params(K=2.0), bell_state("minus"))]
+        points += [(random_params(rng), random_init(rng)) for _ in range(3)]
+        for p, init in points:
+            traj = integrate_volterra(p, init, 10.0, n_steps)
+            t, *ref = volterra_loop_reference(p, init, 10.0, n_steps)
+            assert np.array_equal(traj.t, t)
+            assert _sup_diff(traj, ref) <= _rounding_bound(ref)
+
+    def test_volterra_flipped_kernel_matches_loop(self):
+        p, init = fig_params(K=2.0), bell_state("minus")
+        traj = integrate_volterra(p, init, 5.0, 2001, _kernel_sign=-1.0)
+        t, *ref = volterra_loop_reference(p, init, 5.0, 2001, kernel_sign=-1.0)
+        assert max(np.abs(v).max() for v in ref) > 1e6  # the amplitudes grow
+        assert _sup_diff(traj, ref) <= _rounding_bound(ref)
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [
+            (10.0, 1e-3),
+            (7.3, 1e-3),  # shrunk last step
+            (0.5, 0.7),  # dt > t_end: one shrunk step
+            (0.7, 0.7),  # dt == t_end: one full step
+            (1.15, 1e-3),  # dt * floor(t_end / dt) overshoots t_end
+            (0.003, 3e-4),  # ... falls short of t_end by less than 1e-12
+            (1e-13, 1e-3),  # t_end below 1e-12: the grid is t = 0 alone
+        ],
+    )
+    def test_rk4_matches_loop(self, rng, t_end, dt):
+        points = [(fig_params(K=2.0), bell_state("minus"))]
+        points += [(random_params(rng), random_init(rng)) for _ in range(2)]
+        for p, init in points:
+            y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+            t, y = _rk4_fixed(p, y0, t_end, dt)
+            t_ref, y_ref = rk4_loop_reference(p, y0, t_end, dt)
+            assert np.array_equal(t, t_ref)
+            assert np.abs(y - y_ref).max() <= 1e-12
 
 
 class TestTrajectoryType:
