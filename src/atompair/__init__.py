@@ -17,7 +17,6 @@ from .analysis import (
 from .closedform import (
     CharacteristicCubic,
     CubicRoots,
-    DegenerateRootsError,
     ResidueSolution,
     char_roots,
     residue_coefficients,
@@ -49,7 +48,7 @@ __all__ = [
     "__version__",
     "SystemParams", "DerivedParams", "InitialAmplitudes",
     "derive", "bell_state", "validate_initial",
-    "CharacteristicCubic", "CubicRoots", "ResidueSolution", "DegenerateRootsError",
+    "CharacteristicCubic", "CubicRoots", "ResidueSolution",
     "char_roots", "residue_coefficients", "surviving_pole",
     "Trajectory", "TrajectoryState", "IntegratorConfig", "StepUnderflowError",
     "rhs", "integrate_pseudomode", "integrate_volterra", "sample_closed_form",

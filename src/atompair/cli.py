@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .analysis import concurrence_series, steady_state_verdict
 from .closedform import (
-    DegenerateRootsError,
     char_cubic,
     char_roots,
     residue_coefficients,
@@ -313,15 +312,7 @@ def _run_trajectory(
     grid = np.linspace(0.0, t_end, samples)
     icfg = integrator_from_config(cfg_json)
     if solver == "closed":
-        try:
-            return sample_closed_form(params, init, grid)
-        except DegenerateRootsError as exc:
-            print(
-                f"note: closed form unavailable ({exc}); falling back to the "
-                "adaptive integrator",
-                file=sys.stderr,
-            )
-            solver = "ode"
+        return sample_closed_form(params, init, grid)
     if solver == "ode":
         if icfg.dt is not None:
             return integrate_pseudomode(params, init, t_end, cfg=icfg)
@@ -330,6 +321,13 @@ def _run_trajectory(
         n_steps = _integer(cfg_json, "n_steps", 20000, 1)
         per = max(1, math.ceil(n_steps / (samples - 1)))
         traj = integrate_volterra(params, init, t_end, per * (samples - 1))
+        # dP/dt = -2 lam |b|^2 <= 0: growth means the step outran the fastest rate
+        peak = float(traj.tracked_population.max())
+        if not peak <= 1.0 + 1e-6:
+            raise ConfigError(
+                f"field 'n_steps' = {n_steps} is too coarse for these parameters: the "
+                f"memory-kernel route's tracked population grew to {peak:.3e}; use more steps"
+            )
         idx = slice(None, None, per)
         return Trajectory(
             params=params,
@@ -387,19 +385,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_column(params: SystemParams, init: InitialAmplitudes, times: np.ndarray) -> np.ndarray:
-    """Concurrence column for one dipole strength; closed form with ODE fallback."""
-    try:
-        sol = residue_coefficients(params, init)
-        c1, c2, _ = sol.evolve(times)
-    except DegenerateRootsError:
-        if times[0] == 0.0:
-            grid = times
-            drop = 0
-        else:
-            grid = np.concatenate(([0.0], times))
-            drop = 1
-        traj = integrate_pseudomode(params, init, float(times[-1]), times=grid)
-        c1, c2 = traj.c1[drop:], traj.c2[drop:]
+    """Concurrence column for one dipole strength, from the closed form."""
+    c1, c2, _ = residue_coefficients(params, init).evolve(times)
     return np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0)
 
 
@@ -495,8 +482,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
         f"|e2 - a1| = {abs(e2 - cubic.a1):.3e}, "
         f"|e3 + a0| = {abs(e3 + cubic.a0):.3e}"
     )
-    if roots.degenerate:
-        print("note: (near-)degenerate roots; closed-form evolution is refused here")
     try:
         verdict = steady_state_verdict(params, init)
         pole = verdict.surviving_pole
@@ -551,16 +536,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     comp = compare_solvers(
         params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
     )
-    if comp.closed_form_skipped:
-        print("note: degenerate characteristic roots; closed form skipped, "
-              "checking ODE vs memory-kernel only")
     pairs = [
         ("closed_form vs pseudomode_ode", ("closed", "ode"), comp.closed_vs_ode),
         ("closed_form vs volterra", ("closed", "volterra"), comp.closed_vs_volterra),
         ("pseudomode_ode vs volterra", ("ode", "volterra"), comp.ode_vs_volterra),
     ]
     for name, members, val in pairs:
-        if val is None or (solver != "all" and solver not in members):
+        if solver != "all" and solver not in members:
             continue
         ok = val <= THREE_SOLVER_TOL
         failures += 0 if ok else 1

@@ -6,11 +6,15 @@ Laplace system whose common denominator is the monic cubic
     D(s) = s^2 (s + lam) + R^2 s + K^2 (s + lam) - 2i K R^2 r1 r2,
 
 so every amplitude is a sum of three exponentials, one per root of D.  This
-module finds the roots (complex Cardano plus Newton polishing), evaluates the
-residue coefficients for the atomic amplitudes and the auxiliary reservoir
-mode, and propagates in O(1) per sample.  Repeated roots would need
-confluent residues; they are detected and refused, and callers fall back to
-the time-domain integrator.
+module finds the roots (complex Cardano, Newton, deflation) and writes each
+amplitude's residue sum sum_i N(s_i) e^{s_i t} / D'(s_i) in Newton form, as
+the divided difference (N E)[a, b, c] of N(s) E(s), E(s) = exp(s t):
+
+    x(t) = N[a] E[a, b, c] + N[a, b] E[b, c] + N[a, b, c] E[c],
+
+with (a, c) the widest root pair.  Unlike the residues, which grow like
+1/spacing^2, every term has a finite limit as roots coincide, so one formula
+covers simple, double and triple roots, at O(1) per sample.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .model import (
 )
 
 __all__ = [
-    "DegenerateRootsError",
     "SURVIVING_POLE_TOL",
     "CharacteristicCubic",
     "CubicRoots",
@@ -40,17 +43,21 @@ __all__ = [
     "surviving_pole",
 ]
 
-# Relative spacing below which two roots count as coincident.
-DEGENERACY_REL = 1e-6
-
 # |Re s| <= SURVIVING_POLE_TOL * lam qualifies a root as lying on the
 # imaginary axis.  Tight enough to separate the exact analytic cases from
 # slow decay of nearby parameter sets.
 SURVIVING_POLE_TOL = 1e-8
 
+# Plain quotients of the exponentials are used when, with (a, c) the widest
+# root pair, min(|a - b|, |b - c|) |a - c| >= _SEPARATED * max|s|^2.  Their
+# rounding error in E[a, b, c] is about eps / (min spacing * |a - c|) (the
+# exponentials are at most 1), and N[a] is of the order of max|s|^2, so this
+# bounds the error of the amplitudes to about eps / _SEPARATED = 2e-13.
+_SEPARATED = 1e-3
 
-class DegenerateRootsError(Exception):
-    """The cubic has (near-)coincident roots; simple-pole residues do not apply."""
+# Taylor terms for E[a, b, c], used while |(a - c) t| <= 1: the remainder
+# after 18 terms is below 1e-17 of the sum.
+_TAYLOR_TERMS = 18
 
 
 @dataclass(frozen=True)
@@ -80,14 +87,9 @@ class CharacteristicCubic:
 
 @dataclass(frozen=True)
 class CubicRoots:
-    """Three polished roots, sorted by (real, imag), plus a degeneracy flag."""
+    """Three roots, sorted by (real, imag)."""
 
     roots: tuple[complex, complex, complex]
-    degenerate: bool
-
-    def min_spacing(self) -> float:
-        s1, s2, s3 = self.roots
-        return min(abs(s1 - s2), abs(s1 - s3), abs(s2 - s3))
 
 
 def char_cubic(params: SystemParams) -> CharacteristicCubic:
@@ -129,25 +131,23 @@ def _cardano(a2: float, a1: float, a0: complex) -> tuple[complex, complex, compl
 
 
 def char_roots(params: SystemParams) -> CubicRoots:
-    """Find and polish the three roots of the characteristic cubic.
+    """Find the three roots of the characteristic cubic.
 
     Cardano supplies starting values; the best-isolated root is driven to
-    convergence by Newton (quadratic for a simple root), and the remaining
-    pair comes from deflating to a quadratic solved with the
-    cancellation-free formula.  Deflation keeps the Vieta sums tight even
-    when the pair (nearly) coincides, where polishing each Cardano root
-    separately would stall at the square-root-of-epsilon accuracy floor of a
-    double root.  The degeneracy flag is set when the minimum pairwise
-    spacing drops below ``DEGENERACY_REL`` times the natural frequency scale
-    ``lam + R + |K|``.
+    convergence by Newton, and the other two solve the deflated quadratic.
+    They are not polished against the full cubic: near a double or triple
+    root that moves the two roots of a cluster independently and breaks the
+    Vieta sums, which the Newton form of the residue sum relies on.
     """
     cubic = char_cubic(params)
     raw = _cardano(cubic.a2, cubic.a1, complex(cubic.a0))
-    iso = max(
-        range(3),
-        key=lambda i: min(abs(raw[i] - raw[j]) for j in range(3) if j != i),
+    isolation = [min(abs(raw[i] - raw[j]) for j in range(3) if j != i) for i in range(3)]
+    # among (near-)ties, the root nearest the real axis: a real cubic then
+    # deflates by its real root and keeps its complex pair exactly conjugate
+    r = min(
+        (raw[i] for i in range(3) if isolation[i] >= (1.0 - 1e-6) * max(isolation)),
+        key=lambda z: abs(z.imag),
     )
-    r = raw[iso]
     for _ in range(4):
         dp = cubic.derivative(r)
         if dp == 0:
@@ -163,119 +163,150 @@ def char_roots(params: SystemParams) -> CubicRoots:
     disc = cmath.sqrt(p * p - 4.0 * q)
     lo = -0.5 * (p - disc)
     hi = -0.5 * (p + disc)
-    big = hi if abs(hi) >= abs(lo) else lo
-    if big == 0:
-        pair = [-0.5 * p, -0.5 * p]
-    else:
-        pair = [big, q / big]
-    polished = [r]
-    for s in pair:
-        # touch up against the full cubic, but only while it actually helps
-        # (at a double root the Newton step is noise and is rejected)
-        for _ in range(2):
-            dp = cubic.derivative(s)
-            if dp == 0:
-                break
-            cand = s - cubic(s) / dp
-            if abs(cubic(cand)) < abs(cubic(s)):
-                s = cand
-            else:
-                break
-        polished.append(s)
-    polished.sort(key=lambda z: (z.real, z.imag))
-    d = derive(params)
-    scale = params.lam + d.R + abs(params.K)
-    roots = CubicRoots(roots=tuple(polished), degenerate=False)
-    if roots.min_spacing() < DEGENERACY_REL * scale:
-        roots = CubicRoots(roots=roots.roots, degenerate=True)
-    return roots
+    big, small = (hi, lo) if abs(hi) >= abs(lo) else (lo, hi)
+    if abs(small) < 0.5 * abs(big):
+        # the smaller root has lost digits to cancellation; the product q
+        # gives it accurately.  Roots of equal size, such as the exact
+        # conjugate pair of a real quadratic, keep their symmetry.
+        small = q / big
+    return CubicRoots(roots=tuple(sorted([r, big, small], key=lambda z: (z.real, z.imag))))
+
+
+def _pair_difference(x: complex, y: complex, t: np.ndarray) -> np.ndarray:
+    """E[x, y] = t e^{yt} expm1(z) / z with z = (x - y) t, finite as x -> y.
+
+    Anchored at the node with the larger real part, so that Re z <= 0 and
+    neither factor can overflow where the true value does not.
+    """
+    if x.real > y.real:
+        x, y = y, x
+    z = (x - y) * t
+    phi = np.ones_like(z)
+    nz = z != 0
+    phi[nz] = np.expm1(z[nz]) / z[nz]
+    return t * np.exp(y * t) * phi
+
+
+def _triple_difference(a: complex, b: complex, c: complex, t: np.ndarray) -> np.ndarray:
+    """E[a, b, c] = t^2 e^{ct} sum_k h_k(u, v) / (k + 2)! for u = (a - c) t, v = (b - c) t.
+
+    h_k = v h_{k-1} + u^k is the complete homogeneous polynomial of degree k.
+    Valid where |u| and |v| are at most 1.
+    """
+    u, v = (a - c) * t, (b - c) * t
+    h = u_k = np.ones_like(u)
+    term = 0.5
+    total = term * h
+    for k in range(1, _TAYLOR_TERMS):
+        u_k = u_k * u
+        h = v * h + u_k
+        term /= k + 2
+        total = total + term * h
+    return t * t * np.exp(c * t) * total
+
+
+def _separated_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
+    """Rows E[a, b, c], E[b, c] and E[c] of E(s) = exp(s t) as plain quotients."""
+    a, b, c = nodes
+    E = np.exp(np.multiply.outer(np.array(nodes), t))
+    E[:2] = (E[:2] - E[1:]) / np.array([[a - b], [b - c]])
+    E[0] = (E[0] - E[1]) / (a - c)
+    return E
+
+
+def _clustered_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
+    """The same rows in forms that stay finite as nodes meet: E[a, b, c] is
+    the Taylor series where |(a - c) t| <= 1, else the pairs' quotient."""
+    a, b, c = nodes
+    E = np.empty((3, t.size), dtype=complex)
+    e_ab = _pair_difference(a, b, t)
+    E[1] = _pair_difference(b, c, t)
+    E[2] = np.exp(c * t)
+    near = np.abs((a - c) * t) <= 1.0
+    E[0, near] = _triple_difference(a, b, c, t[near])
+    E[0, ~near] = (e_ab[~near] - E[1, ~near]) / (a - c)
+    return E
+
+
+def _exp_divided_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
+    """Plain quotients where they are accurate (see ``_SEPARATED``), else the clustered forms."""
+    a, b, c = nodes
+    if min(abs(a - b), abs(b - c)) * abs(a - c) >= _SEPARATED * max(abs(a), abs(b), abs(c)) ** 2:
+        return _separated_differences(nodes, t)
+    return _clustered_differences(nodes, t)
 
 
 @dataclass(frozen=True)
 class ResidueSolution:
-    """Roots plus per-root residue coefficients; x(t) = sum_i coeff_i exp(s_i t).
+    """Roots (a, b, c), (a, c) the widest pair, and per amplitude the Newton
+    coefficients (N(a), n2 (a + b) + n1, n2) of N(s) = n2 s^2 + n1 s + n0.
 
-    Valid only for simple roots.  The coefficient sums reproduce the initial
-    data (c10, c20, 0), which doubles as a cheap self-test.
+    At t = 0 only E[c] = 1 survives, and n2 is c10, c20 and 0 for (c1, c2, b),
+    so the initial data are reproduced exactly.
     """
 
     params: SystemParams
     derived: DerivedParams
     init: InitialAmplitudes
     roots: CubicRoots
-    coeff_c1: tuple[complex, complex, complex]
-    coeff_c2: tuple[complex, complex, complex]
-    coeff_b: tuple[complex, complex, complex]
+    nodes: tuple[complex, complex, complex]
+    newton_c1: tuple[complex, complex, complex]
+    newton_c2: tuple[complex, complex, complex]
+    newton_b: tuple[complex, complex, complex]
 
     def evolve(self, t):
         """Evaluate (c1, c2, b) at scalar or array ``t >= 0``."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("closed-form evolution is defined for t >= 0")
-        s = np.array(self.roots.roots)
-        basis = np.exp(t[..., None] * s)
-        c1 = basis @ np.array(self.coeff_c1)
-        c2 = basis @ np.array(self.coeff_c2)
-        b = basis @ np.array(self.coeff_b)
+        newton = np.array([self.newton_c1, self.newton_c2, self.newton_b])
+        c1, c2, b = newton @ _exp_divided_differences(self.nodes, t.reshape(-1))
         if t.ndim == 0:
-            return complex(c1), complex(c2), complex(b)
-        return c1, c2, b
+            return complex(c1[0]), complex(c2[0]), complex(b[0])
+        return c1.reshape(t.shape), c2.reshape(t.shape), b.reshape(t.shape)
 
 
 def residue_coefficients(
     params: SystemParams, init: InitialAmplitudes
 ) -> ResidueSolution:
-    """Residues of the Laplace solution at the three simple poles.
+    """Newton coefficients of the residue sum, valid for every root configuration.
 
-    For each simple root the coefficient is N(s_i) / D'(s_i) with the
-    numerators of the three transformed amplitudes:
+    The numerators of the three transformed amplitudes are
 
         N_c1(s) = c10 [s (s + lam) + R^2 r2^2] - c20 [i K (s + lam) + R^2 r1 r2]
         N_c2(s) = the same with indices 1 and 2 exchanged
         N_b(s)  = -i R [(r1 c10 + r2 c20) s - i K (r1 c20 + r2 c10)]
-
-    Raises
-    ------
-    DegenerateRootsError
-        When the root finder flags (near-)coincident roots; fall back to
-        :func:`atompair.dynamics.integrate_pseudomode`.
     """
     init = validate_initial(init, "strict")
     d = derive(params)
     roots = char_roots(params)
-    if roots.degenerate:
-        raise DegenerateRootsError(
-            f"characteristic roots too close (min spacing {roots.min_spacing():.3e}); "
-            "use the time-domain integrator instead"
-        )
-    cubic = char_cubic(params)
     lam, K, R = params.lam, params.K, d.R
     r1, r2 = d.r1, d.r2
     R2 = R * R
     c10, c20 = init.c10, init.c20
-
-    def n_c1(s: complex) -> complex:
-        return c10 * (s * (s + lam) + R2 * r2 * r2) - c20 * (
-            1j * K * (s + lam) + R2 * r1 * r2
-        )
-
-    def n_c2(s: complex) -> complex:
-        return c20 * (s * (s + lam) + R2 * r1 * r1) - c10 * (
-            1j * K * (s + lam) + R2 * r1 * r2
-        )
-
-    def n_b(s: complex) -> complex:
-        return -1j * R * ((r1 * c10 + r2 * c20) * s - 1j * K * (r1 * c20 + r2 * c10))
-
-    dps = [cubic.derivative(s) for s in roots.roots]
+    cross = 1j * K * lam + R2 * r1 * r2
+    # (n2, n1, n0) of each numerator
+    quadratics = (
+        (c10, c10 * lam - 1j * K * c20, c10 * R2 * r2 * r2 - c20 * cross),
+        (c20, c20 * lam - 1j * K * c10, c20 * R2 * r1 * r1 - c10 * cross),
+        (0.0, -1j * R * (r1 * c10 + r2 * c20), -R * K * (r1 * c20 + r2 * c10)),
+    )
+    s = roots.roots
+    i, j = max(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(s[ij[0]] - s[ij[1]]))
+    a, b, c = s[i], s[3 - i - j], s[j]
+    newton = [
+        (complex((n2 * a + n1) * a + n0), complex(n2 * (a + b) + n1), complex(n2))
+        for n2, n1, n0 in quadratics
+    ]
     return ResidueSolution(
         params=params,
         derived=d,
         init=init,
         roots=roots,
-        coeff_c1=tuple(n_c1(s) / dp for s, dp in zip(roots.roots, dps)),
-        coeff_c2=tuple(n_c2(s) / dp for s, dp in zip(roots.roots, dps)),
-        coeff_b=tuple(n_b(s) / dp for s, dp in zip(roots.roots, dps)),
+        nodes=(a, b, c),
+        newton_c1=newton[0],
+        newton_c2=newton[1],
+        newton_b=newton[2],
     )
 
 

@@ -524,19 +524,20 @@ def _rk4_increment(M: np.ndarray, h: float) -> np.ndarray:
 def _rk4_fixed(
     params: SystemParams, y0: np.ndarray, t_end: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 with a deterministic grid; the last step shrinks to land on t_end.
+    """Classic RK4 with a deterministic grid that ends exactly at t_end.
 
-    The steps of length dt are powers of one matrix, evaluated by
-    :func:`_power_scan`; the last step, which may be shrunk or clipped to
-    t_end, applies the increment of its own length.
+    A multiple of dt within 1e-12 max(1, t_end) of t_end is moved onto it;
+    otherwise a shrunk last step is added.  The steps of length dt are
+    powers of one matrix, evaluated by :func:`_power_scan`; the last step
+    applies the increment of its own length.
     """
     M = _system_matrix(params)
     n_full = int(math.floor(t_end / dt))
     t = dt * np.arange(n_full + 1)
-    if t[-1] < t_end - 1e-12 * max(1.0, t_end):
+    if n_full == 0 or t[-1] < t_end - 1e-12 * max(1.0, t_end):
         t = np.append(t, t_end)
     else:
-        t[-1] = min(t[-1], t_end)
+        t[-1] = t_end
     y = np.empty((t.size, 3), dtype=complex)
     y[0] = y0
     if t.size > 1:
@@ -721,11 +722,7 @@ def integrate_volterra(
 def sample_closed_form(
     params: SystemParams, init: InitialAmplitudes, times: np.ndarray
 ) -> Trajectory:
-    """Evaluate the closed-form solution on ``times`` and wrap it as a trajectory.
-
-    Raises :class:`atompair.closedform.DegenerateRootsError` for parameter
-    sets with (near-)repeated characteristic roots.
-    """
+    """Evaluate the closed-form solution on ``times`` and wrap it as a trajectory."""
     times = np.asarray(times, dtype=float)
     sol = residue_coefficients(params, init)
     c1, c2, b = sol.evolve(times)

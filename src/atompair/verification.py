@@ -2,8 +2,9 @@
 
 The three solution routes (residue closed form, adaptive ODE, direct memory
 kernel) share no numerics, so their mutual agreement is the strongest
-correctness evidence the package can produce.  This module packages those
-comparisons for both the test suite and the ``verify`` CLI command.
+correctness evidence the package can produce.  All three run on every
+parameter set, repeated characteristic roots included.  This module packages
+those comparisons for both the test suite and the ``verify`` CLI command.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import DegenerateRootsError
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
@@ -49,25 +49,14 @@ def _sup_norm(a: Trajectory, b: Trajectory, idx_a=slice(None), idx_b=slice(None)
 
 @dataclass(frozen=True)
 class SolverComparison:
-    """Pairwise sup-norm discrepancies on a shared grid.
+    """Pairwise sup-norm discrepancies on a shared grid."""
 
-    ``closed_vs_ode`` and ``closed_vs_volterra`` are None when the parameter
-    set has (near-)degenerate characteristic roots and the closed form
-    refused; ``ode_vs_volterra`` is always available.
-    """
-
-    closed_vs_ode: float | None
-    closed_vs_volterra: float | None
+    closed_vs_ode: float
+    closed_vs_volterra: float
     ode_vs_volterra: float
-    closed_form_skipped: bool
 
     def worst(self) -> float:
-        vals = [
-            v
-            for v in (self.closed_vs_ode, self.closed_vs_volterra, self.ode_vs_volterra)
-            if v is not None
-        ]
-        return max(vals)
+        return max(self.closed_vs_ode, self.closed_vs_volterra, self.ode_vs_volterra)
 
     def passes(self, tol: float = THREE_SOLVER_TOL) -> bool:
         return self.worst() <= tol
@@ -96,21 +85,11 @@ def compare_solvers(
     ode = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)
     vol = integrate_volterra(params, init, t_end, n_steps, _kernel_sign=_kernel_sign)
     vol_idx = slice(None, None, stride)
-
-    closed_skipped = False
-    closed = None
-    try:
-        closed = sample_closed_form(params, init, grid)
-    except DegenerateRootsError:
-        closed_skipped = True
-
+    closed = sample_closed_form(params, init, grid)
     return SolverComparison(
-        closed_vs_ode=None if closed_skipped else _sup_norm(closed, ode),
-        closed_vs_volterra=(
-            None if closed_skipped else _sup_norm(closed, vol, slice(None), vol_idx)
-        ),
+        closed_vs_ode=_sup_norm(closed, ode),
+        closed_vs_volterra=_sup_norm(closed, vol, slice(None), vol_idx),
         ode_vs_volterra=_sup_norm(ode, vol, slice(None), vol_idx),
-        closed_form_skipped=closed_skipped,
     )
 
 

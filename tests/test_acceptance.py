@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from atompair import (
-    DegenerateRootsError,
     InitialAmplitudes,
     IntegratorConfig,
     SystemParams,
@@ -47,9 +46,14 @@ FIG_K_VALUES = (0.0, 2.0, 7.0, 20.0)
 # --- deterministic parameter collections shared between criteria 1-8 and 9 ---
 
 
-def degenerate_set() -> SystemParams:
+def double_root_set() -> SystemParams:
     # K = 0 with R = lam/2 collapses the decaying pair into a double root
     return fig_params(K=0.0, R=0.5, r1=0.6)
+
+
+def triple_root_set() -> SystemParams:
+    # r2 = 0, K = lam/sqrt(27), R = sqrt(8/27) lam: D(s) = (s + lam/3)^3
+    return fig_params(K=1.0 / math.sqrt(27.0), R=math.sqrt(8.0 / 27.0), r1=1.0)
 
 
 def criterion1_sets():
@@ -115,7 +119,7 @@ def criterion6_cases():
 
 
 def all_root_solved_params():
-    seen = [degenerate_set()]
+    seen = [double_root_set(), triple_root_set()]
     seen += [p for p, _ in criterion1_sets()]
     seen += [p for p, _ in fig_sets()]
     seen += [p for p, _, _ in criterion3_grid()]
@@ -135,22 +139,18 @@ def test_criterion_1_three_solver_equivalence():
     worst = 0.0
     for p, init in criterion1_sets():
         comp = compare_solvers(p, init, t_end=10.0, n_steps=20000)
-        if comp.closed_form_skipped:
-            assert comp.ode_vs_volterra <= THREE_SOLVER_TOL
-        else:
-            assert comp.worst() <= THREE_SOLVER_TOL
+        assert comp.worst() <= THREE_SOLVER_TOL
         worst = max(worst, comp.worst())
-    # the documented fallback: repeated roots refuse the closed form but the
-    # other two routes still agree
-    p = degenerate_set()
-    init = bell_state("minus")
-    with pytest.raises(DegenerateRootsError):
-        residue_coefficients(p, init)
-    comp = compare_solvers(p, init, t_end=10.0, n_steps=20000)
-    assert comp.closed_form_skipped
-    assert comp.ode_vs_volterra <= THREE_SOLVER_TOL
+    # repeated roots: the closed form needs no fallback, and all three agree
+    confluent = 0.0
+    for p in (double_root_set(), triple_root_set()):
+        for init in (bell_state("minus"), InitialAmplitudes(1.0, 0.0)):
+            comp = compare_solvers(p, init, t_end=10.0, n_steps=20000)
+            assert comp.worst() <= THREE_SOLVER_TOL
+            confluent = max(confluent, comp.worst())
     print(f"\nPASS criterion 1: three-solver sup-norm <= {THREE_SOLVER_TOL:.0e} "
-          f"on 50 random sets (worst {worst:.2e}); degenerate fallback exercised")
+          f"on 50 random sets (worst {worst:.2e}) and at the double and triple "
+          f"roots (worst {confluent:.2e})")
 
 
 def test_criterion_2_leak_rate_identity():

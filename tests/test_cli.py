@@ -13,13 +13,34 @@ from atompair.cli import (
     EXIT_OK,
     TRAJECTORY_COLUMNS,
     _write_sweep_csv,
+    init_from_config,
     main,
+    params_from_config,
     write_trajectory_csv,
 )
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
 from conftest import SQRT3_2, fig_params, random_init
+
+# K = 0, R = lam/2 gives a double root at -lam/2; r2 = 0, K = lam/sqrt(27),
+# R = sqrt(8/27) lam a triple root at -lam/3
+CONFLUENT = {
+    "double": {"lambda": 1.0, "W": 0.5, "alpha1": 1.0, "alpha2": 0.0, "K": 0.0},
+    "triple": {"lambda": 1.0, "W": math.sqrt(8.0 / 27.0), "alpha1": 1.0, "alpha2": 0.0,
+               "K": 1.0 / math.sqrt(27.0)},
+}
+
+
+def expm_amplitudes(params, init, t):
+    """Independent reference: (c1, c2, b) = expm(M t) (c10, c20, 0) at each t."""
+    linalg = pytest.importorskip("scipy.linalg")
+    from atompair.dynamics import _system_matrix
+
+    M = _system_matrix(params)
+    y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+    return np.array([linalg.expm(M * tk) @ y0 for tk in t]).T
+
 
 FIG1A_K0 = {
     "R_rel": 10.0,
@@ -206,6 +227,20 @@ class TestFaultyInputs:
         assert "invalid init" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coarse_volterra_steps_exit_2(self, tmp_path, capsys):
+        # at 100 steps the memory-kernel scheme is unstable for these rates
+        payload = {"R_rel": 12.2131, "K_rel": 12.4332, "r1": 0.1708, "init": "phi_minus",
+                   "t_end": 10, "n_steps": 100, "samples": 101}
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_CONFIG
+        assert "'n_steps'" in capsys.readouterr().err
+        assert not out.exists()
+        # the default step count resolves the same rates
+        del payload["n_steps"]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_OK
+
     def test_infinite_max_step_is_allowed(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": math.inf})
         out = tmp_path / "o.csv"
@@ -268,16 +303,25 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_degenerate_closed_form_falls_back(self, tmp_path, capsys):
+    @pytest.mark.parametrize("point", ["double", "triple"])
+    def test_closed_form_at_confluent_roots(self, tmp_path, capsys, point):
         payload = {
-            "lambda": 1.0, "W": 0.5, "alpha1": 1.0, "alpha2": 0.0, "K": 0.0,
-            "init": {"c10": [1.0, 0.0], "c20": [0.0, 0.0]},
-            "t_end": 5.0, "solver": "closed", "samples": 51,
+            **CONFLUENT[point], "init": {"c10": [1.0, 0.0], "c20": [0.0, 0.0]},
+            "t_end": 50.0, "solver": "closed", "samples": 201,
         }
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "c.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert "falling back" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "(solver: closed_form)" in captured.out
+        assert captured.err == ""
+        _, rows = read_csv(out)
+        ref = expm_amplitudes(
+            params_from_config(payload), init_from_config(payload), rows[:, 0]
+        )
+        got = np.array([rows[:, 1] + 1j * rows[:, 2], rows[:, 3] + 1j * rows[:, 4],
+                        rows[:, 5] + 1j * rows[:, 6]])
+        assert np.abs(got - ref).max() <= 1e-12
 
     def test_svg_written(self, tmp_path):
         payload = {**FIG1A_K0, "t_end": 5.0, "samples": 101}
@@ -337,6 +381,21 @@ class TestSweep:
         svg = (tmp_path / "s.svg").read_text()
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<rect") == 3 * 11 + 2  # one per cell, background, frame
+
+    def test_triple_root_column_matches_expm(self, tmp_path):
+        k_triple = CONFLUENT["triple"]["K"]
+        payload = {
+            **CONFLUENT["triple"], "init": "phi_minus",
+            "K_values": [0.0, k_triple, 0.5], "tau_grid": [0.0, 60.0, 121],
+        }
+        cfg = write_config(tmp_path, "s.json", payload)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header[2] == f"K={_fmt_reference(k_triple)}"
+        params = params_from_config(payload)
+        c1, c2, _ = expm_amplitudes(params, bell_state("minus"), rows[:, 0])
+        assert np.abs(rows[:, 2] - 2.0 * np.abs(c1) * np.abs(c2)).max() <= 1e-12
 
     def test_empty_grid_is_config_error(self, tmp_path):
         payload = {
@@ -416,17 +475,19 @@ class TestVerify:
         assert "closed_form vs volterra" in out
         assert "population-balance" not in out
 
-    def test_degenerate_config_still_checks_remaining_pair(self, tmp_path, capsys):
+    @pytest.mark.parametrize("point", ["double", "triple"])
+    def test_all_pairs_checked_at_confluent_roots(self, tmp_path, capsys, point):
         payload = {
-            "lambda": 1.0, "W": 0.5, "alpha1": 1.0, "alpha2": 0.0, "K": 0.0,
-            "init": {"c10": [1.0, 0.0], "c20": [0.0, 0.0]},
+            **CONFLUENT[point], "init": {"c10": [1.0, 0.0], "c20": [0.0, 0.0]},
             "t_end": 5.0, "n_steps": 10000,
         }
         cfg = write_config(tmp_path, "v.json", payload)
         assert main(["verify", "--config", cfg]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "closed form skipped" in out
-        assert "pseudomode_ode vs volterra" in out
+        for pair in ("closed_form vs pseudomode_ode", "closed_form vs volterra",
+                     "pseudomode_ode vs volterra"):
+            assert f"[PASS] {pair}:" in out
+        assert "FAIL" not in out and "note" not in out
 
 
 class TestSubprocessEntry:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from atompair import (
-    DegenerateRootsError,
     InitialAmplitudes,
     SystemParams,
     bell_state,
@@ -14,7 +13,13 @@ from atompair import (
     residue_coefficients,
     surviving_pole,
 )
-from atompair.closedform import char_cubic
+from atompair.closedform import (
+    _SEPARATED,
+    _clustered_differences,
+    _exp_divided_differences,
+    _separated_differences,
+    char_cubic,
+)
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
 
@@ -94,10 +99,18 @@ class TestCharRoots:
             for s in ref:
                 assert min(abs(s - z) for z in ours) < 1e-9 * scale
 
-    def test_degenerate_detection(self):
-        # K = 0, R = lam/2 makes the bright pair coincide at -lam/2
-        p = SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
-        assert char_roots(p).degenerate
+    def test_real_cubic_keeps_exact_conjugate_pair(self, rng):
+        # K = 0 makes the cubic real: its complex roots must be exact
+        # conjugates, so that sorting by (real, imag) is stable
+        pairs = 0
+        for _ in range(300):
+            p = fig_params(K=0.0, R=rng.uniform(0.6, 20.0), r1=rng.uniform(0.05, 0.95),
+                           lam=rng.uniform(0.2, 5.0))
+            pair = [s for s in char_roots(p).roots if abs(s.imag) > 1e-9]
+            if pair:  # otherwise all three roots are real (overdamped)
+                assert len(pair) == 2 and pair[0] == pair[1].conjugate()
+                pairs += 1
+        assert pairs > 250
 
     def test_roots_sorted_deterministically(self):
         p = fig_params(K=3.0)
@@ -113,9 +126,10 @@ class TestResidues:
             p = random_params(rng)
             init = random_init(rng)
             sol = residue_coefficients(p, init)
-            assert abs(sum(sol.coeff_c1) - init.c10) < 1e-9
-            assert abs(sum(sol.coeff_c2) - init.c20) < 1e-9
-            assert abs(sum(sol.coeff_b)) < 1e-9
+            # the last Newton coefficient is the numerator's leading one
+            assert abs(sol.newton_c1[2] - init.c10) < 1e-9
+            assert abs(sol.newton_c2[2] - init.c20) < 1e-9
+            assert abs(sol.newton_b[2]) < 1e-9
             c1, c2, b = sol.evolve(0.0)
             assert abs(c1 - init.c10) < 1e-9
             assert abs(c2 - init.c20) < 1e-9
@@ -126,12 +140,7 @@ class TestResidues:
         # the second amplitude vanishes identically
         p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         sol = residue_coefficients(p, InitialAmplitudes(1.0, 0.0))
-        assert all(abs(c) == 0.0 for c in sol.coeff_c2)
-
-    def test_degenerate_roots_refused(self):
-        p = SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
-        with pytest.raises(DegenerateRootsError):
-            residue_coefficients(p, InitialAmplitudes(1.0, 0.0))
+        assert all(abs(c) == 0.0 for c in sol.newton_c2)
 
     def test_matches_ode_on_window(self):
         p = fig_params(K=2.0)
@@ -143,6 +152,13 @@ class TestResidues:
         assert np.abs(c1 - traj.c1).max() < 1e-6
         assert np.abs(c2 - traj.c2).max() < 1e-6
         assert np.abs(b - traj.b).max() < 1e-6
+
+
+def triple_root_params() -> SystemParams:
+    """Atom 2 uncoupled, K = lam/sqrt(27), R = sqrt(8/27) lam: a triple root at -lam/3."""
+    return SystemParams(
+        lam=1.0, W=math.sqrt(8.0 / 27.0), alpha1=1.0, alpha2=0.0, K=1.0 / math.sqrt(27.0)
+    )
 
 
 def damped_rabi_amplitude(t: np.ndarray, lam: float, R: float) -> np.ndarray:
@@ -175,6 +191,55 @@ class TestClosedFormEvolution:
         c1, c2, _ = sol.evolve(t)
         assert np.abs(c1 - damped_rabi_amplitude(t, 1.0, 10.0)).max() < 1e-9
         assert np.abs(c2).max() == 0.0
+
+    def test_critically_damped_single_atom(self):
+        # K = 0 and R = lam/2: C1(s) = (s + 1) / (s + 1/2)^2, a double root
+        p = SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
+        t = np.linspace(0.0, 200.0, 2001)
+        c1, c2, _ = residue_coefficients(p, InitialAmplitudes(1.0, 0.0)).evolve(t)
+        assert np.abs(c1 - np.exp(-0.5 * t) * (1.0 + 0.5 * t)).max() <= 1e-12
+        assert np.abs(c2).max() == 0.0
+
+    def test_triple_root(self):
+        # r2 = 0, K^2 = lam^2/27, R^2 = 8 lam^2/27: D(s) = (s + lam/3)^3
+        p = triple_root_params()
+        t = np.linspace(0.0, 200.0, 2001)
+        c1, _, _ = residue_coefficients(p, InitialAmplitudes(1.0, 0.0)).evolve(t)
+        expected = np.exp(-t / 3.0) * (1.0 + t / 3.0 - t * t / 9.0)
+        assert np.abs(c1 - expected).max() <= 1e-12
+
+    def test_double_root_long_horizon(self):
+        # the decaying double root at -lam/2 next to the surviving pole at 0:
+        # far out, only the dark-state projection remains
+        p = SystemParams(lam=1.0, W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
+        init = bell_state("minus")
+        c1, c2, b = residue_coefficients(p, init).evolve(np.array([1e3, 1e4, 1e5]))
+        dark = 0.8 * init.c10 - 0.6 * init.c20
+        assert np.abs(c1 - 0.8 * dark).max() <= 1e-12
+        assert np.abs(c2 + 0.6 * dark).max() <= 1e-12
+        assert np.abs(b).max() <= 1e-12
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("point", ["double", "triple"])
+    def test_confluent_neighbourhood_matches_expm(self, point, rel):
+        linalg = pytest.importorskip("scipy.linalg")
+        from atompair.dynamics import _system_matrix
+
+        base = (
+            SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
+            if point == "double" else triple_root_params()
+        )
+        t = np.linspace(0.0, 200.0, 101)
+        for W, K, a2 in ((base.W * (1 + rel), base.K, 0.0),
+                         (base.W * (1 - rel), base.K, 0.0),
+                         (base.W, base.K + rel, rel)):
+            p = SystemParams(lam=1.0, W=W, alpha1=1.0, alpha2=a2, K=K)
+            init = bell_state("minus")
+            got = np.array(residue_coefficients(p, init).evolve(t))
+            M = _system_matrix(p)
+            y0 = np.array([init.c10, init.c20, 0.0])
+            ref = np.array([linalg.expm(M * tk) @ y0 for tk in t]).T
+            assert np.abs(got - ref).max() <= 1e-12
 
     def test_negative_time_rejected(self):
         sol = residue_coefficients(fig_params(K=0.0), bell_state("plus"))
@@ -220,8 +285,8 @@ class TestSymmetries:
         assert all(
             abs(x - y) < 1e-9 for x, y in zip(a.roots.roots, b.roots.roots)
         )
-        assert all(abs(x - y) < 1e-9 for x, y in zip(a.coeff_c1, b.coeff_c2))
-        assert all(abs(x - y) < 1e-9 for x, y in zip(a.coeff_c2, b.coeff_c1))
+        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton_c1, b.newton_c2))
+        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton_c2, b.newton_c1))
 
     def test_conjugation_symmetry(self, rng):
         p = fig_params(K=6.0)
@@ -241,3 +306,32 @@ class TestSymmetries:
             for s in char_roots(flipped).roots
         }
         assert ra == rb
+
+
+class TestDividedDifferences:
+    @staticmethod
+    def nodes_at(product: float, kind: str):
+        """Nodes (a, b, c), with (a, c) the widest pair, whose spacing product
+        min(|a - b|, |b - c|) |a - c| / max|s|^2 is ``product``."""
+        if kind == "pair":
+            # b sits next to c, on the side that keeps (a, c) the widest pair
+            a, c = -1.0 + 0.5j, -0.3 + 2.0j
+            return a, c + product * abs(c) ** 2 / abs(a - c) * (0.6 - 0.8j), c
+        # all three on the real axis, equally spaced over a width w
+        w = math.sqrt(2.0 * product) / 3.0
+        return -1.0 / 3.0, -1.0 / 3.0 + 0.5 * w, -1.0 / 3.0 + w
+
+    @pytest.mark.parametrize("kind", ["pair", "triple"])
+    @pytest.mark.parametrize("factor", [0.8, 1.25])
+    def test_forms_agree_on_both_sides_of_switch(self, kind, factor):
+        nodes = self.nodes_at(factor * _SEPARATED, kind)
+        t = np.linspace(0.0, 50.0, 501)
+        sep = _separated_differences(nodes, t)
+        clu = _clustered_differences(nodes, t)
+        scale = max(abs(s) for s in nodes)
+        weights = np.array([[scale * scale], [scale], [1.0]])
+        assert np.abs((sep - clu) * weights).max() <= 1e-12
+        a, b, c = nodes
+        assert min(abs(a - b), abs(b - c)) * abs(a - c) / scale ** 2 == pytest.approx(factor * _SEPARATED)
+        chosen = _exp_divided_differences(nodes, t)
+        assert np.array_equal(chosen, sep if factor > 1.0 else clu)
