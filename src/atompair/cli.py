@@ -29,6 +29,7 @@ from .closedform import (
 )
 from .dynamics import (
     IntegratorConfig,
+    StepUnderflowError,
     Trajectory,
     integrate_pseudomode,
     integrate_volterra,
@@ -54,16 +55,6 @@ TRAJECTORY_COLUMNS = (
     "p1", "p2", "pb", "p_leak", "concurrence",
 )
 
-_KNOWN_KEYS = {
-    "lambda", "W", "alpha1", "alpha2", "K", "omega0",
-    "R_rel", "K_rel", "r1",
-    "init", "renormalize",
-    "t_end", "solver", "samples", "n_steps",
-    "rel_tol", "abs_tol", "fixed_dt", "max_step", "sample_stride",
-    "out", "svg", "jobs",
-    "K_values", "K_rel_values", "tau_grid",
-}
-
 
 class ConfigError(Exception):
     """Bad configuration; maps to exit code 2."""
@@ -87,7 +78,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - _KNOWN_KEYS
+    unknown = set(cfg) - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     return cfg
@@ -106,32 +97,109 @@ def _finite(key: str, v) -> float:
     return x
 
 
-def _number(cfg: dict, key: str, default: float | None = None) -> float:
-    """Finite number field ``key``; required unless ``default`` is given."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required field '{key}'")
-        return default
-    return _finite(key, cfg[key])
-
-
-def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
-    """Integer field ``key`` (an integral JSON float counts) of at least ``minimum``."""
-    v = cfg.get(key, default)
+def _integer(key: str, v) -> int:
+    """``v`` as an int, if it is an integer (an integral JSON float counts)."""
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"field '{key}' must be an integer, got {v!r}")
-    if v < minimum:
-        raise ConfigError(f"field '{key}' must be >= {minimum}, got {v}")
     return v
 
 
-def _number_list(cfg: dict, key: str) -> list[float]:
-    value = cfg[key]
-    if not isinstance(value, list) or not value:
+def _rule(test, text: str, convert=lambda key, v: v):
+    """Parser of the values ``convert`` accepts and ``test`` passes, as ``text`` says."""
+
+    def parse(key: str, v):
+        x = convert(key, v)
+        if not test(x):
+            raise ConfigError(f"field '{key}' must {text}, got {x!r}")
+        return x
+
+    return parse
+
+
+_positive = _rule(lambda x: x > 0.0, "be positive", _finite)
+_tolerance = _rule(lambda x: 0.0 < x <= 1e-2, "lie in (0, 1e-2]", _finite)
+_boolean = _rule(lambda v: isinstance(v, bool), "be true or false")
+
+
+def _init(key: str, v):
+    """A state name, or ``{"c10": [re, im], "c20": [re, im]}`` with finite parts."""
+    if v in ("phi_plus", "phi_minus"):
+        return v
+    shaped = isinstance(v, dict) and set(v) == {"c10", "c20"}
+    if shaped and all(isinstance(pair, list) and len(pair) == 2 for pair in v.values()):
+        try:
+            return {amp: [_finite(key, x) for x in pair] for amp, pair in v.items()}
+        except ConfigError:
+            pass
+    raise ConfigError(
+        f"invalid init: field '{key}' must be 'phi_plus', 'phi_minus' or "
+        f"{{\"c10\": [re, im], \"c20\": [re, im]}} with finite parts, got {v!r}"
+    )
+
+
+def _number_list(key: str, v) -> list[float]:
+    if not isinstance(v, list) or not v:
         raise ConfigError(f"field '{key}' must be a nonempty list of numbers")
-    return [_finite(key, v) for v in value]
+    return [_finite(key, x) for x in v]
+
+
+def _tau_grid(key: str, v) -> np.ndarray:
+    """``[start, stop, num]`` with an integer num, or an explicit list of times."""
+    if isinstance(v, list) and len(v) == 3 and isinstance(v[2], int) and not isinstance(v[2], bool):
+        start, stop, num = _finite(key, v[0]), _finite(key, v[1]), v[2]
+        if num < 2 or stop <= start or start < 0.0:
+            raise ConfigError(f"field '{key}' [start, stop, num] must satisfy 0 <= start < stop, num >= 2")
+        return np.linspace(start, stop, num)
+    grid = np.array(_number_list(key, v))
+    if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
+        raise ConfigError(f"field '{key}' must be strictly increasing and nonnegative")
+    return grid
+
+
+# Every config field: its parser, which returns the checked value or raises a
+# ConfigError naming the field, and its default where every command shares
+# it.  The parameter fields' defaults depend on the parameterization and live
+# in params_from_config; each command has its own for t_end, solver, out and init.
+_FIELDS = {
+    "lambda": (_finite, None),
+    "W": (_finite, None),
+    "alpha1": (_finite, None),
+    "alpha2": (_finite, None),
+    "K": (_finite, None),
+    "omega0": (_finite, None),
+    "R_rel": (_finite, None),
+    "K_rel": (_finite, None),
+    "r1": (_rule(lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]", _finite), None),
+    "init": (_init, None),
+    "renormalize": (_boolean, False),
+    # a subnormal t_end leaves no room for distinct sample times
+    "t_end": (_rule(lambda x: x >= sys.float_info.min, "be positive and normal", _finite), None),
+    "solver": (_rule(lambda v: v in ("closed", "ode", "volterra", "all"),
+                     "be one of closed|ode|volterra|all"), None),
+    "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001),
+    "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000),
+    "rel_tol": (_tolerance, 1e-9),
+    "abs_tol": (_tolerance, 1e-12),
+    # null, like an absent fixed_dt, keeps the adaptive route; an infinite
+    # max_step, the integrator's default, sets no cap on the step
+    "fixed_dt": (lambda key, v: None if v is None else _positive(key, v), None),
+    "max_step": (lambda key, v: v if v == math.inf else _positive(key, v), math.inf),
+    "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), 1),
+    "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None),
+    "svg": (_boolean, False),
+    "jobs": (_rule(lambda n: n >= 1, "be >= 1", _integer), None),  # has no effect
+    "K_values": (_number_list, None),
+    "K_rel_values": (_number_list, None),
+    "tau_grid": (_tau_grid, None),
+}
+
+
+def _required(cfg: dict, key: str):
+    if key not in cfg:
+        raise ConfigError(f"missing required field '{key}'")
+    return cfg[key]
 
 
 def params_from_config(cfg: dict) -> SystemParams:
@@ -144,52 +212,47 @@ def params_from_config(cfg: dict) -> SystemParams:
         )
     try:
         if dimless:
-            lam = _number(cfg, "lambda", 1.0)
-            r1 = _number(cfg, "r1")
-            if not 0.0 <= r1 <= 1.0:
-                raise ConfigError(f"field 'r1' must lie in [0, 1], got {r1}")
-            r2 = math.sqrt(max(0.0, 1.0 - r1 * r1))
+            lam = cfg.get("lambda", 1.0)
+            r1 = _required(cfg, "r1")
             fields = ("R_rel", "K_rel")
-            params = SystemParams(
-                lam=lam,
-                W=_number(cfg, "R_rel") * lam,
-                alpha1=r1,
-                alpha2=r2,
-                K=_number(cfg, "K_rel", 0.0) * lam,
-                omega0=_number(cfg, "omega0", 0.0),
-            )
+            values = (lam, _required(cfg, "R_rel") * lam, r1, math.sqrt(max(0.0, 1.0 - r1 * r1)),
+                      cfg.get("K_rel", 0.0) * lam)
         else:
             fields = ("W", "K")
-            params = SystemParams(
-                lam=_number(cfg, "lambda"),
-                W=_number(cfg, "W"),
-                alpha1=_number(cfg, "alpha1"),
-                alpha2=_number(cfg, "alpha2"),
-                K=_number(cfg, "K"),
-                omega0=_number(cfg, "omega0", 0.0),
-            )
+            values = [_required(cfg, k) for k in ("lambda", "W", "alpha1", "alpha2", "K")]
+        # (lam, W, alpha1, alpha2, K), in SystemParams' order
+        params = SystemParams(*values, omega0=cfg.get("omega0", 0.0))
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
-    _check_cubic_finite(params, *fields)
+    _check_cubic_range(params, *fields)
     return params
 
 
-def _check_cubic_finite(params: SystemParams, r_field: str, k_field: str) -> None:
-    """Refuse parameters too large for the characteristic cubic, naming the largest input.
+def _check_cubic_range(params: SystemParams, r_field: str, k_field: str) -> None:
+    """Refuse parameters outside the range of Cardano's formula, naming a field.
 
-    Cardano's formula cubes the cubic's coefficients.  Once one of those
-    cubes overflows, the roots come out NaN or the complex cube root raises.
+    Once a cube of the cubic's coefficients overflows, the roots come out NaN
+    or the complex cube root raises.  Once the roots' size to the sixth power,
+    that of Cardano's p^3 and q^2, underflows, the roots come out wrong; a
+    dimensionless config's only scale is then lambda.
     """
     cubic = char_cubic(params)
+    inputs = {r_field: derive(params).R, k_field: params.K, "lambda": params.lam}
+    largest = max(inputs, key=lambda k: abs(inputs[k]))
     for name, c in (("a2", cubic.a2), ("a1", cubic.a1), ("a0", cubic.a0)):
         size = math.hypot(c.real, c.imag)
         if not math.isfinite(size * size * size):
-            inputs = {r_field: derive(params).R, k_field: params.K, "lambda": params.lam}
-            field = max(inputs, key=lambda k: abs(inputs[k]))
             raise ConfigError(
-                f"field '{field}' is too large: the characteristic cubic's coefficient "
+                f"field '{largest}' is too large: the characteristic cubic's coefficient "
                 f"{name} = {c} overflows when cubed"
             )
+    cube = max(cubic.a2 ** 3, cubic.a1 ** 1.5, abs(cubic.a0))  # the roots' size, cubed
+    if cube * cube < sys.float_info.min:
+        field = "lambda" if r_field == "R_rel" else largest
+        raise ConfigError(
+            f"field '{field}' is too small: the characteristic cubic's roots are of the "
+            f"order of {cube ** (1 / 3):.3e}, and their sixth power underflows"
+        )
 
 
 def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes:
@@ -197,67 +260,23 @@ def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes
     if value is None:
         raise ConfigError("missing required field 'init'")
     if isinstance(value, str):
-        if value not in ("phi_plus", "phi_minus"):
-            raise ConfigError(
-                f"named initial state must be 'phi_plus' or 'phi_minus', got {value!r}"
-            )
         return bell_state(value.removeprefix("phi_"))
-    if isinstance(value, dict):
-        extra = set(value) - {"c10", "c20"}
-        if extra:
-            raise ConfigError(f"unknown init field(s): {', '.join(sorted(extra))}")
-        amps = []
-        for key in ("c10", "c20"):
-            pair = value.get(key)
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            ):
-                raise ConfigError(f"init field '{key}' must be a [re, im] pair")
-            amps.append(complex(pair[0], pair[1]))
-        mode = "renormalize" if cfg.get("renormalize", False) else "strict"
-        try:
-            return validate_initial(InitialAmplitudes(amps[0], amps[1]), mode)
-        except ValueError as exc:
-            raise ConfigError(f"invalid init: {exc}") from exc
-    raise ConfigError("field 'init' must be a state name or {c10, c20} pairs")
-
-
-def integrator_from_config(cfg: dict) -> IntegratorConfig:
-    # max_step alone may be Infinity, its default (no cap on the step)
-    max_step = cfg.get("max_step", math.inf)
-    if max_step != math.inf:
-        max_step = _finite("max_step", max_step)
-        if max_step <= 0.0:
-            raise ConfigError(f"field 'max_step' must be positive, got {max_step}")
+    mode = "renormalize" if cfg.get("renormalize") else "strict"
     try:
-        return IntegratorConfig(
-            rel_tol=_number(cfg, "rel_tol", 1e-9),
-            abs_tol=_number(cfg, "abs_tol", 1e-12),
-            dt=_number(cfg, "fixed_dt") if cfg.get("fixed_dt") is not None else None,
-            max_step=max_step,
-            sample_stride=_integer(cfg, "sample_stride", 1, 1),
+        return validate_initial(
+            InitialAmplitudes(complex(*value["c10"]), complex(*value["c20"])), mode
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid integrator settings: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"invalid init: {exc}") from exc
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
+    """The config file with the flags given over it, every field parsed once."""
     cfg = load_config(args.config) if args.config else {}
-    overrides = {
-        "out": getattr(args, "out", None),
-        "solver": getattr(args, "solver", None),
-        "t_end": getattr(args, "t_end", None),
-        "fixed_dt": getattr(args, "fixed_dt", None),
-        "jobs": getattr(args, "jobs", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "svg", False):
-        cfg["svg"] = True
-    return cfg
+    cfg.update((k, v) for k, v in vars(args).items() if k in _FIELDS)
+    merged = {k: default for k, (_, default) in _FIELDS.items() if default is not None}
+    merged.update((k, _FIELDS[k][0](k, v)) for k, v in cfg.items())
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +325,36 @@ def _run_trajectory(
     init: InitialAmplitudes,
     t_end: float,
     solver: str,
-    cfg_json: dict,
+    cfg: dict,
 ) -> Trajectory:
-    samples = _integer(cfg_json, "samples", 2001, 2)
+    samples = cfg["samples"]
     grid = np.linspace(0.0, t_end, samples)
-    icfg = integrator_from_config(cfg_json)
     if solver == "closed":
         return sample_closed_form(params, init, grid)
     if solver == "ode":
-        if icfg.dt is not None:
-            return integrate_pseudomode(params, init, t_end, cfg=icfg)
-        return integrate_pseudomode(params, init, t_end, cfg=icfg, times=grid)
+        icfg = IntegratorConfig(
+            rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], dt=cfg.get("fixed_dt"),
+            max_step=cfg["max_step"], sample_stride=cfg["sample_stride"],
+        )
+        try:
+            return integrate_pseudomode(
+                params, init, t_end, cfg=icfg, times=grid if icfg.dt is None else None
+            )
+        except StepUnderflowError as exc:
+            raise ConfigError(
+                f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol', "
+                f"or raise 'max_step'"
+            ) from exc
     if solver == "volterra":
-        n_steps = _integer(cfg_json, "n_steps", 20000, 1)
+        n_steps = cfg["n_steps"]
         per = max(1, math.ceil(n_steps / (samples - 1)))
-        traj = integrate_volterra(params, init, t_end, per * (samples - 1))
+        steps = per * (samples - 1)
+        if steps < 100:
+            raise ConfigError(
+                f"field 'n_steps' = {n_steps} is too few: the memory-kernel route takes at "
+                f"least 100 steps, and {steps} on {samples} samples"
+            )
+        traj = integrate_volterra(params, init, t_end, steps)
         # dP/dt = -2 lam |b|^2 <= 0: growth means the step outran the fastest rate
         peak = float(traj.tracked_population.max())
         if not peak <= 1.0 + 1e-6:
@@ -340,7 +374,7 @@ def _run_trajectory(
             solver_tag="volterra",
         )
     raise ConfigError(
-        f"solver for 'run' must be one of closed|ode|volterra, got {solver!r}"
+        f"field 'solver' must be one of closed|ode|volterra for 'run', got {solver!r}"
     )
 
 
@@ -348,17 +382,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     params = params_from_config(cfg)
     init = init_from_config(cfg)
-    if "t_end" not in cfg:
-        raise ConfigError("missing required field 't_end' (or --t-end)")
-    t_end = _number(cfg, "t_end")
-    if t_end <= 0.0:
-        raise ConfigError(f"field 't_end' must be positive, got {t_end}")
+    t_end = _required(cfg, "t_end")
     solver = cfg.get("solver", "ode")
     traj = _run_trajectory(params, init, t_end, solver, cfg)
     out = cfg.get("out", "trajectory.csv")
     write_trajectory_csv(out, traj)
     print(f"wrote {len(traj)} samples to {out} (solver: {traj.solver_tag})")
-    if cfg.get("svg", False):
+    if cfg["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
         tau, conc = concurrence_series(traj)
         tau = params.lam * tau
@@ -390,50 +420,25 @@ def _sweep_column(params: SystemParams, init: InitialAmplitudes, times: np.ndarr
     return np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0)
 
 
-def _tau_grid_from_config(cfg: dict) -> np.ndarray:
-    value = cfg.get("tau_grid")
-    if value is None:
-        raise ConfigError("missing required field 'tau_grid'")
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 3
-        and isinstance(value[2], int)
-        and not isinstance(value[2], bool)
-    ):
-        start, stop, num = _finite("tau_grid", value[0]), _finite("tau_grid", value[1]), value[2]
-        if num < 2 or stop <= start or start < 0.0:
-            raise ConfigError("field 'tau_grid' [start, stop, num] must satisfy 0 <= start < stop, num >= 2")
-        return np.linspace(start, stop, num)
-    if isinstance(value, (list, tuple)) and value:
-        grid = np.array([_finite("tau_grid", v) for v in value])
-        if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
-            raise ConfigError("field 'tau_grid' must be strictly increasing and nonnegative")
-        return grid
-    raise ConfigError("field 'tau_grid' must be [start, stop, num] or a nonempty list")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     base = params_from_config(cfg)
     init = init_from_config(cfg)
-    tau = _tau_grid_from_config(cfg)
+    tau = _required(cfg, "tau_grid")
     if "K_values" in cfg and "K_rel_values" in cfg:
         raise ConfigError("give 'K_values' or 'K_rel_values', not both")
     if "K_values" in cfg:
         axis = "K_values"
-        k_values = _number_list(cfg, axis)
+        k_values = cfg[axis]
     elif "K_rel_values" in cfg:
         axis = "K_rel_values"
-        k_values = [_finite(axis, v * base.lam) for v in _number_list(cfg, axis)]
+        k_values = [_finite(axis, v * base.lam) for v in cfg[axis]]
     else:
         raise ConfigError("missing required field 'K_values' (or 'K_rel_values')")
-    # accepted so that existing command lines keep working; sweeps run in
-    # one process, since the columns cost less than a worker pool's start-up
-    _integer(cfg, "jobs", 1, 1)
     points = [replace(base, K=k) for k in k_values]
     r_field = "R_rel" if "R_rel" in cfg else "W"
     for p in points:
-        _check_cubic_finite(p, r_field, axis)
+        _check_cubic_range(p, r_field, axis)
 
     times = tau / base.lam
     columns = [_sweep_column(p, init, times) for p in points]
@@ -441,7 +446,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = cfg.get("out", "sweep.csv")
     _write_sweep_csv(out, tau, k_values, columns)
     print(f"wrote {tau.size} x {len(k_values)} sweep to {out}")
-    if cfg.get("svg", False):
+    if cfg["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
         z = np.vstack(columns)
         svgplot.heatmap(
@@ -499,7 +504,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     else:
         print(f"surviving pole: {pole.real:+.3e} {pole.imag:+.6e}i")
     print(verdict_line)
-    if cfg.get("out"):
+    if "out" in cfg:
         _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), [
             [s.real for s in roots.roots],
             [s.imag for s in roots.roots],
@@ -516,19 +521,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     params = params_from_config(cfg)
     init = init_from_config(cfg)
-    t_end = _number(cfg, "t_end", 10.0)
-    if t_end <= 0.0:
-        raise ConfigError(f"field 't_end' must be positive, got {t_end}")
-    n_steps = _integer(cfg, "n_steps", 20000, COMPARE_POINTS - 1)
+    t_end = cfg.get("t_end", 10.0)
+    n_steps = cfg["n_steps"]
     if n_steps % (COMPARE_POINTS - 1):
         raise ConfigError(
             f"field 'n_steps' must be a multiple of {COMPARE_POINTS - 1} for 'verify', got {n_steps}"
         )
     solver = cfg.get("solver", "all")
-    if solver not in ("closed", "ode", "volterra", "all"):
-        raise ConfigError(
-            f"solver for 'verify' must be one of closed|ode|volterra|all, got {solver!r}"
-        )
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
     failures = 0
@@ -579,34 +578,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, solver_choices=None) -> None:
-        p.add_argument("--config", help="JSON config file")
+    def command(name: str, func, solver_choices=None, **kw) -> argparse.ArgumentParser:
+        # a flag absent from the command line sets nothing, so each flag's
+        # dest, a config field, merges over the file by name
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
+        p.set_defaults(func=func)
+        p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", help="output path (overrides config)")
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")
         if solver_choices:
             p.add_argument("--solver", choices=solver_choices, help="solution route")
         p.add_argument("--jobs", type=int,
                        help="accepted for compatibility; has no effect (sweeps run in one process)")
-        p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
-        p.add_argument("--fixed-dt", dest="fixed_dt", type=float,
-                       help="fixed RK4 step (reproducible grids)")
+        p.add_argument("--t-end", type=float, help="integration horizon")
+        p.add_argument("--fixed-dt", type=float, help="fixed RK4 step (reproducible grids)")
+        return p
 
-    p_run = sub.add_parser("run", help="integrate one configuration and write a trajectory CSV")
-    common(p_run, solver_choices=("closed", "ode", "volterra"))
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="concurrence over a grid of dipole strengths")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_roots = sub.add_parser("roots", help="report characteristic roots and the steady-state verdict")
-    common(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
-
-    p_verify = sub.add_parser("verify", help="cross-check the solution routes on one configuration")
-    common(p_verify, solver_choices=("closed", "ode", "volterra", "all"))
+    command("run", cmd_run, ("closed", "ode", "volterra"),
+            help="integrate one configuration and write a trajectory CSV")
+    command("sweep", cmd_sweep, help="concurrence over a grid of dipole strengths")
+    command("roots", cmd_roots, help="report characteristic roots and the steady-state verdict")
+    p_verify = command("verify", cmd_verify, ("closed", "ode", "volterra", "all"),
+                       help="cross-check the solution routes on one configuration")
     p_verify.add_argument(
-        "--corrupt-kernel-sign", action="store_true", help=argparse.SUPPRESS
+        "--corrupt-kernel-sign", action="store_true", default=False, help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -112,7 +112,7 @@ def leak_identity_residual(
     interpolation noise comfortably below 1e-6 at the frequency scales of
     interest.
     """
-    n_half = 2 * int(round(t_end / dt))
+    n_half = 2 * max(1, round(t_end / dt))  # a horizon below dt still gets one pair
     grid = np.linspace(0.0, t_end, n_half + 1)
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     traj = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)

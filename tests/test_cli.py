@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -210,6 +211,16 @@ class TestFaultyInputs:
             ("run", {**_RUN, "max_step": -math.inf}, [], "max_step"),
             ("run", {**_RUN, "max_step": 0.0}, [], "max_step"),
             ("run", {**_RUN, "max_step": -0.5}, [], "max_step"),
+            ("verify", {**_RUN, "rel_tol": "abc"}, [], "rel_tol"),
+            ("run", _RUN, ["--out", ""], "out"),
+            ("run", {**_RUN, "svg": "no"}, [], "svg"),
+            ("sweep", {**_SWEEP, "svg": 1}, [], "svg"),
+            ("run", {**_RUN, "renormalize": "yes"}, [], "renormalize"),
+            ("run", {**_RUN, "solver": "rk4"}, [], "solver"),
+            ("run", {**_RUN, "solver": "all"}, [], "solver"),
+            ("verify", {**_RUN, "solver": "rk4"}, [], "solver"),
+            ("run", {**_RUN, "n_steps": 5}, ["--solver", "volterra"], "n_steps"),
+            ("run", {**_RUN, "t_end": 1e-320}, [], "t_end"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -217,6 +228,24 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, "", None, ["o.csv"]])
+    def test_out_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
+        # "out": true once opened file descriptor 1 and wrote the CSV to stdout
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "out": value})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "'out'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_step_underflow_names_the_integrator_fields(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "abs_tol": 1e-300})
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for field in ("abs_tol", "rel_tol", "max_step"):
+            assert f"'{field}'" in err
         assert not out.exists()
 
     def test_non_finite_initial_amplitude(self, tmp_path, capsys):
@@ -252,6 +281,36 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 22
+
+
+class TestRateScale:
+    """A tiny lambda either exits 2 naming it or reproduces lambda = 1 in tau units."""
+
+    @staticmethod
+    def _run(tmp_path, command, lam):
+        payload = {
+            "lambda": lam, "R_rel": 10.0, "K_rel": 2.0, "r1": SQRT3_2, "init": "phi_minus",
+            "t_end": 10.0 / lam, "samples": 41, "solver": "closed",
+            "K_rel_values": [0.0, 2.0, 7.0], "tau_grid": [0.0, 10.0, 41],
+        }
+        name = f"{command}_{lam:g}"
+        out = tmp_path / f"{name}.csv"
+        code = main([command, "--config", write_config(tmp_path, f"{name}.json", payload),
+                     "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("k", [10, 50, 52, 53, 58, 80, 108, 110, 160, 200, 250, 300])
+    def test_tiny_lambda(self, tmp_path, capsys, command, k):
+        code, out = self._run(tmp_path, command, 10.0 ** -k)
+        if code == EXIT_CONFIG:
+            assert "'lambda'" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == EXIT_OK
+        ref_code, ref = self._run(tmp_path, command, 1.0)
+        assert ref_code == EXIT_OK
+        assert np.abs(read_csv(out)[1][:, 1:] - read_csv(ref)[1][:, 1:]).max() <= 1e-12
 
 
 class TestRun:
@@ -455,6 +514,14 @@ class TestRoots:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("t_end", [2.5e-5, 1e-6])
+    def test_horizon_below_the_identity_step(self, tmp_path, capsys, t_end):
+        # the population-balance check samples at dt/2 = 2.5e-5 and once had
+        # no pair of half-steps below that horizon
+        cfg = write_config(tmp_path, "v.json", {**FIG1A_K0, "t_end": t_end})
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        assert "[PASS] population-balance identity" in capsys.readouterr().out
+
     def test_passes_on_reference_config(self, tmp_path):
         payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}
         cfg = write_config(tmp_path, "v.json", payload)
@@ -488,6 +555,15 @@ class TestVerify:
                      "pseudomode_ode vs volterra"):
             assert f"[PASS] {pair}:" in out
         assert "FAIL" not in out and "note" not in out
+
+
+def test_readme_field_table_names_every_field():
+    from atompair.cli import _FIELDS
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        keys = re.findall(r"^\| `(\w+)` \|", fh.read(), flags=re.MULTILINE)
+    assert sorted(keys) == sorted(_FIELDS)
 
 
 class TestSubprocessEntry:
