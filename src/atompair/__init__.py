@@ -24,6 +24,7 @@ from .closedform import (
 )
 from .dynamics import (
     IntegratorConfig,
+    StepBudgetError,
     StepUnderflowError,
     Trajectory,
     TrajectoryState,
@@ -51,6 +52,7 @@ __all__ = [
     "CharacteristicCubic", "CubicRoots", "ResidueSolution",
     "char_roots", "residue_coefficients", "surviving_pole",
     "Trajectory", "TrajectoryState", "IntegratorConfig", "StepUnderflowError",
+    "StepBudgetError",
     "rhs", "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
     "leak_series", "asymptotic_t_end",
     "SteadyStateVerdict", "density_matrix", "concurrence", "concurrence_series",

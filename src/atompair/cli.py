@@ -29,6 +29,7 @@ from .closedform import (
 )
 from .dynamics import (
     IntegratorConfig,
+    StepBudgetError,
     StepUnderflowError,
     Trajectory,
     integrate_pseudomode,
@@ -345,6 +346,13 @@ def _run_trajectory(
                 f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol', "
                 f"or raise 'max_step'"
             ) from exc
+        except StepBudgetError as exc:
+            field = "fixed_dt" if exc.knob == "dt" else exc.knob
+            action = "lower" if field == "t_end" else "raise"
+            raise ConfigError(
+                f"field '{field}' asks for too many steps ({exc}): {action} it, "
+                f"or use --solver closed"
+            ) from exc
     if solver == "volterra":
         n_steps = cfg["n_steps"]
         per = max(1, math.ceil(n_steps / (samples - 1)))
@@ -530,11 +538,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     solver = cfg.get("solver", "all")
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
-    failures = 0
+    check_leak = solver in ("all", "ode")
+    try:
+        comp = compare_solvers(
+            params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
+        )
+        if check_leak:
+            resid = leak_identity_residual(params, init, t_end=min(t_end, 10.0))
+    except StepBudgetError as exc:
+        raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
 
-    comp = compare_solvers(
-        params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
-    )
+    failures = 0
     pairs = [
         ("closed_form vs pseudomode_ode", ("closed", "ode"), comp.closed_vs_ode),
         ("closed_form vs volterra", ("closed", "volterra"), comp.closed_vs_volterra),
@@ -548,9 +562,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: sup-norm {val:.3e} "
               f"(threshold {THREE_SOLVER_TOL:.0e})")
 
-    if solver in ("all", "ode"):
-        leak_t_end = min(t_end, 10.0)
-        resid = leak_identity_residual(params, init, t_end=leak_t_end)
+    if check_leak:
         ok = resid <= LEAK_IDENTITY_TOL
         failures += 0 if ok else 1
         print(f"[{'PASS' if ok else 'FAIL'}] population-balance identity: "

@@ -5,7 +5,11 @@ Two independent routes produce trajectories:
 * :func:`integrate_pseudomode` integrates the local-in-time three-amplitude
   system (the memory of the Lorentzian reservoir is carried by one auxiliary
   mode ``b``) with the adaptive Dormand-Prince 5(4) pair, or with fixed-step
-  RK4 when bit-reproducible grids matter.
+  RK4 when bit-reproducible grids matter.  On this linear system a
+  Dormand-Prince step and its dense output are polynomials in ``hM``, so the
+  adaptive route steps by powers of ``hM`` with no stages (:func:`_dopri45`).
+  Either route stops with :class:`StepBudgetError` rather than take more
+  than ``_MAX_STEPS`` steps.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -44,6 +48,7 @@ from .model import (
 
 __all__ = [
     "StepUnderflowError",
+    "StepBudgetError",
     "TrajectoryState",
     "Trajectory",
     "IntegratorConfig",
@@ -63,6 +68,25 @@ class StepUnderflowError(Exception):
 
     Its step fell below the minimum, or its error norm is not finite.
     """
+
+
+# The most steps one run of integrate_pseudomode may take or try.  A run that
+# would need more takes long enough, and holds enough memory, to be a
+# mistake; the closed form reaches any horizon at once.
+_MAX_STEPS = 1_000_000
+
+
+class StepBudgetError(Exception):
+    """A run of :func:`integrate_pseudomode` would take more than ``_MAX_STEPS`` steps.
+
+    ``knob`` names what sets the step count: ``"dt"`` or ``"max_step"`` of
+    :class:`IntegratorConfig`, checked before stepping, or ``"t_end"`` when
+    the adaptive route has tried that many steps.
+    """
+
+    def __init__(self, knob: str, message: str) -> None:
+        super().__init__(message)
+        self.knob = knob
 
 
 @dataclass(frozen=True)
@@ -228,10 +252,19 @@ def integrate_pseudomode(
     StepUnderflowError
         If the adaptive solver cannot proceed, which for this linear
         non-stiff system indicates pathological inputs.
+    StepBudgetError
+        If ``t_end / cfg.dt`` or, in adaptive mode, ``t_end / cfg.max_step``
+        exceeds ``_MAX_STEPS``, or the adaptive solver has tried more steps
+        than that.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     cfg = cfg or IntegratorConfig()
+    knob, step = ("dt", cfg.dt) if cfg.dt is not None else ("max_step", cfg.max_step)
+    if t_end / step > _MAX_STEPS:
+        raise StepBudgetError(
+            knob, f"{knob} = {step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}"
+        )
     init = validate_initial(init, "strict")
     d = derive(params)
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
@@ -276,28 +309,34 @@ def integrate_pseudomode(
     )
 
 
-# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): stage
-# coefficients, fifth-order weights and the 5(4) error weights (the seventh
-# stage is the derivative at the step's end, reused as the next first stage),
-# with Shampine's quartic dense output (Math. Comp. 46, 1986): the solution at
-# x = (t - t_old) / h is y_old + h * (K^T P) @ (x, x^2, x^3, x^4).
-_A2 = 1 / 5
-_A3 = (3 / 40, 9 / 40)
-_A4 = (44 / 45, -56 / 15, 32 / 9)
-_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)  # stage 2 weighs 0
-_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) on
+# the linear system dy/dt = M y, where every stage is a polynomial in hM
+# applied to y.  With z_j = (hM)^j y:
+# * the fifth-order solution is z0 + z1 + z2/2 + z3/6 + z4/24 + z5/120 +
+#   z6/600, the method's stability function (Hairer & Wanner, Solving ODEs
+#   II, IV.2);
+# * the 5(4) error estimate, whose seventh stage is the derivative at the
+#   step's end, is _ERR5 z5 + _ERR6 z6 + _ERR7 z7;
+# * Shampine's quartic dense output (Math. Comp. 46, 1986) at
+#   x = (t - t_old) / h is z0 + sum_m x^m sum_j _DENSE[j - 1, m - 1] z_j.
+# These are exact reductions of the Butcher tableau and Shampine's
+# coefficients.
+_ERR5, _ERR6, _ERR7 = 97 / 120000, -13 / 40000, 1 / 24000
+_DENSE = np.array([  # rows z1..z7, columns x^1..x^4
+    [1, 0, 0, 0],
+    [0, 1 / 2, 0, 0],
+    [0, 0, 1 / 6, 0],
+    [0, 0, 0, 1 / 24],
+    [0, 5112093 / 587608460, -90725539 / 3525650760, 22358351 / 881412690],
+    [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
+    [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# Sample times the dense output evaluates at once, so that its working
+# arrays stay in cache.  On 400,001 times and 2688 steps, blocks of 1024 to
+# 16384 times took 25-38 ms, 8192 the least, and one block of all the times
+# 61-71 ms (2-CPU x86-64 machine, numpy 2.4).
+_DENSE_BLOCK = 8192
 
 
 def _rms(x1: complex, x2: complex, x3: complex, s1: float, s2: float, s3: float) -> float:
@@ -329,18 +368,31 @@ def _dopri45(
     """Adaptive Dormand-Prince 5(4) for dy/dt = M y on [0, t_end].
 
     The step-size controller is that of ``scipy.integrate.RK45``, so the
-    accepted steps are the same: Hairer-Norsett-Wanner (II.4) initial step,
-    RMS error norm scaled by ``atol + max(|y|, |y_new|) rtol`` with
-    ``rtol >= 100 eps``, safety 0.9, step factors clamped to [0.2, 10] with
-    exponent -1/5 and no growth right after a rejection, ``min_step`` of ten
-    ulps of t, and the last step clipped to ``t_end``.  The stepping runs on
-    Python complex scalars; dense output on ``times`` is evaluated for all
-    requested times at once after the loop.
+    accepted steps are the same up to the rounding of the error estimate:
+    Hairer-Norsett-Wanner (II.4) initial step, RMS error norm scaled by
+    ``atol + max(|y|, |y_new|) rtol`` with ``rtol >= 100 eps``, safety 0.9,
+    step factors clamped to [0.2, 10] with exponent -1/5 and no growth right
+    after a rejection, ``min_step`` of ten ulps of t, and the last step
+    clipped to ``t_end``.
+
+    A trial step forms ``z_j = (hM)^j y`` for ``j = 1..7``, one 3x3 product
+    at a time on Python complex scalars, and weighs them with the fixed
+    constants above; there are no stages.  Scaling by h keeps ``|z_j|``
+    within about ``3.3^7 |y|``, where powers of M alone would overflow near
+    ``|M| = 1e44``.  Each accepted step keeps only its start and its state
+    there; dense output on ``times`` forms the z_j again after the loop,
+    for all the steps that hold a sample time at once (see
+    :func:`_dense_coefficients` and :func:`_dense_output`).
 
     Returns ``(t, y)`` with ``y`` of shape ``(3, t.size)``: the accepted step
-    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.  Only
-    the dense output needs the stages, so without ``times`` each accepted
-    step keeps just its start and its state there.
+    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.
+
+    Raises
+    ------
+    StepUnderflowError
+        If the step falls below ``min_step`` or the error norm is not finite.
+    StepBudgetError
+        Once more than ``_MAX_STEPS`` steps have been tried.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
 
@@ -369,17 +421,10 @@ def _dopri45(
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, t_end, max_step)
 
-    a21 = _A2
-    a31, a32 = _A3
-    a41, a42, a43 = _A4
-    a51, a52, a53, a54 = _A5
-    a61, a62, a63, a64, a65 = _A6
-    b1, b3, b4, b5, b6 = _B
-    e1, e3, e4, e5, e6, e7 = _E
-    dense = times is not None
     t = 0.0
+    tried = 0
     starts = []
-    steps = []  # per accepted step: y at its start, then the seven stages if dense
+    states = []
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -387,52 +432,50 @@ def _dopri45(
         elif h_abs < min_step:
             h_abs = min_step
         y1, y2, y3 = y
-        p1, p2, p3 = k1
         rejected = False
         while True:
             if h_abs < min_step:
                 raise StepUnderflowError(f"step size fell below {min_step:.3e} at t = {t!r}")
+            tried += 1
+            if tried > _MAX_STEPS:
+                raise StepBudgetError(
+                    "t_end", f"more than {_MAX_STEPS} adaptive steps tried by t = {t!r}"
+                )
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            k2 = f(y1 + h * (a21 * p1), y2 + h * (a21 * p2), y3 + h * (a21 * p3))
-            q1, q2, q3 = k2
-            k3 = f(
-                y1 + h * (a31 * p1 + a32 * q1),
-                y2 + h * (a31 * p2 + a32 * q2),
-                y3 + h * (a31 * p3 + a32 * q3),
-            )
-            r1, r2, r3 = k3
-            k4 = f(
-                y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
-                y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
-                y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
-            )
-            s1, s2, s3 = k4
-            k5 = f(
-                y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
-                y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
-                y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
-            )
-            u1, u2, u3 = k5
-            k6 = f(
-                y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1),
-                y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2),
-                y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3),
-            )
-            v1, v2, v3 = k6
-            y_new = (
-                y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1),
-                y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2),
-                y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3),
-            )
-            k7 = f(*y_new)
-            w1, w2, w3 = k7
-            n1, n2, n3 = y_new
+            n00, n01, n02 = h * m00, h * m01, h * m02
+            n10, n11, n12 = h * m10, h * m11, h * m12
+            n20, n21, n22 = h * m20, h * m21, h * m22
+            # z_j = (hM)^j y = (a_j, b_j, c_j)
+            a1 = n00 * y1 + n01 * y2 + n02 * y3
+            b1 = n10 * y1 + n11 * y2 + n12 * y3
+            c1 = n20 * y1 + n21 * y2 + n22 * y3
+            a2 = n00 * a1 + n01 * b1 + n02 * c1
+            b2 = n10 * a1 + n11 * b1 + n12 * c1
+            c2 = n20 * a1 + n21 * b1 + n22 * c1
+            a3 = n00 * a2 + n01 * b2 + n02 * c2
+            b3 = n10 * a2 + n11 * b2 + n12 * c2
+            c3 = n20 * a2 + n21 * b2 + n22 * c2
+            a4 = n00 * a3 + n01 * b3 + n02 * c3
+            b4 = n10 * a3 + n11 * b3 + n12 * c3
+            c4 = n20 * a3 + n21 * b3 + n22 * c3
+            a5 = n00 * a4 + n01 * b4 + n02 * c4
+            b5 = n10 * a4 + n11 * b4 + n12 * c4
+            c5 = n20 * a4 + n21 * b4 + n22 * c4
+            a6 = n00 * a5 + n01 * b5 + n02 * c5
+            b6 = n10 * a5 + n11 * b5 + n12 * c5
+            c6 = n20 * a5 + n21 * b5 + n22 * c5
+            a7 = n00 * a6 + n01 * b6 + n02 * c6
+            b7 = n10 * a6 + n11 * b6 + n12 * c6
+            c7 = n20 * a6 + n21 * b6 + n22 * c6
+            n1 = y1 + a1 + a2 / 2 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
+            n2 = y2 + b1 + b2 / 2 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
+            n3 = y3 + c1 + c2 / 2 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
             error_norm = _rms(
-                h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1),
-                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2),
-                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3),
+                _ERR5 * a5 + _ERR6 * a6 + _ERR7 * a7,
+                _ERR5 * b5 + _ERR6 * b6 + _ERR7 * b7,
+                _ERR5 * c5 + _ERR6 * c6 + _ERR7 * c7,
                 atol + max(abs(y1), abs(n1)) * rtol,
                 atol + max(abs(y2), abs(n2)) * rtol,
                 atol + max(abs(y3), abs(n3)) * rtol,
@@ -452,28 +495,62 @@ def _dopri45(
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
             rejected = True
         starts.append(t)
-        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7) if dense else y)
-        t, y, k1 = t_new, y_new, k7
+        states.append(y)
+        t, y = t_new, (n1, n2, n3)
 
     bounds = np.array(starts + [t_end])
-    if not dense:
-        return bounds, np.array(steps + [y], dtype=complex).T
-    data = np.array(steps, dtype=complex).reshape(-1, 8, 3)
-    # A time equal to a step's end belongs to that step.
-    idx = np.searchsorted(bounds[1:], times, side="left")
-    step = np.diff(bounds)
-    x = (times - bounds[idx]) / step[idx]
-    hQ = np.einsum("nsc,sk->ckn", data[:, 1:], _P) * step
-    out = np.empty((3, times.size), dtype=complex)
-    for c in range(3):
-        acc = hQ[c, 3].take(idx)
-        for j in (2, 1, 0):
+    ys = np.array(states + [y], dtype=complex).T
+    if times is None:
+        return bounds, ys
+    return times, _dense_output(
+        bounds, times, lambda steps: _dense_coefficients(M, np.diff(bounds)[steps], ys[:, steps])
+    )
+
+
+def _dense_coefficients(M: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Shampine's dense output of steps of lengths ``h`` from states ``y`` (shape ``(3, n)``).
+
+    Returns the coefficients of ``x^0..x^4``, shape ``(5, 3, n)``: the state,
+    then the z_j = (hM)^j y of all the steps at once, weighed by ``_DENSE``.
+    """
+    coef = np.zeros((5, *y.shape), dtype=complex)
+    coef[0] = z = y
+    for row in _DENSE:
+        z = h * np.einsum("ik,kn->in", M, z)
+        coef[1:] += row[:, None, None] * z
+    return coef
+
+
+def _dense_output(bounds: np.ndarray, times: np.ndarray, coefficients) -> np.ndarray:
+    """Evaluate piecewise polynomials at sorted ``times`` within ``[bounds[0], bounds[-1]]``.
+
+    Step n spans ``bounds[n]..bounds[n + 1]``; a time equal to a step's end
+    belongs to that step.  ``coefficients(steps)`` returns the coefficients
+    of the steps in the index array ``steps``, shape ``(m, c, steps.size)``;
+    it is asked only for the steps that hold a time.  At ``x``, the fraction
+    of its step elapsed, a time's value is ``sum_m coef[m, :, n] x^m``, in
+    Horner form.
+
+    Each time's step is found by counting the times in each step, and the
+    polynomials are evaluated ``_DENSE_BLOCK`` times at a time.  Returns
+    shape ``(c, times.size)``.
+    """
+    counts = np.diff(np.searchsorted(times, bounds[1:], side="right"), prepend=0)
+    steps = np.flatnonzero(counts)
+    coef = coefficients(steps)
+    idx = np.repeat(np.arange(steps.size), counts[steps])
+    start, length = bounds[steps], bounds[steps + 1] - bounds[steps]
+    out = np.empty((coef.shape[1], times.size), dtype=coef.dtype)
+    for lo in range(0, times.size, _DENSE_BLOCK):
+        k = idx[lo : lo + _DENSE_BLOCK]
+        x = (times[lo : lo + _DENSE_BLOCK] - start[k]) / length[k]
+        c = coef.take(k, axis=2)
+        acc = c[-1]
+        for m in range(coef.shape[0] - 2, -1, -1):
             acc *= x
-            acc += hQ[c, j].take(idx)
-        acc *= x
-        acc += data[:, 0, c].take(idx)
-        out[c] = acc
-    return times, out
+            acc += c[m]
+        out[:, lo : lo + _DENSE_BLOCK] = acc
+    return out
 
 
 # Powers of the step matrix that _power_scan forms; carrying the state

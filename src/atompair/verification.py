@@ -116,8 +116,10 @@ def leak_identity_residual(
     grid = np.linspace(0.0, t_end, n_half + 1)
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     traj = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)
-    pop = traj.tracked_population
+    # each population only on the nodes it is used at: P on the even nodes,
+    # |b|^2 on the odd ones
+    pop = np.abs(traj.c1[::2]) ** 2 + np.abs(traj.c2[::2]) ** 2 + np.abs(traj.b[::2]) ** 2
     h = grid[2] - grid[0]
-    quotient = (pop[2::2] - pop[:-2:2]) / h
-    rate_mid = -2.0 * params.lam * traj.pb[1::2]
+    quotient = (pop[1:] - pop[:-1]) / h
+    rate_mid = -2.0 * params.lam * np.abs(traj.b[1::2]) ** 2
     return float(np.abs(quotient - rate_mid).max())

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
+from atompair import dynamics
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
@@ -281,6 +283,33 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 22
+
+
+class TestStepBudget:
+    """A run that would take more than _MAX_STEPS steps exits 2 naming the field."""
+
+    @pytest.mark.parametrize("field", ["fixed_dt", "max_step"])
+    def test_step_field_checked_up_front(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, "c.json", {**_RUN, field: 1e-300})
+        out = tmp_path / "o.csv"
+        start = time.perf_counter()
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adaptive_budget_names_t_end(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+        cfg = write_config(tmp_path, "c.json", _RUN)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "ode"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'t_end'" in err and "--solver closed" in err
+        assert not out.exists()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert "'t_end'" in capsys.readouterr().err
+        # the closed form reaches the same horizon
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed"]) == EXIT_OK
 
 
 class TestRateScale:

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction as F
 import tracemalloc
 import warnings
 
@@ -20,7 +21,15 @@ from atompair import (
     residue_coefficients,
     rhs,
 )
-from atompair.dynamics import StepUnderflowError, _rk4_fixed, _system_matrix
+import atompair.dynamics as dyn
+from atompair.dynamics import (
+    StepBudgetError,
+    StepUnderflowError,
+    _dopri45,
+    _rk4_fixed,
+    _rms,
+    _system_matrix,
+)
 from atompair.verification import compare_solvers, leak_identity_residual
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
@@ -134,8 +143,9 @@ class TestPseudomode:
             )
 
     def test_keeps_only_step_ends_without_grid(self):
-        # without a sample grid the route keeps each accepted step's start and
-        # state, not its seven stages (about 1.4 KB per step)
+        # the route keeps each accepted step's start and state, not the
+        # powers z_j = (hM)^j y it steps with; the stage form that kept its
+        # seven stages held about 1.4 KB per step
         p, init = fig_params(K=2.0), bell_state("minus")
         integrate_pseudomode(p, init, 1.0)
         tracemalloc.start()
@@ -145,6 +155,22 @@ class TestPseudomode:
         finally:
             tracemalloc.stop()
         steps = traj.t.size - 1
+        assert 800 < steps < 1400
+        assert peak / steps < 500
+
+    def test_keeps_only_step_ends_with_grid(self):
+        # dense output forms the coefficients only for the steps that hold a
+        # sample time, after the loop
+        p, init = fig_params(K=2.0), bell_state("minus")
+        grid = np.linspace(0.0, 10.0, 11)
+        integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
+        tracemalloc.start()
+        try:
+            integrate_pseudomode(p, init, 10.0, times=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        steps = integrate_pseudomode(p, init, 10.0).t.size - 1
         assert 800 < steps < 1400
         assert peak / steps < 500
 
@@ -176,19 +202,61 @@ def _sup_diff(traj, y):
     return max(np.abs(a - b).max() for a, b in zip((traj.c1, traj.c2, traj.b), y))
 
 
+ADAPTIVE_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        IntegratorConfig(),
+        IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13),
+        IntegratorConfig(max_step=0.05),
+        IntegratorConfig(rel_tol=1e-15, abs_tol=1e-13),
+    ],
+    ids=["default", "leak_check", "max_step", "rtol_floor"],
+)
+
+
+class TestStepBudget:
+    """No run takes or tries more than _MAX_STEPS steps."""
+
+    def test_fixed_step_count_checked_first(self):
+        cfg = IntegratorConfig(dt=1e-300)
+        with pytest.raises(StepBudgetError) as exc:
+            integrate_pseudomode(fig_params(K=2.0), bell_state("minus"), 10.0, cfg=cfg)
+        assert exc.value.knob == "dt"
+
+    def test_max_step_count_checked_first(self):
+        cfg = IntegratorConfig(max_step=1e-300)
+        with pytest.raises(StepBudgetError) as exc:
+            integrate_pseudomode(fig_params(K=2.0), bell_state("minus"), 10.0, cfg=cfg)
+        assert exc.value.knob == "max_step"
+
+    def test_budget_admits_exactly_max_steps(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 100)
+        p, init = fig_params(K=2.0), bell_state("minus")
+        traj = integrate_pseudomode(p, init, 10.0, IntegratorConfig(dt=0.1))
+        assert traj.t.size == 101
+        with pytest.raises(StepBudgetError):
+            integrate_pseudomode(p, init, 10.0, IntegratorConfig(dt=0.099))
+
+    def test_adaptive_loop_counts_tried_steps(self, monkeypatch):
+        # every tried step takes one error norm, and the initial step three
+        norms = []
+        monkeypatch.setattr(dyn, "_rms", lambda *a: norms.append(1) or _rms(*a))
+        p, init = fig_params(K=2.0, R=20.0), bell_state("plus")
+        steps = integrate_pseudomode(p, init, 10.0).t.size - 1
+        tried = len(norms) - 3
+        assert tried > steps  # some steps were rejected
+        monkeypatch.setattr(dyn, "_MAX_STEPS", tried)
+        integrate_pseudomode(p, init, 10.0)
+        monkeypatch.setattr(dyn, "_MAX_STEPS", tried - 1)
+        with pytest.raises(StepBudgetError) as exc:
+            integrate_pseudomode(p, init, 10.0)
+        assert exc.value.knob == "t_end"
+
+
 class TestAgainstScipyRK45:
     """The in-repo Dormand-Prince stepper takes the steps of scipy's RK45."""
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            IntegratorConfig(),
-            IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13),
-            IntegratorConfig(max_step=0.05),
-            IntegratorConfig(rel_tol=1e-15, abs_tol=1e-13),
-        ],
-        ids=["default", "leak_check", "max_step", "rtol_floor"],
-    )
+    @ADAPTIVE_CONFIGS
     def test_same_steps_and_values(self, rng, cfg):
         t_end = 5.0
         grid = np.linspace(0.0, t_end, 2001)
@@ -214,6 +282,306 @@ class TestAgainstScipyRK45:
         n = sol.t.size
         assert traj.t.size == math.ceil(n / 7) + ((n - 1) % 7 != 0)
         assert _sup_diff(traj, sol.sol(traj.t)) <= 1e-12
+
+
+# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980) as scipy's RK45 states it: stage coefficients, fifth-order weights,
+# 5(4) error weights over the seven stages (the seventh is the derivative at
+# the step's end), and Shampine's dense-output matrix (Math. Comp. 46, 1986),
+# whose column m weighs x^(m + 1).
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+]
+DP_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
+DP_E = [
+    F(-71, 57600), F(0), F(71, 16695), F(-71, 1920), F(17253, 339200), F(-22, 525),
+    F(1, 40),
+]
+DP_P = [
+    [F(1), F(-8048581381, 2820520608), F(8663915743, 2820520608),
+     F(-12715105075, 11282082432)],
+    [F(0), F(0), F(0), F(0)],
+    [F(0), F(131558114200, 32700410799), F(-68118460800, 10900136933),
+     F(87487479700, 32700410799)],
+    [F(0), F(-1754552775, 470086768), F(14199869525, 1410260304),
+     F(-10690763975, 1880347072)],
+    [F(0), F(127303824393, 49829197408), F(-318862633887, 49829197408),
+     F(701980252875, 199316789632)],
+    [F(0), F(-282668133, 205662961), F(2019193451, 616988883),
+     F(-1453857185, 822651844)],
+    [F(0), F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)],
+]
+
+
+def dopri_stage_reference(M, y0, t_end, rtol, atol, max_step):
+    """The seven-stage Dormand-Prince loop with FSAL, kept as the reference for the
+    polynomial form of ``_dopri45``.
+
+    Returns ``(t, y, dense)``: the accepted step ends, the states there, and
+    Shampine's dense output as a function of sorted times in ``[0, t_end]``.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
+
+    def f(a, b, c):
+        return (
+            m00 * a + m01 * b + m02 * c,
+            m10 * a + m11 * b + m12 * c,
+            m20 * a + m21 * b + m22 * c,
+        )
+
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    y = tuple(y0.tolist())
+    k1 = f(*y)
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(*y, *scale), _rms(*k1, *scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    probe = f(*(v + h0 * k for v, k in zip(y, k1)))
+    d2 = _rms(*(p - k for p, k in zip(probe, k1)), *scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end, max_step)
+
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        [float(a) for a in row] for row in DP_A[1:]
+    )
+    b1, _, b3, b4, b5, b6 = (float(b) for b in DP_B)
+    e1, _, e3, e4, e5, e6, e7 = (float(e) for e in DP_E)
+    t = 0.0
+    starts = []
+    steps = []  # per accepted step: y at its start, then the seven stages
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        y1, y2, y3 = y
+        p1, p2, p3 = k1
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            k2 = f(y1 + h * (a21 * p1), y2 + h * (a21 * p2), y3 + h * (a21 * p3))
+            q1, q2, q3 = k2
+            k3 = f(
+                y1 + h * (a31 * p1 + a32 * q1),
+                y2 + h * (a31 * p2 + a32 * q2),
+                y3 + h * (a31 * p3 + a32 * q3),
+            )
+            r1, r2, r3 = k3
+            k4 = f(
+                y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
+                y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
+                y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
+            )
+            s1, s2, s3 = k4
+            k5 = f(
+                y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
+                y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
+                y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
+            )
+            u1, u2, u3 = k5
+            k6 = f(
+                y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1),
+                y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2),
+                y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3),
+            )
+            v1, v2, v3 = k6
+            y_new = (
+                y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1),
+                y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2),
+                y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3),
+            )
+            k7 = f(*y_new)
+            w1, w2, w3 = k7
+            n1, n2, n3 = y_new
+            error_norm = _rms(
+                h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1),
+                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2),
+                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3),
+                atol + max(abs(y1), abs(n1)) * rtol,
+                atol + max(abs(y2), abs(n2)) * rtol,
+                atol + max(abs(y3), abs(n3)) * rtol,
+            )
+            assert math.isfinite(error_norm)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = 10.0
+                else:
+                    factor = min(10.0, 0.9 * error_norm ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        starts.append(t)
+        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        t, y, k1 = t_new, y_new, k7
+
+    bounds = np.array(starts + [t_end])
+    data = np.array(steps, dtype=complex).reshape(-1, 8, 3)
+    hQ = np.einsum("nsc,sk->ckn", data[:, 1:], np.array(DP_P, dtype=float)) * np.diff(bounds)
+
+    def dense(times):
+        idx = np.searchsorted(bounds[1:], times, side="left")
+        x = (times - bounds[idx]) / np.diff(bounds)[idx]
+        acc = hQ[:, 3, idx]
+        for j in (2, 1, 0):
+            acc = acc * x + hQ[:, j, idx]
+        return acc * x + data[idx, 0].T
+
+    ys = np.concatenate([data[:, 0], [y]]).T
+    return bounds, ys, dense
+
+
+def _dopri_points(rng):
+    points = [(fig_params(K=2.0), bell_state("minus"))]
+    points += [(random_params(rng), random_init(rng)) for _ in range(3)]
+    points.append((equal_params(K=20.0, R=20.0), bell_state("minus")))
+    return points
+
+
+class TestPolynomialStep:
+    """The polynomial form of the Dormand-Prince step against the stage form."""
+
+    @ADAPTIVE_CONFIGS
+    def test_matches_stage_form(self, rng, cfg):
+        t_end = 10.0
+        grid = np.linspace(0.0, t_end, 2001)
+        for p, init in _dopri_points(rng):
+            M = _system_matrix(p)
+            y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+            t, y = _dopri45(*args, None)
+            t_ref, _, dense_ref = dopri_stage_reference(*args)
+            assert t.size == t_ref.size
+            assert t[-1] == t_end
+            # the step ends drift apart by rounding, so read the reference
+            # at these step ends through its dense output
+            assert np.abs(y - dense_ref(t)).max() <= 1e-12
+            _, on_grid = _dopri45(*args, grid)
+            assert np.abs(on_grid - dense_ref(grid)).max() <= 1e-12
+
+    def test_constants_reduce_the_tableau(self):
+        # each stage K_s, times h, is a polynomial in z = hM applied to y;
+        # represent it by its coefficients of z^0..z^7
+        def times_z(poly):
+            return [F(0)] + poly[:-1]
+
+        def combine(weights, polys):
+            return [sum((w * q[j] for w, q in zip(weights, polys)), F(0)) for j in range(8)]
+
+        one = [F(1)] + [F(0)] * 7
+        hK = []
+        for row in DP_A:
+            hK.append(times_z([a + b for a, b in zip(one, combine(row, hK))]))
+        y_new = [a + b for a, b in zip(one, combine(DP_B, hK))]
+        hK.append(times_z(y_new))  # the seventh stage: the derivative at the step's end
+        err = combine(DP_E, hK)
+        dense = [[sum((hK[s][j] * DP_P[s][m] for s in range(7)), F(0)) for m in range(4)]
+                 for j in range(8)]
+
+        stability = [F(1, math.factorial(j)) for j in range(6)] + [F(1, 600), F(0)]
+        assert y_new == stability
+        assert err == [F(0)] * 5 + [F(97, 120000), F(-13, 40000), F(1, 24000)]
+        assert (dyn._ERR5, dyn._ERR6, dyn._ERR7) == tuple(float(e) for e in err[5:])
+        assert dense[0] == [F(0)] * 4  # the state is the constant term
+        assert dyn._DENSE.tolist() == [[float(c) for c in row] for row in dense[1:]]
+
+    def test_one_step_is_the_stability_polynomial(self):
+        # with loose tolerances the first step covers a short horizon at
+        # once, on a diagonal M with z = hM of moduli 0.3..0.5
+        lams = np.array([-500.0, 300j, -200.0 + 300j])
+        h = 1e-3
+        y0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
+        t, y = _dopri45(np.diag(lams), y0, h, 1e-2, 1e-2, math.inf, None)
+        assert t.tolist() == [0.0, h]
+        z = h * lams
+        stability = sum(z**j / math.factorial(j) for j in range(6)) + z**6 / 600
+        assert np.abs(y[:, 1] - stability * y0).max() <= 1e-15
+
+
+def dense_unblocked_reference(bounds, coef, times):
+    """Every time at once: binary search for its step, then Horner in x."""
+    idx = np.searchsorted(bounds[1:], times, side="left")
+    step = np.diff(bounds)
+    x = (times - bounds[idx]) / step[idx]
+    acc = coef[-1][:, idx]
+    for m in range(coef.shape[0] - 2, -1, -1):
+        acc = acc * x + coef[m][:, idx]
+    return acc
+
+
+class TestDenseOutput:
+    """The blocked dense output is the unblocked evaluation, byte for byte."""
+
+    @pytest.fixture
+    def steps(self, rng):
+        n = 300
+        bounds = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n))])
+        bounds *= 10.0 / bounds[-1]
+        bounds[-1] = 10.0
+        coef = rng.normal(size=(5, 3, n)) + 1j * rng.normal(size=(5, 3, n))
+        return bounds, coef
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, dyn._DENSE_BLOCK - 1, dyn._DENSE_BLOCK, dyn._DENSE_BLOCK + 1, 400_001],
+    )
+    @pytest.mark.parametrize("end", [1.0, 0.37], ids=["to_t_end", "short"])
+    def test_matches_unblocked(self, steps, size, end):
+        bounds, coef = steps
+        times = np.linspace(0.0, end * bounds[-1], size)
+        asked = []
+
+        def coefficients(idx):
+            asked.append(idx)
+            return coef[:, :, idx]
+
+        out = dyn._dense_output(bounds, times, coefficients)
+        ref = dense_unblocked_reference(bounds, coef, times)
+        assert out.tobytes() == ref.tobytes()
+        # only the steps that hold a time are asked for
+        (idx,) = asked
+        assert idx.tolist() == np.unique(np.searchsorted(bounds[1:], times)).tolist()
+
+    def test_times_on_step_ends(self, steps):
+        bounds, coef = steps
+        times = np.union1d(bounds, np.linspace(0.0, bounds[-1], 2 * dyn._DENSE_BLOCK + 3))
+        out = dyn._dense_output(bounds, times, lambda idx: coef[:, :, idx])
+        ref = dense_unblocked_reference(bounds, coef, times)
+        assert out.tobytes() == ref.tobytes()
+        # a step end is x = 1 of the step it closes: Horner sums from the top
+        ends = np.searchsorted(times, bounds[1:])
+        assert np.array_equal(out[:, ends], (((coef[4] + coef[3]) + coef[2]) + coef[1]) + coef[0])
+
+
+class TestLeakResidual:
+    def test_same_float_as_full_populations(self):
+        # the residual reads each population only where it is used; the
+        # full-array formula gives the same float
+        p, init = fig_params(K=2.0), bell_state("minus")
+        t_end, dt = 5.0, 5e-5
+        resid = leak_identity_residual(p, init, t_end=t_end, dt=dt)
+        grid = np.linspace(0.0, t_end, 2 * round(t_end / dt) + 1)
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        traj = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
+        pop = traj.tracked_population
+        quotient = (pop[2::2] - pop[:-2:2]) / (grid[2] - grid[0])
+        expected = float(np.abs(quotient + 2.0 * p.lam * traj.pb[1::2]).max())
+        assert resid == expected
 
 
 class TestVolterra:
