@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .analysis import concurrence_series, steady_state_verdict
 from .closedform import (
     char_cubic,
     char_roots,
-    residue_coefficients,
+    evolve_over_K,
     surviving_pole,
 )
 from .dynamics import (
@@ -42,6 +41,8 @@ from .verification import (
     COMPARE_POINTS,
     LEAK_IDENTITY_TOL,
     THREE_SOLVER_TOL,
+    PopulationGrowthError,
+    check_population_decay,
     compare_solvers,
     leak_identity_residual,
 )
@@ -225,35 +226,45 @@ def params_from_config(cfg: dict) -> SystemParams:
         params = SystemParams(*values, omega0=cfg.get("omega0", 0.0))
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
-    _check_cubic_range(params, *fields)
+    _check_cubic_range(params, [params.K], *fields)
     return params
 
 
-def _check_cubic_range(params: SystemParams, r_field: str, k_field: str) -> None:
+def _check_cubic_range(params: SystemParams, K, r_field: str, k_field: str) -> None:
     """Refuse parameters outside the range of Cardano's formula, naming a field.
 
-    Once a cube of the cubic's coefficients overflows, the roots come out NaN
-    or the complex cube root raises.  Once the roots' size to the sixth power,
-    that of Cardano's p^3 and q^2, underflows, the roots come out wrong; a
-    dimensionless config's only scale is then lambda.
+    ``K`` is the array of dipole strengths to check in place of ``params.K``;
+    the first one out of range is reported.  Once a cube of the cubic's
+    coefficients overflows, the roots come out NaN or the complex cube root
+    raises.  Once the roots' size to the sixth power, that of Cardano's p^3
+    and q^2, underflows, the roots come out wrong; a dimensionless config's
+    only scale is then lambda.
     """
-    cubic = char_cubic(params)
-    inputs = {r_field: derive(params).R, k_field: params.K, "lambda": params.lam}
+    K = np.asarray(K, dtype=float)
+    cubic = char_cubic(params, K)
+    coefficients = {"a2": np.full(K.shape, cubic.a2), "a1": cubic.a1, "a0": cubic.a0}
+    with np.errstate(over="ignore", under="ignore"):
+        sizes = {name: np.abs(c) for name, c in coefficients.items()}
+        overflows = {name: ~np.isfinite(v * v * v) for name, v in sizes.items()}
+        cube = np.maximum.reduce([sizes["a2"] ** 3, sizes["a1"] ** 1.5, sizes["a0"]])  # the roots' size, cubed
+        underflows = cube * cube < sys.float_info.min
+    bad = np.logical_or.reduce([*overflows.values(), underflows])
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    inputs = {r_field: derive(params).R, k_field: float(K[i]), "lambda": params.lam}
     largest = max(inputs, key=lambda k: abs(inputs[k]))
-    for name, c in (("a2", cubic.a2), ("a1", cubic.a1), ("a0", cubic.a0)):
-        size = math.hypot(c.real, c.imag)
-        if not math.isfinite(size * size * size):
+    for name, over in overflows.items():
+        if over[i]:
             raise ConfigError(
                 f"field '{largest}' is too large: the characteristic cubic's coefficient "
-                f"{name} = {c} overflows when cubed"
+                f"{name} = {coefficients[name][i]} overflows when cubed"
             )
-    cube = max(cubic.a2 ** 3, cubic.a1 ** 1.5, abs(cubic.a0))  # the roots' size, cubed
-    if cube * cube < sys.float_info.min:
-        field = "lambda" if r_field == "R_rel" else largest
-        raise ConfigError(
-            f"field '{field}' is too small: the characteristic cubic's roots are of the "
-            f"order of {cube ** (1 / 3):.3e}, and their sixth power underflows"
-        )
+    field = "lambda" if r_field == "R_rel" else largest
+    raise ConfigError(
+        f"field '{field}' is too small: the characteristic cubic's roots are of the "
+        f"order of {cube[i] ** (1 / 3):.3e}, and their sixth power underflows"
+    )
 
 
 def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes:
@@ -363,13 +374,10 @@ def _run_trajectory(
                 f"least 100 steps, and {steps} on {samples} samples"
             )
         traj = integrate_volterra(params, init, t_end, steps)
-        # dP/dt = -2 lam |b|^2 <= 0: growth means the step outran the fastest rate
-        peak = float(traj.tracked_population.max())
-        if not peak <= 1.0 + 1e-6:
-            raise ConfigError(
-                f"field 'n_steps' = {n_steps} is too coarse for these parameters: the "
-                f"memory-kernel route's tracked population grew to {peak:.3e}; use more steps"
-            )
+        try:
+            check_population_decay(traj)
+        except PopulationGrowthError as exc:
+            raise _too_coarse(n_steps, exc) from exc
         idx = slice(None, None, per)
         return Trajectory(
             params=params,
@@ -383,6 +391,12 @@ def _run_trajectory(
         )
     raise ConfigError(
         f"field 'solver' must be one of closed|ode|volterra for 'run', got {solver!r}"
+    )
+
+
+def _too_coarse(n_steps: int, exc: PopulationGrowthError) -> ConfigError:
+    return ConfigError(
+        f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc}; use more steps"
     )
 
 
@@ -422,10 +436,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _sweep_column(params: SystemParams, init: InitialAmplitudes, times: np.ndarray) -> np.ndarray:
-    """Concurrence column for one dipole strength, from the closed form."""
-    c1, c2, _ = residue_coefficients(params, init).evolve(times)
-    return np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0)
+# The closed form runs over the K axis in blocks of about this many (K, tau)
+# cells, so that a block's (block, 3, tau) arrays stay small whatever the axes.
+_SWEEP_CELLS = 1 << 14
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -443,22 +456,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         k_values = [_finite(axis, v * base.lam) for v in cfg[axis]]
     else:
         raise ConfigError("missing required field 'K_values' (or 'K_rel_values')")
-    points = [replace(base, K=k) for k in k_values]
-    r_field = "R_rel" if "R_rel" in cfg else "W"
-    for p in points:
-        _check_cubic_range(p, r_field, axis)
+    K = np.asarray(k_values)
+    _check_cubic_range(base, K, "R_rel" if "R_rel" in cfg else "W", axis)
 
+    # one concurrence row per dipole strength, from the closed form
     times = tau / base.lam
-    columns = [_sweep_column(p, init, times) for p in points]
+    block = max(1, _SWEEP_CELLS // times.size)
+    z = np.empty((K.size, times.size))
+    for start in range(0, K.size, block):
+        c1, c2, _ = evolve_over_K(base, init, K[start:start + block], times)
+        np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0, out=z[start:start + block])
 
     out = cfg.get("out", "sweep.csv")
-    _write_sweep_csv(out, tau, k_values, columns)
+    _write_sweep_csv(out, tau, k_values, z)
     print(f"wrote {tau.size} x {len(k_values)} sweep to {out}")
     if cfg["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
-        z = np.vstack(columns)
         svgplot.heatmap(
-            svg_path, tau, np.asarray(k_values), z,
+            svg_path, tau, K, z,
             title="concurrence vs dipole strength",
             xlabel="tau = lam * t", ylabel="K",
         )
@@ -547,6 +562,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             resid = leak_identity_residual(params, init, t_end=min(t_end, 10.0))
     except StepBudgetError as exc:
         raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
+    except PopulationGrowthError as exc:
+        raise _too_coarse(n_steps, exc) from exc
 
     failures = 0
     pairs = [

@@ -15,11 +15,14 @@ the divided difference (N E)[a, b, c] of N(s) E(s), E(s) = exp(s t):
 with (a, c) the widest root pair.  Unlike the residues, which grow like
 1/spacing^2, every term has a finite limit as roots coincide, so one formula
 covers simple, double and triple roots, at O(1) per sample.
+
+Every stage works on an array of dipole strengths K at once, so a sweep over
+K is a handful of array operations; ``char_roots`` and
+``residue_coefficients`` are the one-point case of the same code.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "ResidueSolution",
     "char_cubic",
     "char_roots",
+    "evolve_over_K",
     "residue_coefficients",
     "surviving_pole",
 ]
@@ -66,23 +70,19 @@ class CharacteristicCubic:
 
     ``a2 = lam`` and ``a1 = R^2 + K^2`` are real; ``a0`` picks up the
     imaginary part ``-2 K R^2 r1 r2`` and is genuinely complex whenever both
-    the dipole coupling and both atom couplings are nonzero.
+    the dipole coupling and both atom couplings are nonzero.  Over an array
+    of K, ``a1`` and ``a0`` are arrays and the cubic evaluates elementwise.
     """
 
     a2: float
-    a1: float
-    a0: complex
+    a1: float | np.ndarray
+    a0: complex | np.ndarray
 
-    def __call__(self, s: complex) -> complex:
+    def __call__(self, s):
         return ((s + self.a2) * s + self.a1) * s + self.a0
 
-    def derivative(self, s: complex) -> complex:
+    def derivative(self, s):
         return (3.0 * s + 2.0 * self.a2) * s + self.a1
-
-    @property
-    def scale(self) -> float:
-        """Natural magnitude of the cubic's coefficients, used for residual bounds."""
-        return max(1.0, abs(self.a2) ** 3, abs(self.a1) ** 1.5, abs(self.a0))
 
 
 @dataclass(frozen=True)
@@ -92,46 +92,51 @@ class CubicRoots:
     roots: tuple[complex, complex, complex]
 
 
-def char_cubic(params: SystemParams) -> CharacteristicCubic:
-    """Build the characteristic cubic for ``params``."""
+def char_cubic(params: SystemParams, K=None) -> CharacteristicCubic:
+    """Build the characteristic cubic for ``params``.
+
+    Given an array ``K`` of dipole strengths, which replaces ``params.K``,
+    the coefficients ``a1`` and ``a0`` are arrays over it.
+    """
     d = derive(params)
     R2 = d.R * d.R
-    K = params.K
-    return CharacteristicCubic(
-        a2=params.lam,
-        a1=R2 + K * K,
-        a0=complex(K * K * params.lam, -2.0 * K * R2 * d.r1 * d.r2),
-    )
+    k = np.atleast_1d(np.asarray(params.K if K is None else K, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = R2 + k * k
+        # set by parts, as complex(x, y) would, to keep the sign of a zero
+        # imaginary part: Cardano's square root branches on it
+        a0 = (k * k * params.lam).astype(complex)
+        a0.imag = -2.0 * k * R2 * d.r1 * d.r2
+    if K is None:
+        return CharacteristicCubic(a2=params.lam, a1=float(a1[0]), a0=complex(a0[0]))
+    return CharacteristicCubic(a2=params.lam, a1=a1, a0=a0)
 
 
-def _cardano(a2: float, a1: float, a0: complex) -> tuple[complex, complex, complex]:
-    """Roots of the monic cubic by Cardano's formula in complex arithmetic."""
+def _cardano(a2: float, a1: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """Roots of the monic cubics by Cardano's formula in complex arithmetic, shape (n, 3)."""
     third = 1.0 / 3.0
     shift = a2 * third
     p = a1 - a2 * a2 * third
     q = a0 + a2 * (2.0 * a2 * a2 - 9.0 * a1) / 27.0
-    if p == 0.0 and q == 0:
-        return (-shift, -shift, -shift)
-    disc = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    disc = np.sqrt(0.25 * q * q + p * p * p / 27.0)
     # Choose the cube whose magnitude is larger to avoid cancellation in
     # -q/2 +- disc; the product of the two candidates is -(p/3)^3, so the
-    # larger one is never zero unless p == q == 0 (handled above).
+    # larger one is never zero unless p == q == 0 (handled below).
     u3 = -0.5 * q + disc
     alt = -0.5 * q - disc
-    if abs(alt) > abs(u3):
-        u3 = alt
-    u = u3 ** third
+    u = np.where(np.abs(alt) > np.abs(u3), alt, u3) ** third
     omega = complex(-0.5, 0.8660254037844386)  # primitive cube root of unity
-    roots = []
-    for _ in range(3):
+    roots = np.empty((u.size, 3), dtype=complex)
+    for k in range(3):
         # z = u - p/(3u) solves the depressed cubic for each cube-root branch
-        roots.append(u - p / (3.0 * u) - shift)
-        u *= omega
-    return tuple(roots)
+        roots[:, k] = u - p / (3.0 * u) - shift
+        u = u * omega
+    roots[(p == 0.0) & (q == 0)] = -shift
+    return roots
 
 
-def char_roots(params: SystemParams) -> CubicRoots:
-    """Find the three roots of the characteristic cubic.
+def _cubic_roots(cubic: CharacteristicCubic) -> np.ndarray:
+    """Roots of the cubics over an array of K, shape (n, 3), each row sorted by (real, imag).
 
     Cardano supplies starting values; the best-isolated root is driven to
     convergence by Newton, and the other two solve the deflated quadratic.
@@ -139,47 +144,57 @@ def char_roots(params: SystemParams) -> CubicRoots:
     root that moves the two roots of a cluster independently and breaks the
     Vieta sums, which the Newton form of the residue sum relies on.
     """
-    cubic = char_cubic(params)
-    raw = _cardano(cubic.a2, cubic.a1, complex(cubic.a0))
-    isolation = [min(abs(raw[i] - raw[j]) for j in range(3) if j != i) for i in range(3)]
+    a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = _cardano(a2, a1, a0)
+    gaps = np.abs(raw[:, :, None] - raw[:, None, :])
+    gaps[:, range(3), range(3)] = np.inf
+    isolation = gaps.min(axis=2)
     # among (near-)ties, the root nearest the real axis: a real cubic then
     # deflates by its real root and keeps its complex pair exactly conjugate
-    r = min(
-        (raw[i] for i in range(3) if isolation[i] >= (1.0 - 1e-6) * max(isolation)),
-        key=lambda z: abs(z.imag),
-    )
+    eligible = isolation >= (1.0 - 1e-6) * isolation.max(axis=1, keepdims=True)
+    pick = np.argmin(np.where(eligible, np.abs(raw.imag), np.inf), axis=1)
+    r = raw[np.arange(raw.shape[0]), pick]
+    active = np.ones(r.shape, dtype=bool)
     for _ in range(4):
         dp = cubic.derivative(r)
-        if dp == 0:
-            break
-        step = cubic(r) / dp
+        active &= dp != 0
+        step = np.divide(cubic(r), dp, out=np.zeros_like(r), where=active)
         r = r - step
-        if abs(step) <= 1e-16 * max(1.0, abs(r)):
-            break
+        active &= np.abs(step) > 1e-16 * np.maximum(1.0, np.abs(r))
 
     # deflate: D(s) = (s - r)(s^2 + p s + q)
-    p = cubic.a2 + r
-    q = cubic.a1 + r * p
-    disc = cmath.sqrt(p * p - 4.0 * q)
+    p = a2 + r
+    q = a1 + r * p
+    disc = np.sqrt(p * p - 4.0 * q)
     lo = -0.5 * (p - disc)
     hi = -0.5 * (p + disc)
-    big, small = (hi, lo) if abs(hi) >= abs(lo) else (lo, hi)
-    if abs(small) < 0.5 * abs(big):
-        # the smaller root has lost digits to cancellation; the product q
-        # gives it accurately.  Roots of equal size, such as the exact
-        # conjugate pair of a real quadratic, keep their symmetry.
-        small = q / big
-    return CubicRoots(roots=tuple(sorted([r, big, small], key=lambda z: (z.real, z.imag))))
+    swap = np.abs(hi) < np.abs(lo)
+    big = np.where(swap, lo, hi)
+    small = np.where(swap, hi, lo)
+    # the smaller root has lost digits to cancellation; the product q gives
+    # it accurately.  Roots of equal size, such as the exact conjugate pair
+    # of a real quadratic, keep their symmetry.
+    np.divide(q, big, out=small, where=np.abs(small) < 0.5 * np.abs(big))
+    roots = np.stack([r, big, small], axis=1)
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
 
 
-def _pair_difference(x: complex, y: complex, t: np.ndarray) -> np.ndarray:
+def char_roots(params: SystemParams) -> CubicRoots:
+    """Find the three roots of the characteristic cubic: the one-point case of the K axis."""
+    roots = _cubic_roots(char_cubic(params, [params.K]))[0]
+    return CubicRoots(roots=tuple(complex(s) for s in roots))
+
+
+def _pair_difference(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """E[x, y] = t e^{yt} expm1(z) / z with z = (x - y) t, finite as x -> y.
 
     Anchored at the node with the larger real part, so that Re z <= 0 and
     neither factor can overflow where the true value does not.
     """
-    if x.real > y.real:
-        x, y = y, x
+    swap = x.real > y.real
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
     z = (x - y) * t
     phi = np.ones_like(z)
     nz = z != 0
@@ -187,7 +202,7 @@ def _pair_difference(x: complex, y: complex, t: np.ndarray) -> np.ndarray:
     return t * np.exp(y * t) * phi
 
 
-def _triple_difference(a: complex, b: complex, c: complex, t: np.ndarray) -> np.ndarray:
+def _triple_difference(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """E[a, b, c] = t^2 e^{ct} sum_k h_k(u, v) / (k + 2)! for u = (a - c) t, v = (b - c) t.
 
     h_k = v h_{k-1} + u^k is the complete homogeneous polynomial of degree k.
@@ -205,35 +220,56 @@ def _triple_difference(a: complex, b: complex, c: complex, t: np.ndarray) -> np.
     return t * t * np.exp(c * t) * total
 
 
-def _separated_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
-    """Rows E[a, b, c], E[b, c] and E[c] of E(s) = exp(s t) as plain quotients."""
-    a, b, c = nodes
-    E = np.exp(np.multiply.outer(np.array(nodes), t))
-    E[:2] = (E[:2] - E[1:]) / np.array([[a - b], [b - c]])
-    E[0] = (E[0] - E[1]) / (a - c)
+def _separated_differences(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows E[a, b, c], E[b, c] and E[c] of E(s) = exp(s t) as plain quotients.
+
+    ``nodes`` holds one (a, b, c) per row; the result has shape (n, 3, t.size).
+    """
+    E = np.exp(nodes[:, :, None] * t)
+    E[:, :2] = (E[:, :2] - E[:, 1:]) / (nodes[:, :2] - nodes[:, 1:])[:, :, None]
+    E[:, 0] = (E[:, 0] - E[:, 1]) / (nodes[:, 0] - nodes[:, 2])[:, None]
     return E
 
 
-def _clustered_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
+def _clustered_differences(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The same rows in forms that stay finite as nodes meet: E[a, b, c] is
     the Taylor series where |(a - c) t| <= 1, else the pairs' quotient."""
-    a, b, c = nodes
-    E = np.empty((3, t.size), dtype=complex)
+    a, b, c = (nodes[:, k, None] for k in range(3))
+    E = np.empty((nodes.shape[0], 3, t.size), dtype=complex)
     e_ab = _pair_difference(a, b, t)
-    E[1] = _pair_difference(b, c, t)
-    E[2] = np.exp(c * t)
+    E[:, 1] = _pair_difference(b, c, t)
+    E[:, 2] = np.exp(c * t)
     near = np.abs((a - c) * t) <= 1.0
-    E[0, near] = _triple_difference(a, b, c, t[near])
-    E[0, ~near] = (e_ab[~near] - E[1, ~near]) / (a - c)
+    a, b, c, tt = (np.broadcast_to(v, near.shape)[near] for v in (a, b, c, t))
+    E0 = E[:, 0]
+    E0[near] = _triple_difference(a, b, c, tt)
+    E0[~near] = ((e_ab - E[:, 1]) / (nodes[:, 0] - nodes[:, 2])[:, None])[~near]
     return E
 
 
-def _exp_divided_differences(nodes: tuple[complex, complex, complex], t: np.ndarray) -> np.ndarray:
-    """Plain quotients where they are accurate (see ``_SEPARATED``), else the clustered forms."""
-    a, b, c = nodes
-    if min(abs(a - b), abs(b - c)) * abs(a - c) >= _SEPARATED * max(abs(a), abs(b), abs(c)) ** 2:
+def _exp_divided_differences(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row of ``nodes``, plain quotients where they are accurate (see
+    ``_SEPARATED``), else the clustered forms; shape (n, 3, t.size)."""
+    s = np.abs(nodes)
+    a, b, c = nodes.T
+    spacing = np.minimum(np.abs(a - b), np.abs(b - c)) * np.abs(a - c)
+    separated = spacing >= _SEPARATED * s.max(axis=1) ** 2
+    if separated.all():  # the usual case: no copy, no clustered forms of nothing
         return _separated_differences(nodes, t)
-    return _clustered_differences(nodes, t)
+    E = np.empty((nodes.shape[0], 3, t.size), dtype=complex)
+    E[separated] = _separated_differences(nodes[separated], t)
+    E[~separated] = _clustered_differences(nodes[~separated], t)
+    return E
+
+
+def _amplitudes(nodes: np.ndarray, newton: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(c1, c2, b) at ``t >= 0`` for each row of ``nodes`` (n, 3) and ``newton``
+    (n, 3 amplitudes, 3 coefficients); shape (3, n, t.size)."""
+    if np.any(t < 0.0):
+        raise ValueError("closed-form evolution is defined for t >= 0")
+    E = _exp_divided_differences(nodes, t)
+    x = newton.transpose(1, 0, 2)[:, :, :, None]
+    return x[:, :, 0] * E[:, 0] + x[:, :, 1] * E[:, 1] + x[:, :, 2] * E[:, 2]
 
 
 @dataclass(frozen=True)
@@ -257,19 +293,17 @@ class ResidueSolution:
     def evolve(self, t):
         """Evaluate (c1, c2, b) at scalar or array ``t >= 0``."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("closed-form evolution is defined for t >= 0")
-        newton = np.array([self.newton_c1, self.newton_c2, self.newton_b])
-        c1, c2, b = newton @ _exp_divided_differences(self.nodes, t.reshape(-1))
+        newton = np.array([[self.newton_c1, self.newton_c2, self.newton_b]])
+        c1, c2, b = _amplitudes(np.array([self.nodes]), newton, t.reshape(-1))[:, 0]
         if t.ndim == 0:
             return complex(c1[0]), complex(c2[0]), complex(b[0])
         return c1.reshape(t.shape), c2.reshape(t.shape), b.reshape(t.shape)
 
 
-def residue_coefficients(
-    params: SystemParams, init: InitialAmplitudes
-) -> ResidueSolution:
-    """Newton coefficients of the residue sum, valid for every root configuration.
+def _newton_form(
+    params: SystemParams, init: InitialAmplitudes, K: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots (n, 3), nodes (n, 3) and Newton coefficients (n, 3, 3) over the array ``K``.
 
     The numerators of the three transformed amplitudes are
 
@@ -277,10 +311,10 @@ def residue_coefficients(
         N_c2(s) = the same with indices 1 and 2 exchanged
         N_b(s)  = -i R [(r1 c10 + r2 c20) s - i K (r1 c20 + r2 c10)]
     """
-    init = validate_initial(init, "strict")
     d = derive(params)
-    roots = char_roots(params)
-    lam, K, R = params.lam, params.K, d.R
+    K = np.asarray(K, dtype=float)
+    roots = _cubic_roots(char_cubic(params, K))
+    lam, R = params.lam, d.R
     r1, r2 = d.r1, d.r2
     R2 = R * R
     c10, c20 = init.c10, init.c20
@@ -291,23 +325,47 @@ def residue_coefficients(
         (c20, c20 * lam - 1j * K * c10, c20 * R2 * r1 * r1 - c10 * cross),
         (0.0, -1j * R * (r1 * c10 + r2 * c20), -R * K * (r1 * c20 + r2 * c10)),
     )
-    s = roots.roots
-    i, j = max(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(s[ij[0]] - s[ij[1]]))
-    a, b, c = s[i], s[3 - i - j], s[j]
-    newton = [
-        (complex((n2 * a + n1) * a + n0), complex(n2 * (a + b) + n1), complex(n2))
-        for n2, n1, n0 in quadratics
-    ]
+    # (a, c) the widest pair; the first of equally wide pairs
+    first, last = np.array([0, 0, 1]), np.array([1, 2, 2])
+    w = np.argmax(np.abs(roots[:, first] - roots[:, last]), axis=1)
+    i, j = first[w], last[w]
+    nodes = np.take_along_axis(roots, np.stack([i, 3 - i - j, j], axis=1), axis=1)
+    a, b = nodes[:, 0], nodes[:, 1]
+    newton = np.empty((K.size, 3, 3), dtype=complex)
+    for k, (n2, n1, n0) in enumerate(quadratics):
+        newton[:, k, 0] = (n2 * a + n1) * a + n0
+        newton[:, k, 1] = n2 * (a + b) + n1
+        newton[:, k, 2] = n2
+    return roots, nodes, newton
+
+
+def residue_coefficients(
+    params: SystemParams, init: InitialAmplitudes
+) -> ResidueSolution:
+    """Newton coefficients of the residue sum, valid for every root configuration:
+    the one-point case of :func:`evolve_over_K`'s K axis."""
+    init = validate_initial(init, "strict")
+    roots, nodes, newton = _newton_form(params, init, [params.K])
+    row = lambda v: tuple(complex(x) for x in v)
     return ResidueSolution(
         params=params,
-        derived=d,
+        derived=derive(params),
         init=init,
-        roots=roots,
-        nodes=(a, b, c),
-        newton_c1=newton[0],
-        newton_c2=newton[1],
-        newton_b=newton[2],
+        roots=CubicRoots(roots=row(roots[0])),
+        nodes=row(nodes[0]),
+        newton_c1=row(newton[0, 0]),
+        newton_c2=row(newton[0, 1]),
+        newton_b=row(newton[0, 2]),
     )
+
+
+def evolve_over_K(
+    params: SystemParams, init: InitialAmplitudes, K, t
+) -> np.ndarray:
+    """Amplitudes (c1, c2, b) of ``params`` with each dipole strength of the
+    array ``K`` in place of ``params.K``, at times ``t >= 0``: shape (3, K.size, t.size)."""
+    _, nodes, newton = _newton_form(params, validate_initial(init, "strict"), K)
+    return _amplitudes(nodes, newton, np.asarray(t, dtype=float).reshape(-1))
 
 
 def surviving_pole(

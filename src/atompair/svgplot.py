@@ -7,7 +7,6 @@ output.  Only what the CLI needs: multi-series line charts and a heatmap.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -87,8 +86,13 @@ class _Frame:
             self.parts.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(v)}</text>')
 
     def save(self, path) -> None:
+        """Write the parts, one line each, without joining them into one string first."""
         self.parts.append("</svg>")
-        Path(path).write_text("\n".join(self.parts), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.parts[0])
+            for part in self.parts[1:]:
+                fh.write("\n")
+                fh.write(part)
 
 
 def line_chart(path, x, series: dict[str, np.ndarray], title="", xlabel="", ylabel="") -> None:
@@ -100,12 +104,12 @@ def line_chart(path, x, series: dict[str, np.ndarray], title="", xlabel="", ylab
     fr.axes()
     # thin long traces so files stay small; 1600 points are plenty for 880 px
     step = max(1, x.size // 1600)
+    px = fr.px(x[::step])
+    points = " ".join(["%.1f,%.1f"] * px.size)
     for k, (label, y) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(
-            f"{fr.px(float(xi)):.1f},{fr.py(float(yi)):.1f}"
-            for xi, yi in zip(x[::step], np.asarray(y, dtype=float)[::step])
-        )
+        py = fr.py(np.asarray(y, dtype=float)[::step])
+        pts = points % tuple(np.column_stack((px, py)).ravel().tolist())
         fr.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * k
         fr.parts.append(f'<line x1="{_W - _MR - 130}" y1="{ly}" x2="{_W - _MR - 105}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
@@ -129,16 +133,23 @@ def _viridis_rgb(v: np.ndarray) -> np.ndarray:
     """
     v = np.clip(v, 0.0, 1.0) * (len(_VIRIDIS) - 1)
     i = np.minimum(v.astype(np.intp), len(_VIRIDIS) - 2)
-    f = (v - i)[..., None]
-    rgb = (255 * (_VIRIDIS[i] * (1 - f) + _VIRIDIS[i + 1] * f)).astype(np.intp)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    f = v - i
+    g = 1 - f
+    rgb = 0
+    for stops in _VIRIDIS.T:  # a channel at a time: no (..., 3) temporaries
+        rgb = (rgb << 8) | (255 * (stops[i] * g + stops[i + 1] * f)).astype(np.intp)
+    return rgb
 
 
 def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, zhi=1.0) -> None:
-    """Write a heatmap of z[j, i] over columns x[i] and rows y[j]."""
+    """Write a heatmap of z[j, i] over increasing columns x[i] and rows y[j].
+
+    The rows are drawn in increasing order of y, whatever order they come in.
+    """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    order = np.argsort(y, kind="stable")
+    y = np.asarray(y, dtype=float)[order]
+    z = np.asarray(z, dtype=float)[order]
     fr = _Frame(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]), title, xlabel, ylabel)
     # an axis of n >= 440 points keeps every (n // 220)-th one; shorter axes
     # draw one cell per point.  The CSV holds the full grid either way.
@@ -150,15 +161,21 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     x1 = np.append(x0[1:], fr.px(fr.xhi))
     y0 = fr.py(ys)
     y1 = np.append(y0[1:], fr.py(fr.yhi))
-    lefts = [f"{v:.1f}" for v in x0.tolist()]
-    widths = [f"{v:.1f}" for v in (np.abs(x1 - x0) + 0.5).tolist()]
+    # one template per row: the columns' x and width are baked in, and each
+    # cell takes its row's y and height and its own fill
+    template = "\n".join(
+        f'<rect x="{left:.1f}" y="%s" width="{width:.1f}" height="%s" fill="#%s"/>'
+        for left, width in zip(x0.tolist(), (np.abs(x1 - x0) + 0.5).tolist())
+    )
     tops = [f"{v:.1f}" for v in np.minimum(y0, y1).tolist()]
     heights = [f"{v:.1f}" for v in (np.abs(y0 - y1) + 0.5).tolist()]
-    fills = _viridis_rgb((zs - zlo) / (zhi - zlo or 1.0))
+    codes, index = np.unique(_viridis_rgb((zs - zlo) / (zhi - zlo or 1.0)).ravel(), return_inverse=True)
+    fills = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[index.reshape(zs.shape)]
+    args = [None] * (3 * xs.size)
     for top, height, row in zip(tops, heights, fills):
-        fr.parts.append("\n".join(
-            f'<rect x="{left}" y="{top}" width="{width}" height="{height}" fill="#{rgb:06x}"/>'
-            for left, width, rgb in zip(lefts, widths, row.tolist())
-        ))
+        args[0::3] = [top] * xs.size
+        args[1::3] = [height] * xs.size
+        args[2::3] = row.tolist()
+        fr.parts.append(template % tuple(args))
     fr.axes()
     fr.save(path)

@@ -26,7 +26,10 @@ __all__ = [
     "COMPARE_POINTS",
     "THREE_SOLVER_TOL",
     "LEAK_IDENTITY_TOL",
+    "POPULATION_GROWTH_TOL",
+    "PopulationGrowthError",
     "SolverComparison",
+    "check_population_decay",
     "compare_solvers",
     "leak_identity_residual",
 ]
@@ -37,6 +40,28 @@ LEAK_IDENTITY_TOL = 1e-6
 # Default size of the shared comparison grid; ``n_steps`` must be a multiple
 # of ``COMPARE_POINTS - 1``.
 COMPARE_POINTS = 2001
+
+# dP/dt = -2 lam |b|^2 <= 0 for the tracked population P, so a memory-kernel
+# run whose P exceeds 1 + POPULATION_GROWTH_TOL took steps that outran the
+# fastest rate.
+POPULATION_GROWTH_TOL = 1e-6
+
+
+class PopulationGrowthError(Exception):
+    """A trajectory's tracked population grew past 1 + POPULATION_GROWTH_TOL, or is NaN."""
+
+    def __init__(self, peak: float) -> None:
+        super().__init__(f"the memory-kernel route's tracked population grew to {peak:.3e}")
+        self.peak = peak
+
+
+def check_population_decay(traj: Trajectory) -> None:
+    """Raise :class:`PopulationGrowthError` unless ``traj``'s tracked population stays
+    at most 1 + POPULATION_GROWTH_TOL."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = float(traj.tracked_population.max())
+    if not peak <= 1.0 + POPULATION_GROWTH_TOL:
+        raise PopulationGrowthError(peak)
 
 
 def _sup_norm(a: Trajectory, b: Trajectory, idx_a=slice(None), idx_b=slice(None)) -> float:
@@ -75,15 +100,19 @@ def compare_solvers(
 
     The comparison grid has ``n_compare`` uniform points; ``n_compare - 1``
     must divide ``n_steps`` so the memory-kernel solver's own grid contains
-    it exactly.
+    it exactly.  The memory-kernel route runs first: with the true kernel
+    sign, a tracked population that grows raises
+    :class:`PopulationGrowthError` before the adaptive route starts.
     """
     if (n_compare - 1) <= 0 or n_steps % (n_compare - 1) != 0:
         raise ValueError("n_compare - 1 must divide n_steps")
     stride = n_steps // (n_compare - 1)
     grid = np.linspace(0.0, t_end, n_compare)
 
-    ode = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)
     vol = integrate_volterra(params, init, t_end, n_steps, _kernel_sign=_kernel_sign)
+    if _kernel_sign == 1.0:
+        check_population_decay(vol)
+    ode = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)
     vol_idx = slice(None, None, stride)
     closed = sample_closed_form(params, init, grid)
     return SolverComparison(

@@ -20,7 +20,7 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
-from atompair import dynamics
+from atompair import char_roots, dynamics
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
@@ -529,6 +529,10 @@ class TestRoots:
         assert header == ["re_s", "im_s", "abs_D"]
         assert rows.shape == (3, 3)
         assert rows[:, 2].max() < 1e-8
+        # one row per root, sorted by (real, imag) part
+        roots = char_roots(params_from_config(payload)).roots
+        assert rows[:, :2].tolist() == [[s.real, s.imag] for s in roots]
+        assert rows[:, :2].tolist() == sorted(rows[:, :2].tolist())
 
 
     def test_pole_line_agrees_with_verdict(self, tmp_path, capsys):
@@ -561,6 +565,28 @@ class TestVerify:
         cfg = write_config(tmp_path, "v.json", payload)
         assert main(["verify", "--config", cfg, "--corrupt-kernel-sign"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    def test_coarse_volterra_steps_exit_2(self, tmp_path, capsys):
+        # at t_end = 1e5 the default 20,000 memory-kernel steps (h = 5) are
+        # unstable on the README reference case; the population check runs
+        # before the adaptive route, so the refusal comes at once
+        payload = {**FIG1A_K0, "K_rel": 2.0, "t_end": 1e5}
+        cfg = write_config(tmp_path, "v.json", payload)
+        start = time.perf_counter()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert "'n_steps'" in captured.err and "nan" in captured.err
+        assert captured.out == ""
+
+    def test_negative_control_fails_although_population_grows(self, tmp_path, capsys):
+        # the corrupted kernel's population grows far past 1; that is the
+        # failure the check must report, not a config error
+        payload = {**FIG1A_K0, "K_rel": 2.0, "t_end": 10.0}
+        cfg = write_config(tmp_path, "v.json", payload)
+        assert main(["verify", "--config", cfg, "--corrupt-kernel-sign"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "[FAIL] closed_form vs volterra" in out
 
     def test_single_solver_selection_filters_pairs(self, tmp_path, capsys):
         payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from atompair import (
     derive,
     integrate_pseudomode,
     residue_coefficients,
+    sample_closed_form,
     surviving_pole,
 )
 from atompair.closedform import (
     _SEPARATED,
     _clustered_differences,
+    _cubic_roots,
     _exp_divided_differences,
     _separated_differences,
     char_cubic,
+    evolve_over_K,
 )
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
@@ -326,12 +330,66 @@ class TestDividedDifferences:
     def test_forms_agree_on_both_sides_of_switch(self, kind, factor):
         nodes = self.nodes_at(factor * _SEPARATED, kind)
         t = np.linspace(0.0, 50.0, 501)
-        sep = _separated_differences(nodes, t)
-        clu = _clustered_differences(nodes, t)
+        sep = _separated_differences(np.array([nodes]), t)[0]
+        clu = _clustered_differences(np.array([nodes]), t)[0]
         scale = max(abs(s) for s in nodes)
         weights = np.array([[scale * scale], [scale], [1.0]])
         assert np.abs((sep - clu) * weights).max() <= 1e-12
         a, b, c = nodes
         assert min(abs(a - b), abs(b - c)) * abs(a - c) / scale ** 2 == pytest.approx(factor * _SEPARATED)
-        chosen = _exp_divided_differences(nodes, t)
+        chosen = _exp_divided_differences(np.array([nodes]), t)[0]
         assert np.array_equal(chosen, sep if factor > 1.0 else clu)
+
+
+def _is_separated(nodes) -> bool:
+    a, b, c = nodes
+    return min(abs(a - b), abs(b - c)) * abs(a - c) >= _SEPARATED * max(abs(a), abs(b), abs(c)) ** 2
+
+
+class TestBatchedOverK:
+    """The closed form over an array of K agrees with its one-point case."""
+
+    @staticmethod
+    def axis(centre: float) -> np.ndarray:
+        # a coarse sweep through ``centre`` plus points ever closer to it
+        near = [centre + sign * d for d in (1e-3, 1e-6, 1e-9, 1e-12) for sign in (1, -1)]
+        return np.concatenate([np.linspace(centre - 3.0, centre + 3.0, 25), [centre], near])
+
+    @pytest.mark.parametrize("point", ["double", "triple"])
+    def test_matches_per_point_closed_form(self, rng, point):
+        # the double root: K = 0, R = lam/2; the triple root: r2 = 0,
+        # K = lam/sqrt(27), R = sqrt(8/27) lam
+        base = (
+            SystemParams(lam=1.0, W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
+            if point == "double" else triple_root_params()
+        )
+        K = self.axis(base.K)
+        t = np.linspace(0.0, 30.0, 301)
+        init = random_init(rng)
+        got = evolve_over_K(base, init, K, t)
+        assert got.shape == (3, K.size, t.size)
+        separated = []
+        for j, k in enumerate(K):
+            p = replace(base, K=float(k))
+            ref = sample_closed_form(p, init, t)
+            for row, amp in zip(got[:, j], (ref.c1, ref.c2, ref.b)):
+                assert np.abs(row - amp).max() <= 1e-13
+            separated.append(_is_separated(residue_coefficients(p, init).nodes))
+        assert any(separated) and not all(separated)
+
+    def test_real_cubic_keeps_exact_conjugate_pair_in_a_batch(self):
+        p = fig_params(K=0.0, R=7.0, r1=0.6)
+        K = np.array([-2.0, 0.0, 1e-3, 3.0, 0.0])
+        roots = _cubic_roots(char_cubic(p, K))
+        for row in (1, 4):
+            pair = [s for s in roots[row] if abs(s.imag) > 1e-9]
+            assert len(pair) == 2 and pair[0] == pair[1].conjugate()
+        for k, row in zip(K, roots):
+            assert tuple(row) == char_roots(replace(p, K=float(k))).roots
+
+    def test_roots_are_sorted_by_real_then_imaginary_part(self, rng):
+        for _ in range(20):
+            p = random_params(rng)
+            K = rng.uniform(-20.0, 20.0, 16)
+            for row in _cubic_roots(char_cubic(p, K)):
+                assert list(row) == sorted(row, key=lambda s: (s.real, s.imag))

@@ -1,4 +1,8 @@
-"""The array-at-a-time heatmap writes the same bytes as the per-cell loop it replaced."""
+"""The array-at-a-time heatmap and line chart write the same bytes as the
+per-cell and per-point loops they replaced."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,8 @@ def heatmap_reference(path, x, y, z, title="", xlabel="", ylabel="", zlo=0.0, zh
                 f'height="{abs(y0 - y1) + 0.5:.1f}" fill="{_viridis_reference(v)}"/>'
             )
     fr.axes()
-    fr.save(path)
+    fr.parts.append("</svg>")
+    Path(path).write_text("\n".join(fr.parts), encoding="utf-8")
 
 
 def _edge_values():
@@ -82,3 +87,80 @@ def test_heatmap_bytes_match_with_other_colour_ranges(tmp_path, zlo, zhi):
     svgplot.heatmap(tmp_path / "new.svg", x, y, z, zlo=zlo, zhi=zhi)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
+
+
+def test_heatmap_bytes_match_at_the_figure_shape(tmp_path):
+    # the C(tau, K) figure: 401 dipole strengths by 301 times
+    x, y, z = _grid(301, 401, seed=11)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_heatmap_bytes_match_with_a_single_colour(tmp_path):
+    x, y, _ = _grid(7, 5, seed=4)
+    z = np.full((5, 7), 0.3)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z)
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_heatmap_draws_a_descending_axis_in_increasing_order(tmp_path):
+    x, y, z = _grid(11, 5, seed=5)
+    svgplot.heatmap(tmp_path / "up.svg", x, y, z)
+    svgplot.heatmap(tmp_path / "down.svg", x, y[::-1], z[::-1])
+    down = (tmp_path / "down.svg").read_text()
+    assert down == (tmp_path / "up.svg").read_text()
+    # the y ticks span [min y, max y] and sit inside the frame
+    ticks = [float(m) for m in re.findall(r'y="([0-9.]+)" text-anchor="end"', down)]
+    labels = [float(m) for m in re.findall(r'text-anchor="end">([^<]+)<', down)]
+    assert labels[0] == -20.0 and labels[-1] == 20.0
+    assert all(svgplot._MT <= v - 4 <= svgplot._H - svgplot._MB for v in ticks)
+
+
+def line_chart_reference(path, x, series, title="", xlabel="", ylabel=""):
+    """The per-point line chart loop, kept as the byte-for-byte reference."""
+    x = np.asarray(x, dtype=float)
+    ylo = min(float(np.min(v)) for v in series.values())
+    yhi = max(float(np.max(v)) for v in series.values())
+    fr = svgplot._Frame(float(x[0]), float(x[-1]), ylo, yhi, title, xlabel, ylabel)
+    fr.axes()
+    step = max(1, x.size // 1600)
+    for k, (label, y) in enumerate(series.items()):
+        color = svgplot._PALETTE[k % len(svgplot._PALETTE)]
+        pts = " ".join(
+            f"{fr.px(float(xi)):.1f},{fr.py(float(yi)):.1f}"
+            for xi, yi in zip(x[::step], np.asarray(y, dtype=float)[::step])
+        )
+        fr.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ly = svgplot._MT + 16 + 16 * k
+        fr.parts.append(
+            f'<line x1="{svgplot._W - svgplot._MR - 130}" y1="{ly}" x2="{svgplot._W - svgplot._MR - 105}" '
+            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
+        )
+        fr.parts.append(f'<text x="{svgplot._W - svgplot._MR - 100}" y="{ly + 4}">{label}</text>')
+    fr.parts.append("</svg>")
+    Path(path).write_text("\n".join(fr.parts), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(2001, "run"), (4001, "run"), (1601, "run"), (50, "constant"), (3, "run")],
+)
+def test_line_chart_bytes_match_per_point_loop(tmp_path, n, kind):
+    # 2001 samples is the run command's default; above 1600 points the
+    # trace is thinned
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 10.0, n)
+    if kind == "constant":
+        series = {"c": np.full(n, 0.25)}
+    else:
+        series = {
+            "concurrence": np.abs(np.sin(x)) * np.exp(-0.1 * x),
+            "p1 + p2": np.exp(-0.2 * x),
+            "pb": rng.uniform(-1e-3, 0.2, n),
+            "p_leak": np.concatenate([[-0.0], 1.0 - np.exp(-0.2 * x[1:])]),
+        }
+    line_chart_reference(tmp_path / "ref.svg", x, series, title="t", xlabel="tau", ylabel="y")
+    svgplot.line_chart(tmp_path / "new.svg", x, series, title="t", xlabel="tau", ylabel="y")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
