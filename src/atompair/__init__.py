@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 from .analysis import (
     SteadyStateVerdict,
     concurrence,
+    concurrence_array,
     concurrence_series,
     density_matrix,
     disentanglement_time,
@@ -27,12 +28,10 @@ from .dynamics import (
     StepBudgetError,
     StepUnderflowError,
     Trajectory,
-    TrajectoryState,
     asymptotic_t_end,
     integrate_pseudomode,
     integrate_volterra,
     leak_series,
-    rhs,
     sample_closed_form,
 )
 from .model import (
@@ -51,11 +50,10 @@ __all__ = [
     "derive", "bell_state", "validate_initial",
     "CharacteristicCubic", "CubicRoots", "ResidueSolution",
     "char_roots", "residue_coefficients", "surviving_pole",
-    "Trajectory", "TrajectoryState", "IntegratorConfig", "StepUnderflowError",
-    "StepBudgetError",
-    "rhs", "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
+    "Trajectory", "IntegratorConfig", "StepUnderflowError", "StepBudgetError",
+    "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
     "leak_series", "asymptotic_t_end",
-    "SteadyStateVerdict", "density_matrix", "concurrence", "concurrence_series",
-    "steady_state_verdict", "disentanglement_time",
+    "SteadyStateVerdict", "density_matrix", "concurrence", "concurrence_array",
+    "concurrence_series", "steady_state_verdict", "disentanglement_time",
     "SolverComparison", "compare_solvers", "leak_identity_residual",
 ]

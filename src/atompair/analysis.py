@@ -21,6 +21,7 @@ __all__ = [
     "SteadyStateVerdict",
     "density_matrix",
     "concurrence",
+    "concurrence_array",
     "concurrence_series",
     "steady_state_verdict",
     "disentanglement_time",
@@ -65,9 +66,18 @@ def concurrence(c1: complex, c2: complex) -> float:
     return 2.0 * abs(c1) * abs(c2)
 
 
+def concurrence_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Elementwise concurrence of amplitude arrays, C = min(2 |c1| |c2|, 1).
+
+    Unlike :func:`concurrence` it checks no population: rounding that lifts
+    a value past 1 is clipped instead.
+    """
+    return np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0)
+
+
 def concurrence_series(traj) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise concurrence along a trajectory; returns (t, C)."""
-    return traj.t, 2.0 * np.abs(traj.c1) * np.abs(traj.c2)
+    return traj.t, concurrence_array(traj.c1, traj.c2)
 
 
 @dataclass(frozen=True)

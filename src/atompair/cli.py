@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import concurrence_series, steady_state_verdict
+from .analysis import concurrence_array, concurrence_series, steady_state_verdict
 from .closedform import (
     char_cubic,
     char_roots,
@@ -82,7 +82,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = set(cfg) - _FIELDS.keys()
     if unknown:
-        raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config field(s): {', '.join(map(repr, sorted(unknown)))}")
     return cfg
 
 
@@ -191,7 +191,6 @@ _FIELDS = {
     "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), 1),
     "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None),
     "svg": (_boolean, False),
-    "jobs": (_rule(lambda n: n >= 1, "be >= 1", _integer), None),  # has no effect
     "K_values": (_number_list, None),
     "K_rel_values": (_number_list, None),
     "tau_grid": (_tau_grid, None),
@@ -299,16 +298,15 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Write the canonical trajectory table; tau is lam * t."""
     lam = traj.params.lam
     tau = lam * traj.t
-    p1, p2, pb = traj.p1, traj.p2, traj.pb
     _, p_leak = leak_series(traj)
-    conc = np.minimum(2.0 * np.abs(traj.c1) * np.abs(traj.c2), 1.0)
+    _, conc = concurrence_series(traj)
     clip = lambda a: np.clip(a, 0.0, 1.0)
     cols = [
         tau,
         traj.c1.real, traj.c1.imag,
         traj.c2.real, traj.c2.imag,
         traj.b.real, traj.b.imag,
-        clip(p1), clip(p2), clip(pb), p_leak, conc,
+        clip(traj.p1), clip(traj.p2), clip(traj.pb), p_leak, conc,
     ]
     _write_table(path, TRAJECTORY_COLUMNS, cols)
 
@@ -381,7 +379,6 @@ def _run_trajectory(
         idx = slice(None, None, per)
         return Trajectory(
             params=params,
-            derived=traj.derived,
             init=init,
             t=traj.t[idx],
             c1=traj.c1[idx],
@@ -465,7 +462,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     z = np.empty((K.size, times.size))
     for start in range(0, K.size, block):
         c1, c2, _ = evolve_over_K(base, init, K[start:start + block], times)
-        np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0, out=z[start:start + block])
+        z[start:start + block] = concurrence_array(c1, c2)
 
     out = cfg.get("out", "sweep.csv")
     _write_sweep_csv(out, tau, k_values, z)
@@ -617,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")
         if solver_choices:
             p.add_argument("--solver", choices=solver_choices, help="solution route")
-        p.add_argument("--jobs", type=int,
-                       help="accepted for compatibility; has no effect (sweeps run in one process)")
         p.add_argument("--t-end", type=float, help="integration horizon")
         p.add_argument("--fixed-dt", type=float, help="fixed RK4 step (reproducible grids)")
         return p

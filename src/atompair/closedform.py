@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DerivedParams,
-    InitialAmplitudes,
-    SystemParams,
-    derive,
-    validate_initial,
-)
+from .model import InitialAmplitudes, SystemParams, derive, validate_initial
 
 __all__ = [
     "SURVIVING_POLE_TOL",
@@ -282,7 +276,6 @@ class ResidueSolution:
     """
 
     params: SystemParams
-    derived: DerivedParams
     init: InitialAmplitudes
     roots: CubicRoots
     nodes: tuple[complex, complex, complex]
@@ -349,7 +342,6 @@ def residue_coefficients(
     row = lambda v: tuple(complex(x) for x in v)
     return ResidueSolution(
         params=params,
-        derived=derive(params),
         init=init,
         roots=CubicRoots(roots=row(roots[0])),
         nodes=row(nodes[0]),

@@ -38,21 +38,13 @@ from .closedform import (
     char_roots,
     residue_coefficients,
 )
-from .model import (
-    DerivedParams,
-    InitialAmplitudes,
-    SystemParams,
-    derive,
-    validate_initial,
-)
+from .model import InitialAmplitudes, SystemParams, validate_initial
 
 __all__ = [
     "StepUnderflowError",
     "StepBudgetError",
-    "TrajectoryState",
     "Trajectory",
     "IntegratorConfig",
-    "rhs",
     "integrate_pseudomode",
     "integrate_volterra",
     "sample_closed_form",
@@ -89,20 +81,6 @@ class StepBudgetError(Exception):
         self.knob = knob
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """One sample: time, both atomic amplitudes, and the reservoir-mode amplitude."""
-
-    t: float
-    c1: complex
-    c2: complex
-    b: complex
-
-    @property
-    def tracked_population(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.b) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A solved time series with its provenance.
@@ -112,7 +90,6 @@ class Trajectory:
     """
 
     params: SystemParams
-    derived: DerivedParams
     init: InitialAmplitudes
     t: np.ndarray
     c1: np.ndarray
@@ -147,14 +124,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i: int) -> TrajectoryState:
-        return TrajectoryState(
-            t=float(self.t[i]),
-            c1=complex(self.c1[i]),
-            c2=complex(self.c2[i]),
-            b=complex(self.b[i]),
-        )
 
     @property
     def p1(self) -> np.ndarray:
@@ -201,19 +170,15 @@ class IntegratorConfig:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
-def rhs(params: SystemParams, state: TrajectoryState) -> tuple[complex, complex, complex]:
-    """Right-hand side of the local-in-time amplitude equations.
+def _system_matrix(params: SystemParams) -> np.ndarray:
+    """The constant matrix M of dy/dt = M y for y = (c1, c2, b).
+
+    These are the local-in-time amplitude equations:
 
         dc1/dt = -i W alpha1 b - i K c2
         dc2/dt = -i W alpha2 b - i K c1
         db/dt  = -lam b - i W (alpha1 c1 + alpha2 c2)
     """
-    y = np.array([state.c1, state.c2, state.b], dtype=complex)
-    return tuple((_system_matrix(params) @ y).tolist())
-
-
-def _system_matrix(params: SystemParams) -> np.ndarray:
-    """The constant matrix M of dy/dt = M y for y = (c1, c2, b); see :func:`rhs`."""
     W, K, lam = params.W, params.K, params.lam
     a1, a2 = params.alpha1, params.alpha2
     return np.array(
@@ -266,40 +231,27 @@ def integrate_pseudomode(
             knob, f"{knob} = {step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}"
         )
     init = validate_initial(init, "strict")
-    d = derive(params)
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
 
     if cfg.dt is not None:
         if times is not None:
             raise ValueError("a custom sample grid requires adaptive mode (dt=None)")
         t, y = _rk4_fixed(params, y0, t_end, cfg.dt)
-        idx = _stride_indices(t.size, cfg.sample_stride)
-        return Trajectory(
-            params=params,
-            derived=d,
-            init=init,
-            t=t[idx],
-            c1=y[0, idx],
-            c2=y[1, idx],
-            b=y[2, idx],
-            solver_tag="pseudomode_ode",
+    else:
+        if times is not None:
+            times = np.asarray(times, dtype=float)
+            if times.size == 0 or times[0] != 0.0:
+                raise ValueError("sample grid must start at t = 0")
+            if not np.all(np.diff(times) > 0.0):
+                raise ValueError("sample grid must be strictly increasing")
+            if times[-1] > t_end:
+                raise ValueError("sample grid extends past t_end")
+        t, y = _dopri45(
+            _system_matrix(params), y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, times
         )
-
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        if times.size == 0 or times[0] != 0.0:
-            raise ValueError("sample grid must start at t = 0")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("sample grid must be strictly increasing")
-        if times[-1] > t_end:
-            raise ValueError("sample grid extends past t_end")
-    t, y = _dopri45(
-        _system_matrix(params), y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, times
-    )
     idx = _stride_indices(t.size, cfg.sample_stride) if times is None else slice(None)
     return Trajectory(
         params=params,
-        derived=d,
         init=init,
         t=t[idx],
         c1=y[0, idx],
@@ -664,7 +616,6 @@ def integrate_volterra(
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
     init = validate_initial(init, "strict")
-    d = derive(params)
     lam, K, W = params.lam, params.K, params.W
     a1, a2 = params.alpha1, params.alpha2
     W2 = _kernel_sign * W * W
@@ -786,7 +737,6 @@ def integrate_volterra(
     b = -1j * W * _kernel_sign * conv
     return Trajectory(
         params=params,
-        derived=d,
         init=init,
         t=t,
         c1=c1,
@@ -805,7 +755,6 @@ def sample_closed_form(
     c1, c2, b = sol.evolve(times)
     return Trajectory(
         params=params,
-        derived=sol.derived,
         init=sol.init,
         t=times,
         c1=c1,

@@ -145,11 +145,15 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     """Write a heatmap of z[j, i] over increasing columns x[i] and rows y[j].
 
     The rows are drawn in increasing order of y, whatever order they come in.
+    A NaN or infinite z has no colour, and raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     order = np.argsort(y, kind="stable")
     y = np.asarray(y, dtype=float)[order]
     z = np.asarray(z, dtype=float)[order]
+    bad = np.count_nonzero(~np.isfinite(z))
+    if bad:
+        raise ValueError(f"heatmap z must be finite, but {bad} value(s) are NaN or infinite")
     fr = _Frame(float(x[0]), float(x[-1]), float(y[0]), float(y[-1]), title, xlabel, ylabel)
     # an axis of n >= 440 points keeps every (n // 220)-th one; shorter axes
     # draw one cell per point.  The CSV holds the full grid either way.

@@ -37,8 +37,8 @@ __all__ = [
 THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
 
-# Default size of the shared comparison grid; ``n_steps`` must be a multiple
-# of ``COMPARE_POINTS - 1``.
+# Size of the shared comparison grid; ``n_steps`` must be a multiple of
+# ``COMPARE_POINTS - 1``.
 COMPARE_POINTS = 2001
 
 # dP/dt = -2 lam |b|^2 <= 0 for the tracked population P, so a memory-kernel
@@ -83,36 +83,32 @@ class SolverComparison:
     def worst(self) -> float:
         return max(self.closed_vs_ode, self.closed_vs_volterra, self.ode_vs_volterra)
 
-    def passes(self, tol: float = THREE_SOLVER_TOL) -> bool:
-        return self.worst() <= tol
-
 
 def compare_solvers(
     params: SystemParams,
     init: InitialAmplitudes,
     t_end: float = 10.0,
     n_steps: int = 20000,
-    n_compare: int = COMPARE_POINTS,
-    cfg: IntegratorConfig | None = None,
     _kernel_sign: float = 1.0,
 ) -> SolverComparison:
     """Run all three solvers and report pairwise sup-norm discrepancies.
 
-    The comparison grid has ``n_compare`` uniform points; ``n_compare - 1``
-    must divide ``n_steps`` so the memory-kernel solver's own grid contains
-    it exactly.  The memory-kernel route runs first: with the true kernel
-    sign, a tracked population that grows raises
+    The comparison grid has ``COMPARE_POINTS`` uniform points;
+    ``COMPARE_POINTS - 1`` must divide ``n_steps`` so the memory-kernel
+    solver's own grid contains it exactly.  The adaptive route runs with the
+    default :class:`IntegratorConfig`.  The memory-kernel route runs first:
+    with the true kernel sign, a tracked population that grows raises
     :class:`PopulationGrowthError` before the adaptive route starts.
     """
-    if (n_compare - 1) <= 0 or n_steps % (n_compare - 1) != 0:
-        raise ValueError("n_compare - 1 must divide n_steps")
-    stride = n_steps // (n_compare - 1)
-    grid = np.linspace(0.0, t_end, n_compare)
+    if n_steps % (COMPARE_POINTS - 1) != 0:
+        raise ValueError("COMPARE_POINTS - 1 must divide n_steps")
+    stride = n_steps // (COMPARE_POINTS - 1)
+    grid = np.linspace(0.0, t_end, COMPARE_POINTS)
 
     vol = integrate_volterra(params, init, t_end, n_steps, _kernel_sign=_kernel_sign)
     if _kernel_sign == 1.0:
         check_population_decay(vol)
-    ode = integrate_pseudomode(params, init, t_end, cfg=cfg, times=grid)
+    ode = integrate_pseudomode(params, init, t_end, times=grid)
     vol_idx = slice(None, None, stride)
     closed = sample_closed_form(params, init, grid)
     return SolverComparison(

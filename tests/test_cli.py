@@ -137,6 +137,13 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "lamda" in capsys.readouterr().err
 
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", _SWEEP)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--jobs", "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+
     def test_missing_init(self, tmp_path, capsys):
         payload = {k: v for k, v in FIG1A_K0.items() if k != "init"}
         cfg = write_config(tmp_path, "c.json", payload)
@@ -199,8 +206,8 @@ class TestFaultyInputs:
             ("run", {**_RUN, "sample_stride": 0}, [], "sample_stride"),
             ("run", {**_RUN, "n_steps": "many"}, ["--solver", "volterra"], "n_steps"),
             ("verify", {**_RUN, "n_steps": 3000}, [], "n_steps"),
-            ("sweep", _SWEEP, ["--jobs", "0"], "jobs"),
-            ("sweep", {**_SWEEP, "jobs": 1.5}, [], "jobs"),
+            ("sweep", {**_SWEEP, "jobs": 1}, [], "jobs"),
+            ("sweep", {**_SWEEP, "jobs": None}, [], "jobs"),
             ("sweep", {**_SWEEP, "K_rel_values": [0.0, math.nan]}, [], "K_rel_values"),
             ("sweep", {**_SWEEP, "K_rel_values": [0.0, "2"]}, [], "K_rel_values"),
             ("sweep", {**_SWEEP, "K_rel_values": [1e200]}, [], "K_rel_values"),
@@ -428,7 +435,7 @@ class TestSweep:
         }
         cfg = write_config(tmp_path, "s.json", payload)
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         header, rows = read_csv(out)
         assert header == ["tau", "K=0", "K=2"]
         tail = rows[rows[:, 0] > 50.0]
@@ -443,20 +450,9 @@ class TestSweep:
         }
         cfg = write_config(tmp_path, "s.json", payload)
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         _, rows = read_csv(out)
         assert np.abs(rows[:, 1] - 1.0).max() < 1e-9
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        payload = {
-            "R_rel": 10.0, "r1": SQRT3_2, "init": "phi_minus",
-            "K_values": [0.0, 2.0, 7.0], "tau_grid": [0.0, 10.0, 101],
-        }
-        cfg = write_config(tmp_path, "s.json", payload)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
-        assert main(["sweep", "--config", cfg, "--out", str(out2), "--jobs", "4"]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_svg_heatmap_written(self, tmp_path):
         payload = {

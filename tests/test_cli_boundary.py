@@ -56,7 +56,6 @@ EDGES = {
     "sample_stride": ([1, 5], [0]),
     "out": (["o.csv", "missing/o.csv", "."], ["", True]),
     "svg": ([True, False], ["no", 0]),
-    "jobs": ([1, 4], [0]),
     "K_values": ([[0.0, 2.0], [-20.0], [1e200]], [[], [math.nan], ["2"]]),
     "K_rel_values": ([[0.0, 2.0], [20.0], [1e308]], [[0.0, "2"]]),
     "tau_grid": (

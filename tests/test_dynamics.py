@@ -12,14 +12,12 @@ from atompair import (
     IntegratorConfig,
     SystemParams,
     Trajectory,
-    TrajectoryState,
     asymptotic_t_end,
     bell_state,
     integrate_pseudomode,
     integrate_volterra,
     leak_series,
     residue_coefficients,
-    rhs,
 )
 import atompair.dynamics as dyn
 from atompair.dynamics import (
@@ -40,19 +38,19 @@ from test_closedform import damped_rabi_amplitude
 class TestRhs:
     def test_no_dipole_empty_mode(self):
         p = SystemParams(lam=1.0, W=3.0, alpha1=0.7, alpha2=0.3, K=0.0)
-        state = TrajectoryState(t=0.0, c1=0.5 + 0.1j, c2=-0.2j, b=0.0)
-        dc1, dc2, db = rhs(p, state)
+        c1, c2 = 0.5 + 0.1j, -0.2j
+        dc1, dc2, db = _system_matrix(p) @ np.array([c1, c2, 0.0])
         assert dc1 == 0.0
         assert dc2 == 0.0
-        expected = -1j * p.W * (p.alpha1 * state.c1 + p.alpha2 * state.c2)
+        expected = -1j * p.W * (p.alpha1 * c1 + p.alpha2 * c2)
         assert db == pytest.approx(expected, rel=1e-15)
 
     def test_dark_state_only_rotates(self):
         p = equal_params(K=5.0)
-        state = TrajectoryState(t=0.0, c1=INV_SQRT2, c2=-INV_SQRT2, b=0.0)
-        dc1, dc2, db = rhs(p, state)
-        assert dc1 == pytest.approx(-1j * p.K * state.c2, abs=1e-15)
-        assert dc2 == pytest.approx(-1j * p.K * state.c1, abs=1e-15)
+        c1, c2 = INV_SQRT2, -INV_SQRT2
+        dc1, dc2, db = _system_matrix(p) @ np.array([c1, c2, 0.0])
+        assert dc1 == pytest.approx(-1j * p.K * c2, abs=1e-15)
+        assert dc2 == pytest.approx(-1j * p.K * c1, abs=1e-15)
         assert abs(db) < 1e-15
 
     def test_finite_difference_of_closed_form(self, rng):
@@ -65,8 +63,7 @@ class TestRhs:
             fm = sol.evolve(t0 - h)
             f0 = sol.evolve(t0)
             fp = sol.evolve(t0 + h)
-            state = TrajectoryState(t=t0, c1=f0[0], c2=f0[1], b=f0[2])
-            derivs = rhs(p, state)
+            derivs = _system_matrix(p) @ np.array(f0)
             for (lo, hi, d) in zip(fm, fp, derivs):
                 assert abs((hi - lo) / (2.0 * h) - d) < 1e-8
 
@@ -185,8 +182,7 @@ class TestPseudomode:
 def _rk45_reference(p, init, t_end, cfg):
     """scipy's RK45 on the same system, with its dense output."""
     integrate = pytest.importorskip("scipy.integrate")
-    basis = np.eye(3, dtype=complex)
-    M = np.array([rhs(p, TrajectoryState(0.0, *e)) for e in basis]).T
+    M = _system_matrix(p)
     with warnings.catch_warnings():
         # rel_tol below 100 eps: scipy warns and raises it to that floor
         warnings.simplefilter("ignore", UserWarning)
@@ -803,10 +799,9 @@ class TestTrajectoryType:
     def test_indexing_and_states(self):
         p = fig_params(K=1.0)
         traj = integrate_pseudomode(p, bell_state("plus"), 3.0)
-        state = traj[0]
-        assert state.t == 0.0
-        assert state.c1 == pytest.approx(INV_SQRT2, abs=1e-12)
-        assert state.tracked_population == pytest.approx(1.0, abs=1e-9)
+        assert traj.t[0] == 0.0
+        assert traj.c1[0] == pytest.approx(INV_SQRT2, abs=1e-12)
+        assert traj.tracked_population[0] == pytest.approx(1.0, abs=1e-9)
         assert len(traj) == traj.t.size
 
     def test_arrays_are_read_only(self):
@@ -817,11 +812,8 @@ class TestTrajectoryType:
     def test_construction_rejects_bad_series(self):
         p = fig_params(K=1.0)
         init = bell_state("plus")
-        from atompair import derive
-
-        d = derive(p)
         good = dict(
-            params=p, derived=d, init=init,
+            params=p, init=init,
             t=np.array([0.0, 1.0]),
             c1=np.array([init.c10, 0.1 + 0j]),
             c2=np.array([init.c20, 0.1 + 0j]),

@@ -118,6 +118,15 @@ def test_heatmap_draws_a_descending_axis_in_increasing_order(tmp_path):
     assert all(svgplot._MT <= v - 4 <= svgplot._H - svgplot._MB for v in ticks)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_heatmap_refuses_non_finite_z(tmp_path, bad):
+    x, y, z = _grid(7, 5, seed=6)
+    z[2, 3] = bad
+    with pytest.raises(ValueError, match="must be finite, but 1 value"):
+        svgplot.heatmap(tmp_path / "bad.svg", x, y, z)
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def line_chart_reference(path, x, series, title="", xlabel="", ylabel=""):
     """The per-point line chart loop, kept as the byte-for-byte reference."""
     x = np.asarray(x, dtype=float)
