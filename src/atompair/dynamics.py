@@ -7,7 +7,9 @@ Two independent routes produce trajectories:
   mode ``b``) with the adaptive Dormand-Prince 5(4) pair, or with fixed-step
   RK4 when bit-reproducible grids matter.  On this linear system a
   Dormand-Prince step and its dense output are polynomials in ``hM``, so the
-  adaptive route steps by powers of ``hM`` with no stages (:func:`_dopri45`).
+  adaptive route steps by powers of ``hM`` with no stages (:func:`_dopri45`),
+  each power a product with the four distinct entries of ``hM``: M is
+  symmetric, with zeros where the atoms would couple to themselves.
   Either route stops with :class:`StepBudgetError` rather than take more
   than ``_MAX_STEPS`` steps.
 
@@ -29,6 +31,7 @@ Both return :class:`Trajectory` values sampled on their respective grids.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +201,26 @@ def _stride_indices(n: int, stride: int) -> np.ndarray:
     return idx
 
 
+def _initial_state(
+    init: InitialAmplitudes, t_end: float, cfg: IntegratorConfig | None
+) -> tuple[IntegratorConfig, InitialAmplitudes, np.ndarray]:
+    """Check a pseudomode run's horizon, step budget and initial state.
+
+    Returns the config (the default one for None), the validated initial
+    amplitudes and the state ``(c10, c20, 0)``.
+    """
+    if not t_end > 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    cfg = cfg or IntegratorConfig()
+    knob, step = ("dt", cfg.dt) if cfg.dt is not None else ("max_step", cfg.max_step)
+    if t_end / step > _MAX_STEPS:
+        raise StepBudgetError(
+            knob, f"{knob} = {step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}"
+        )
+    init = validate_initial(init, "strict")
+    return cfg, init, np.array([init.c10, init.c20, 0.0], dtype=complex)
+
+
 def integrate_pseudomode(
     params: SystemParams,
     init: InitialAmplitudes,
@@ -222,17 +245,7 @@ def integrate_pseudomode(
         exceeds ``_MAX_STEPS``, or the adaptive solver has tried more steps
         than that.
     """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    cfg = cfg or IntegratorConfig()
-    knob, step = ("dt", cfg.dt) if cfg.dt is not None else ("max_step", cfg.max_step)
-    if t_end / step > _MAX_STEPS:
-        raise StepBudgetError(
-            knob, f"{knob} = {step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}"
-        )
-    init = validate_initial(init, "strict")
-    y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-
+    cfg, init, y0 = _initial_state(init, t_end, cfg)
     if cfg.dt is not None:
         if times is not None:
             raise ValueError("a custom sample grid requires adaptive mode (dt=None)")
@@ -327,11 +340,19 @@ def _dopri45(
     after a rejection, ``min_step`` of ten ulps of t, and the last step
     clipped to ``t_end``.
 
-    A trial step forms ``z_j = (hM)^j y`` for ``j = 1..7``, one 3x3 product
-    at a time on Python complex scalars, and weighs them with the fixed
-    constants above; there are no stages.  Scaling by h keeps ``|z_j|``
-    within about ``3.3^7 |y|``, where powers of M alone would overflow near
-    ``|M| = 1e44``.  Each accepted step keeps only its start and its state
+    ``M`` must have the shape of :func:`_system_matrix`: symmetric, with
+    zeros at ``(0, 0)`` and ``(1, 1)``.  It then has four distinct entries,
+    ``-iK``, ``-iW alpha1``, ``-iW alpha2`` and ``-lam``, and a trial step
+    scales only those four by h.  It forms ``z_j = (hM)^j y`` for
+    ``j = 1..7`` one product at a time on Python complex scalars, with seven
+    complex multiplies per product where a general 3x3 matrix takes nine:
+    the dropped terms are the exact zeros of the diagonal, and the terms
+    kept are summed in the general product's order, so the steps and states
+    are those of the general product bit for bit.  The z_j are weighed with
+    the fixed constants above; there are no stages.  Scaling by h keeps
+    ``|z_j|`` within about ``3.3^7 |y|``, where powers of M alone would
+    overflow near ``|M| = 1e44``.  ``|y|`` is carried over from the trial
+    that accepted y.  Each accepted step keeps only its start and its state
     there; dense output on ``times`` forms the z_j again after the loop,
     for all the steps that hold a sample time at once (see
     :func:`_dense_coefficients` and :func:`_dense_output`).
@@ -341,18 +362,23 @@ def _dopri45(
 
     Raises
     ------
+    ValueError
+        If ``M`` does not have the shape of :func:`_system_matrix`.
     StepUnderflowError
         If the step falls below ``min_step`` or the error norm is not finite.
     StepBudgetError
         Once more than ``_MAX_STEPS`` steps have been tried.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
+    if M.shape != (3, 3) or M[0, 0] != 0 or M[1, 1] != 0 or not np.array_equal(M, M.T):
+        raise ValueError("M must be symmetric with zeros on the c1/c2 diagonal")
+    # the four distinct entries: dipole, the two couplings, damping
+    (_, mk, mw1), (_, _, mw2), (_, _, ml) = M.tolist()
 
     def f(a, b, c):
         return (
-            m00 * a + m01 * b + m02 * c,
-            m10 * a + m11 * b + m12 * c,
-            m20 * a + m21 * b + m22 * c,
+            mk * b + mw1 * c,
+            mk * a + mw2 * c,
+            mw1 * a + mw2 * b + ml * c,
         )
 
     rtol = max(rtol, 100.0 * np.finfo(float).eps)
@@ -373,17 +399,20 @@ def _dopri45(
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, t_end, max_step)
 
+    sqrt, isfinite, ulp = math.sqrt, math.isfinite, math.ulp
     t = 0.0
     tried = 0
     starts = []
     states = []
+    y1, y2, y3 = y
+    # |y| of the state the step starts from, carried over from its acceptance
+    ay1, ay2, ay3 = abs(y1), abs(y2), abs(y3)
     while t < t_end:
-        min_step = 10.0 * math.ulp(t)
+        min_step = 10.0 * ulp(t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
             h_abs = min_step
-        y1, y2, y3 = y
         rejected = False
         while True:
             if h_abs < min_step:
@@ -393,62 +422,74 @@ def _dopri45(
                 raise StepBudgetError(
                     "t_end", f"more than {_MAX_STEPS} adaptive steps tried by t = {t!r}"
                 )
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
             h = t_new - t
             h_abs = h
-            n00, n01, n02 = h * m00, h * m01, h * m02
-            n10, n11, n12 = h * m10, h * m11, h * m12
-            n20, n21, n22 = h * m20, h * m21, h * m22
+            nk, nw1, nw2, nl = h * mk, h * mw1, h * mw2, h * ml
             # z_j = (hM)^j y = (a_j, b_j, c_j)
-            a1 = n00 * y1 + n01 * y2 + n02 * y3
-            b1 = n10 * y1 + n11 * y2 + n12 * y3
-            c1 = n20 * y1 + n21 * y2 + n22 * y3
-            a2 = n00 * a1 + n01 * b1 + n02 * c1
-            b2 = n10 * a1 + n11 * b1 + n12 * c1
-            c2 = n20 * a1 + n21 * b1 + n22 * c1
-            a3 = n00 * a2 + n01 * b2 + n02 * c2
-            b3 = n10 * a2 + n11 * b2 + n12 * c2
-            c3 = n20 * a2 + n21 * b2 + n22 * c2
-            a4 = n00 * a3 + n01 * b3 + n02 * c3
-            b4 = n10 * a3 + n11 * b3 + n12 * c3
-            c4 = n20 * a3 + n21 * b3 + n22 * c3
-            a5 = n00 * a4 + n01 * b4 + n02 * c4
-            b5 = n10 * a4 + n11 * b4 + n12 * c4
-            c5 = n20 * a4 + n21 * b4 + n22 * c4
-            a6 = n00 * a5 + n01 * b5 + n02 * c5
-            b6 = n10 * a5 + n11 * b5 + n12 * c5
-            c6 = n20 * a5 + n21 * b5 + n22 * c5
-            a7 = n00 * a6 + n01 * b6 + n02 * c6
-            b7 = n10 * a6 + n11 * b6 + n12 * c6
-            c7 = n20 * a6 + n21 * b6 + n22 * c6
-            n1 = y1 + a1 + a2 / 2 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
-            n2 = y2 + b1 + b2 / 2 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
-            n3 = y3 + c1 + c2 / 2 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
-            error_norm = _rms(
-                _ERR5 * a5 + _ERR6 * a6 + _ERR7 * a7,
-                _ERR5 * b5 + _ERR6 * b6 + _ERR7 * b7,
-                _ERR5 * c5 + _ERR6 * c6 + _ERR7 * c7,
-                atol + max(abs(y1), abs(n1)) * rtol,
-                atol + max(abs(y2), abs(n2)) * rtol,
-                atol + max(abs(y3), abs(n3)) * rtol,
+            a1 = nk * y2 + nw1 * y3
+            b1 = nk * y1 + nw2 * y3
+            c1 = nw1 * y1 + nw2 * y2 + nl * y3
+            a2 = nk * b1 + nw1 * c1
+            b2 = nk * a1 + nw2 * c1
+            c2 = nw1 * a1 + nw2 * b1 + nl * c1
+            a3 = nk * b2 + nw1 * c2
+            b3 = nk * a2 + nw2 * c2
+            c3 = nw1 * a2 + nw2 * b2 + nl * c2
+            a4 = nk * b3 + nw1 * c3
+            b4 = nk * a3 + nw2 * c3
+            c4 = nw1 * a3 + nw2 * b3 + nl * c3
+            a5 = nk * b4 + nw1 * c4
+            b5 = nk * a4 + nw2 * c4
+            c5 = nw1 * a4 + nw2 * b4 + nl * c4
+            a6 = nk * b5 + nw1 * c5
+            b6 = nk * a5 + nw2 * c5
+            c6 = nw1 * a5 + nw2 * b5 + nl * c5
+            a7 = nk * b6 + nw1 * c6
+            b7 = nk * a6 + nw2 * c6
+            c7 = nw1 * a6 + nw2 * b6 + nl * c6
+            n1 = y1 + a1 + a2 * 0.5 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
+            n2 = y2 + b1 + b2 * 0.5 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
+            n3 = y3 + c1 + c2 * 0.5 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
+            an1, an2, an3 = abs(n1), abs(n2), abs(n3)
+            # _rms of the error estimate, scaled by atol + max(|y|, |y_new|) rtol
+            s1 = atol + (an1 if an1 > ay1 else ay1) * rtol
+            s2 = atol + (an2 if an2 > ay2 else ay2) * rtol
+            s3 = atol + (an3 if an3 > ay3 else ay3) * rtol
+            e1 = (_ERR5 * a5 + _ERR6 * a6 + _ERR7 * a7) / s1
+            e2 = (_ERR5 * b5 + _ERR6 * b6 + _ERR7 * b7) / s2
+            e3 = (_ERR5 * c5 + _ERR6 * c6 + _ERR7 * c7) / s3
+            error_norm = sqrt(
+                (
+                    e1.real * e1.real + e1.imag * e1.imag
+                    + e2.real * e2.real + e2.imag * e2.imag
+                    + e3.real * e3.real + e3.imag * e3.imag
+                )
+                / 3.0
             )
             # a non-finite state makes the norm non-finite too
-            if not math.isfinite(error_norm):
+            if not isfinite(error_norm):
                 raise StepUnderflowError(f"non-finite error norm {error_norm} at t = {t!r}")
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
-                if rejected:
-                    factor = min(1.0, factor)
+                    factor = _SAFETY * error_norm ** -0.2
+                    if factor > _MAX_FACTOR:
+                        factor = _MAX_FACTOR
+                if rejected and factor > 1.0:
+                    factor = 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+            factor = _SAFETY * error_norm ** -0.2
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
         starts.append(t)
-        states.append(y)
-        t, y = t_new, (n1, n2, n3)
+        states.append((y1, y2, y3))
+        t, y1, y2, y3, ay1, ay2, ay3 = t_new, n1, n2, n3, an1, an2, an3
+    y = (y1, y2, y3)
 
     bounds = np.array(starts + [t_end])
     ys = np.array(states + [y], dtype=complex).T
@@ -496,13 +537,58 @@ def _dense_output(bounds: np.ndarray, times: np.ndarray, coefficients) -> np.nda
     for lo in range(0, times.size, _DENSE_BLOCK):
         k = idx[lo : lo + _DENSE_BLOCK]
         x = (times[lo : lo + _DENSE_BLOCK] - start[k]) / length[k]
-        c = coef.take(k, axis=2)
-        acc = c[-1]
-        for m in range(coef.shape[0] - 2, -1, -1):
-            acc *= x
-            acc += c[m]
-        out[:, lo : lo + _DENSE_BLOCK] = acc
+        out[:, lo : lo + _DENSE_BLOCK] = _horner(coef.take(k, axis=2), x)
     return out
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_m coef[m] x^m`` in Horner form, from the top; overwrites ``coef[-1]``."""
+    acc = coef[-1]
+    for m in range(coef.shape[0] - 2, -1, -1):
+        acc *= x
+        acc += coef[m]
+    return acc
+
+
+def _balance_blocks(
+    params: SystemParams,
+    init: InitialAmplitudes,
+    t_end: float,
+    n_pairs: int,
+    cfg: IntegratorConfig,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The adaptive route on ``linspace(0, t_end, 2 n_pairs + 1)``, a block at a time.
+
+    It runs :func:`_dopri45` once without a grid and forms every accepted
+    step's dense coefficients once.  Then, for about ``_DENSE_BLOCK`` nodes
+    at a time, it yields ``(y, b)``: the amplitudes on the block's even
+    nodes, shape ``(3, m + 1)``, and ``b`` on the ``m`` odd nodes between
+    them.  Each block begins with the even node that ended the block before.
+    The values are those of :func:`integrate_pseudomode` on the whole grid,
+    byte for byte, but no array spans the grid.
+    """
+    cfg, init, y0 = _initial_state(init, t_end, cfg)
+    M = _system_matrix(params)
+    bounds, ys = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, None)
+    start, length = bounds[:-1], np.diff(bounds)
+    coef = _dense_coefficients(M, length, ys[:, :-1])
+    ends = bounds[1:]
+    step = t_end / (2 * n_pairs)
+    for lo in range(0, n_pairs, _DENSE_BLOCK // 2):
+        hi = min(lo + _DENSE_BLOCK // 2, n_pairs)
+        t = np.arange(2 * lo, 2 * hi + 1) * step
+        if hi == n_pairs:
+            t[-1] = t_end
+        # the steps from the one holding t[0] to the one holding t[-1], and
+        # how many of the times each holds; a time equal to a step's end
+        # belongs to that step
+        first, last = np.searchsorted(ends, (t[0], t[-1]))
+        held = np.searchsorted(t, ends[first : last + 1], side="right")
+        k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
+        x = (t - start[k]) / length[k]
+        y = _horner(coef.take(k[::2], axis=2), x[::2])
+        b = _horner(coef[:, 2].take(k[1::2], axis=1), x[1::2])
+        yield y, b
 
 
 # Powers of the step matrix that _power_scan forms; carrying the state

@@ -32,7 +32,7 @@ from atompair.verification import compare_solvers, leak_identity_residual
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
 
-from test_closedform import damped_rabi_amplitude
+from test_closedform import damped_rabi_amplitude, triple_root_params
 
 
 class TestRhs:
@@ -234,12 +234,25 @@ class TestStepBudget:
             integrate_pseudomode(p, init, 10.0, IntegratorConfig(dt=0.099))
 
     def test_adaptive_loop_counts_tried_steps(self, monkeypatch):
-        # every tried step takes one error norm, and the initial step three
-        norms = []
-        monkeypatch.setattr(dyn, "_rms", lambda *a: norms.append(1) or _rms(*a))
+        # the smallest budget that lets the run finish is the number of steps
+        # it tried; search for it with the budget alone
         p, init = fig_params(K=2.0, R=20.0), bell_state("plus")
         steps = integrate_pseudomode(p, init, 10.0).t.size - 1
-        tried = len(norms) - 3
+
+        def finishes(budget):
+            monkeypatch.setattr(dyn, "_MAX_STEPS", budget)
+            try:
+                integrate_pseudomode(p, init, 10.0)
+            except StepBudgetError:
+                return False
+            return True
+
+        lo, hi = steps - 1, 2 * steps
+        assert not finishes(lo) and finishes(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
+        tried = hi
         assert tried > steps  # some steps were rejected
         monkeypatch.setattr(dyn, "_MAX_STEPS", tried)
         integrate_pseudomode(p, init, 10.0)
@@ -498,15 +511,178 @@ class TestPolynomialStep:
 
     def test_one_step_is_the_stability_polynomial(self):
         # with loose tolerances the first step covers a short horizon at
-        # once, on a diagonal M with z = hM of moduli 0.3..0.5
-        lams = np.array([-500.0, 300j, -200.0 + 300j])
+        # once, on an M of _system_matrix's shape with entries of hM of
+        # moduli 0.3..0.5
+        p = SystemParams(lam=300.0, W=500.0, alpha1=0.8, alpha2=0.6, K=-450.0)
+        M = _system_matrix(p)
         h = 1e-3
+        assert 0.3 <= np.abs(h * M[M != 0]).min() and np.abs(h * M).max() <= 0.5
         y0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
-        t, y = _dopri45(np.diag(lams), y0, h, 1e-2, 1e-2, math.inf, None)
+        t, y = _dopri45(M, y0, h, 1e-2, 1e-2, math.inf, None)
         assert t.tolist() == [0.0, h]
-        z = h * lams
-        stability = sum(z**j / math.factorial(j) for j in range(6)) + z**6 / 600
-        assert np.abs(y[:, 1] - stability * y0).max() <= 1e-15
+        z = h * M
+        powers = [np.linalg.matrix_power(z, j) for j in range(7)]
+        stability = sum(powers[j] / math.factorial(j) for j in range(6)) + powers[6] / 600
+        assert np.abs(y[:, 1] - stability @ y0).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", ["diagonal", "asymmetric", "self_coupling", "2x2"])
+    def test_refuses_other_shapes(self, case):
+        M = _system_matrix(fig_params(K=2.0))
+        if case == "diagonal":
+            M = np.diag([-500.0, 300j, -200.0 + 300j])
+        elif case == "asymmetric":
+            M[1, 2] *= 1.5
+        elif case == "self_coupling":
+            M[1, 1] = -0.1
+        else:
+            M = M[:2, :2]
+        y0 = np.ones(M.shape[0], dtype=complex)
+        with pytest.raises(ValueError, match="symmetric"):
+            _dopri45(M, y0, 1.0, 1e-9, 1e-12, math.inf, None)
+
+
+def dopri_polynomial_reference(M, y0, t_end, rtol, atol, max_step, times):
+    """The polynomial Dormand-Prince loop on a general 3x3 M, nine products per power,
+    kept as the byte-for-byte reference for the four-entry step of ``_dopri45``.
+
+    Returns ``(t, y)`` as ``_dopri45`` does; on ``times`` the dense output
+    forms every step's coefficients and evaluates them unblocked.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
+
+    def f(a, b, c):
+        return (
+            m00 * a + m01 * b + m02 * c,
+            m10 * a + m11 * b + m12 * c,
+            m20 * a + m21 * b + m22 * c,
+        )
+
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    y = tuple(y0.tolist())
+    k1 = f(*y)
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(*y, *scale), _rms(*k1, *scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    probe = f(*(v + h0 * k for v, k in zip(y, k1)))
+    d2 = _rms(*(p - k for p, k in zip(probe, k1)), *scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end, max_step)
+
+    t = 0.0
+    starts = []
+    states = []
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        y1, y2, y3 = y
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            n00, n01, n02 = h * m00, h * m01, h * m02
+            n10, n11, n12 = h * m10, h * m11, h * m12
+            n20, n21, n22 = h * m20, h * m21, h * m22
+            a1 = n00 * y1 + n01 * y2 + n02 * y3
+            b1 = n10 * y1 + n11 * y2 + n12 * y3
+            c1 = n20 * y1 + n21 * y2 + n22 * y3
+            a2 = n00 * a1 + n01 * b1 + n02 * c1
+            b2 = n10 * a1 + n11 * b1 + n12 * c1
+            c2 = n20 * a1 + n21 * b1 + n22 * c1
+            a3 = n00 * a2 + n01 * b2 + n02 * c2
+            b3 = n10 * a2 + n11 * b2 + n12 * c2
+            c3 = n20 * a2 + n21 * b2 + n22 * c2
+            a4 = n00 * a3 + n01 * b3 + n02 * c3
+            b4 = n10 * a3 + n11 * b3 + n12 * c3
+            c4 = n20 * a3 + n21 * b3 + n22 * c3
+            a5 = n00 * a4 + n01 * b4 + n02 * c4
+            b5 = n10 * a4 + n11 * b4 + n12 * c4
+            c5 = n20 * a4 + n21 * b4 + n22 * c4
+            a6 = n00 * a5 + n01 * b5 + n02 * c5
+            b6 = n10 * a5 + n11 * b5 + n12 * c5
+            c6 = n20 * a5 + n21 * b5 + n22 * c5
+            a7 = n00 * a6 + n01 * b6 + n02 * c6
+            b7 = n10 * a6 + n11 * b6 + n12 * c6
+            c7 = n20 * a6 + n21 * b6 + n22 * c6
+            n1 = y1 + a1 + a2 / 2 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
+            n2 = y2 + b1 + b2 / 2 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
+            n3 = y3 + c1 + c2 / 2 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
+            error_norm = _rms(
+                97 / 120000 * a5 + -13 / 40000 * a6 + 1 / 24000 * a7,
+                97 / 120000 * b5 + -13 / 40000 * b6 + 1 / 24000 * b7,
+                97 / 120000 * c5 + -13 / 40000 * c6 + 1 / 24000 * c7,
+                atol + max(abs(y1), abs(n1)) * rtol,
+                atol + max(abs(y2), abs(n2)) * rtol,
+                atol + max(abs(y3), abs(n3)) * rtol,
+            )
+            assert math.isfinite(error_norm)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = 10.0
+                else:
+                    factor = min(10.0, 0.9 * error_norm ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        starts.append(t)
+        states.append(y)
+        t, y = t_new, (n1, n2, n3)
+
+    bounds = np.array(starts + [t_end])
+    ys = np.array(states + [y], dtype=complex).T
+    if times is None:
+        return bounds, ys
+    coef = np.zeros((5, *ys[:, :-1].shape), dtype=complex)
+    coef[0] = z = ys[:, :-1]
+    for row in dyn._DENSE:
+        z = np.diff(bounds) * np.einsum("ik,kn->in", M, z)
+        coef[1:] += row[:, None, None] * z
+    return times, dense_unblocked_reference(bounds, coef, times)
+
+
+# K = 0 and R = lam/2: a double root at -lam/2; atom 2 uncoupled with K = 0:
+# c2 stays exactly c20
+DOUBLE_ROOT = fig_params(K=0.0, R=0.5, r1=0.6)
+SINGLE_ATOM = fig_params(K=0.0, r1=1.0)
+
+
+class TestFourEntryStep:
+    """The four-entry step of ``_dopri45`` is the general-M loop, byte for byte."""
+
+    @ADAPTIVE_CONFIGS
+    def test_same_bytes_as_general_product(self, rng, cfg):
+        t_end = 10.0
+        grid = np.linspace(0.0, t_end, 2001)
+        points = _dopri_points(rng) + [
+            (DOUBLE_ROOT, bell_state("minus")),
+            (triple_root_params(), bell_state("minus")),
+            (SINGLE_ATOM, InitialAmplitudes(1.0, 0.0)),
+        ]
+        for p, init in points:
+            M = _system_matrix(p)
+            y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+            t, y = _dopri45(*args, None)
+            t_ref, y_ref = dopri_polynomial_reference(*args, None)
+            assert t.tobytes() == t_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+            _, on_grid = _dopri45(*args, grid)
+            _, on_grid_ref = dopri_polynomial_reference(*args, grid)
+            assert on_grid.tobytes() == on_grid_ref.tobytes()
+        # with atom 2 uncoupled and no dipole, c2 never leaves zero
+        assert not y[1].any() and not on_grid[1].any()
 
 
 def dense_unblocked_reference(bounds, coef, times):
@@ -565,19 +741,44 @@ class TestDenseOutput:
 
 
 class TestLeakResidual:
-    def test_same_float_as_full_populations(self):
-        # the residual reads each population only where it is used; the
-        # full-array formula gives the same float
-        p, init = fig_params(K=2.0), bell_state("minus")
-        t_end, dt = 5.0, 5e-5
+    @pytest.mark.parametrize(
+        "p, init, t_end",
+        [
+            (fig_params(K=2.0), bell_state("minus"), 5.0),
+            (DOUBLE_ROOT, bell_state("minus"), 10.0),
+            (triple_root_params(), bell_state("minus"), 10.0),
+            (SINGLE_ATOM, InitialAmplitudes(1.0, 0.0), 10.0),
+            (fig_params(K=2.0), bell_state("minus"), 1e-6),
+            (fig_params(K=2.0), bell_state("minus"), 10.0),
+        ],
+        ids=["reference", "double_root", "triple_root", "single_atom", "one_pair", "cli_grid"],
+    )
+    def test_same_float_as_full_populations(self, p, init, t_end):
+        # the residual walks the grid a block at a time and reads each
+        # population only where it is used; the full-array formula gives
+        # the same float
+        dt = 5e-5
         resid = leak_identity_residual(p, init, t_end=t_end, dt=dt)
-        grid = np.linspace(0.0, t_end, 2 * round(t_end / dt) + 1)
+        grid = np.linspace(0.0, t_end, 2 * max(1, round(t_end / dt)) + 1)
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         traj = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
         pop = traj.tracked_population
         quotient = (pop[2::2] - pop[:-2:2]) / (grid[2] - grid[0])
         expected = float(np.abs(quotient + 2.0 * p.lam * traj.pb[1::2]).max())
         assert resid == expected
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # on the CLI's 400,001-node grid; the full grid of amplitudes
+        # alone would take 19 MB
+        p, init = fig_params(K=2.0), bell_state("minus")
+        leak_identity_residual(p, init, t_end=1.0)
+        tracemalloc.start()
+        try:
+            leak_identity_residual(p, init, t_end=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestVolterra:
