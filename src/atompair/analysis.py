@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import SURVIVING_POLE_TOL, char_roots, surviving_pole
+from .closedform import char_roots, surviving_pole
 from .model import InitialAmplitudes, SystemParams, derive, validate_initial
 
 __all__ = [
@@ -151,7 +151,7 @@ def steady_state_verdict(
         pole = None
         c_inf = 0.0
 
-    found = surviving_pole(char_roots(params), params.lam, SURVIVING_POLE_TOL)
+    found = surviving_pole(char_roots(params), params.lam)
     if pole is not None:
         scale = params.lam + d.R + abs(K)
         if found is None or abs(found - pole) > 1e-6 * scale:
@@ -190,19 +190,13 @@ def disentanglement_time(
     t, values = np.asarray(series[0], dtype=float), np.asarray(series[1], dtype=float)
     if t.shape != values.shape or t.ndim != 1:
         raise ValueError("series must be a pair of equally sized 1-D arrays")
-    below = values < threshold
-    n = t.size
-    i = 0
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        # candidate onset; find the end of this below-threshold stretch
-        j = i
-        while j < n and below[j]:
-            j += 1
-        confirm_until = t[i] + window
-        if t[n - 1] >= confirm_until and (j == n or t[j - 1] >= confirm_until):
-            return float(t[i])
-        i = j
-    return None
+    # each run of below-threshold samples starts where the padded mask rises
+    # and ends, exclusively, where it falls
+    edges = np.diff(np.concatenate(([False], values < threshold, [False])).astype(np.int8))
+    onsets, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if onsets.size == 0:
+        return None
+    # a run confirms when both it and the series reach a window past its onset
+    confirm_until = t[onsets] + window
+    confirmed = np.flatnonzero((t[-1] >= confirm_until) & (t[ends - 1] >= confirm_until))
+    return float(t[onsets[confirmed[0]]]) if confirmed.size else None

@@ -340,7 +340,10 @@ def _run_trajectory(
     samples = cfg["samples"]
     grid = np.linspace(0.0, t_end, samples)
     if solver == "closed":
-        return sample_closed_form(params, init, grid)
+        with np.errstate(all="ignore"):
+            traj = sample_closed_form(params, init, grid)
+        _check_closed_form("t_end", t_end, traj.c1, traj.c2, traj.b)
+        return traj
     if solver == "ode":
         icfg = IntegratorConfig(
             rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], dt=cfg.get("fixed_dt"),
@@ -389,6 +392,15 @@ def _run_trajectory(
     raise ConfigError(
         f"field 'solver' must be one of closed|ode|volterra for 'run', got {solver!r}"
     )
+
+
+def _check_closed_form(field: str, t_max: float, *amplitudes: np.ndarray) -> None:
+    """Raise :class:`ConfigError` naming ``field`` unless every closed-form amplitude is finite."""
+    if not all(np.isfinite(a).all() for a in amplitudes):
+        raise ConfigError(
+            f"field '{field}' reaches t = {t_max:g}, where the closed form is not finite "
+            f"for these parameters: shorten it"
+        )
 
 
 def _too_coarse(n_steps: int, exc: PopulationGrowthError) -> ConfigError:
@@ -461,7 +473,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     block = max(1, _SWEEP_CELLS // times.size)
     z = np.empty((K.size, times.size))
     for start in range(0, K.size, block):
-        c1, c2, _ = evolve_over_K(base, init, K[start:start + block], times)
+        with np.errstate(all="ignore"):
+            c1, c2, _ = evolve_over_K(base, init, K[start:start + block], times)
+        _check_closed_form("tau_grid", times[-1], c1, c2)
         z[start:start + block] = concurrence_array(c1, c2)
 
     out = cfg.get("out", "sweep.csv")

@@ -360,17 +360,16 @@ def evolve_over_K(
     return _amplitudes(nodes, newton, np.asarray(t, dtype=float).reshape(-1))
 
 
-def surviving_pole(
-    roots: CubicRoots, lam: float, tol: float = SURVIVING_POLE_TOL
-) -> complex | None:
+def surviving_pole(roots: CubicRoots, lam: float) -> complex | None:
     """The unique root on the imaginary axis, if there is exactly one.
 
-    A root counts as lying on the axis when |Re s| <= tol * lam.  The residue
-    at such a pole is the only contribution that survives as t -> infinity;
-    when no root (or more than one, which requires a fully decoupled
-    reservoir) qualifies, the amplitudes decay to zero and None is returned.
+    A root counts as lying on the axis when |Re s| <= SURVIVING_POLE_TOL *
+    lam.  The residue at such a pole is the only contribution that survives
+    as t -> infinity; when no root (or more than one, which requires a fully
+    decoupled reservoir) qualifies, the amplitudes decay to zero and None is
+    returned.
     """
-    found = [s for s in roots.roots if abs(s.real) <= tol * lam]
+    found = [s for s in roots.roots if abs(s.real) <= SURVIVING_POLE_TOL * lam]
     if len(found) == 1:
         return found[0]
     return None

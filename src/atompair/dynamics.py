@@ -10,6 +10,10 @@ Two independent routes produce trajectories:
   adaptive route steps by powers of ``hM`` with no stages (:func:`_dopri45`),
   each power a product with the four distinct entries of ``hM``: M is
   symmetric, with zeros where the atoms would couple to themselves.
+  :func:`_dopri45` returns the accepted steps only; one function,
+  :func:`_dense_output`, evaluates Shampine's interpolant between them, for
+  a sample grid here and for the population-balance check of
+  :mod:`atompair.verification` alike.
   Either route stops with :class:`StepBudgetError` rather than take more
   than ``_MAX_STEPS`` steps.
 
@@ -259,9 +263,16 @@ def integrate_pseudomode(
                 raise ValueError("sample grid must be strictly increasing")
             if times[-1] > t_end:
                 raise ValueError("sample grid extends past t_end")
-        t, y = _dopri45(
-            _system_matrix(params), y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, times
-        )
+        M = _system_matrix(params)
+        t, y = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+        if times is not None:
+            # only the steps that hold a sample time; a time equal to a
+            # step's end belongs to that step
+            held = np.diff(np.searchsorted(times, t[1:], side="right"), prepend=0)
+            at = _dense_output(M, t, y, np.flatnonzero(held))
+            t, y = times, np.empty((3, times.size), dtype=complex)
+            for lo in range(0, times.size, _DENSE_BLOCK):
+                y[:, lo : lo + _DENSE_BLOCK] = at(times[lo : lo + _DENSE_BLOCK])
     idx = _stride_indices(t.size, cfg.sample_stride) if times is None else slice(None)
     return Trajectory(
         params=params,
@@ -328,7 +339,6 @@ def _dopri45(
     rtol: float,
     atol: float,
     max_step: float,
-    times: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive Dormand-Prince 5(4) for dy/dt = M y on [0, t_end].
 
@@ -353,12 +363,11 @@ def _dopri45(
     ``|z_j|`` within about ``3.3^7 |y|``, where powers of M alone would
     overflow near ``|M| = 1e44``.  ``|y|`` is carried over from the trial
     that accepted y.  Each accepted step keeps only its start and its state
-    there; dense output on ``times`` forms the z_j again after the loop,
-    for all the steps that hold a sample time at once (see
-    :func:`_dense_coefficients` and :func:`_dense_output`).
+    there; :func:`_dense_output` forms the z_j again after the loop, for
+    the steps its caller asks for, all at once.
 
-    Returns ``(t, y)`` with ``y`` of shape ``(3, t.size)``: the accepted step
-    ends (``t[0] = 0``) when ``times`` is None, otherwise ``times``.
+    Returns ``(t, y)``: the accepted step ends, ``t[0] = 0`` and
+    ``t[-1] = t_end``, and the states there, ``y`` of shape ``(3, t.size)``.
 
     Raises
     ------
@@ -491,63 +500,47 @@ def _dopri45(
         t, y1, y2, y3, ay1, ay2, ay3 = t_new, n1, n2, n3, an1, an2, an3
     y = (y1, y2, y3)
 
-    bounds = np.array(starts + [t_end])
-    ys = np.array(states + [y], dtype=complex).T
-    if times is None:
-        return bounds, ys
-    return times, _dense_output(
-        bounds, times, lambda steps: _dense_coefficients(M, np.diff(bounds)[steps], ys[:, steps])
-    )
+    return np.array(starts + [t_end]), np.array(states + [y], dtype=complex).T
 
 
-def _dense_coefficients(M: np.ndarray, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Shampine's dense output of steps of lengths ``h`` from states ``y`` (shape ``(3, n)``).
+def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, steps: np.ndarray):
+    """Shampine's dense output of the accepted steps ``steps`` of a :func:`_dopri45` run.
 
-    Returns the coefficients of ``x^0..x^4``, shape ``(5, 3, n)``: the state,
-    then the z_j = (hM)^j y of all the steps at once, weighed by ``_DENSE``.
+    ``(bounds, ys)`` is what :func:`_dopri45` returned for ``M``; step n
+    spans ``bounds[n]..bounds[n + 1]`` and starts from ``ys[:, n]``.
+    ``steps`` is a sorted index array, and the coefficients of
+    ``x^0..x^4`` are formed once, for those steps only: the state, then the
+    z_j = (hM)^j y of all of them at once, weighed by ``_DENSE``.
+
+    Returns ``at(times, row=slice(None))``: the state, or its row ``row``
+    (2 for ``b``), at sorted ``times`` that each lie in one of ``steps``.  A
+    time equal to a step's end belongs to that step; at ``x``, the fraction
+    of its step elapsed, its value is ``sum_m coef[m] x^m`` in Horner form.
+    Each call finds the steps of its times by counting the times each step
+    holds, so a caller keeps the working arrays small by asking for a
+    block of times at a time.
     """
-    coef = np.zeros((5, *y.shape), dtype=complex)
-    coef[0] = z = y
-    for row in _DENSE:
-        z = h * np.einsum("ik,kn->in", M, z)
-        coef[1:] += row[:, None, None] * z
-    return coef
+    start, end = bounds[steps], bounds[steps + 1]
+    length = end - start
+    coef = np.zeros((5, 3, steps.size), dtype=complex)
+    coef[0] = z = ys[:, steps]
+    for weights in _DENSE:
+        z = length * np.einsum("ik,kn->in", M, z)
+        coef[1:] += weights[:, None, None] * z
 
+    def at(times: np.ndarray, row=slice(None)) -> np.ndarray:
+        first, last = np.searchsorted(end, (times[0], times[-1]))
+        held = np.searchsorted(times, end[first : last + 1], side="right")
+        k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
+        x = (times - start[k]) / length[k]
+        c = coef[:, row].take(k, axis=-1)
+        acc = c[-1]
+        for m in range(c.shape[0] - 2, -1, -1):
+            acc *= x
+            acc += c[m]
+        return acc
 
-def _dense_output(bounds: np.ndarray, times: np.ndarray, coefficients) -> np.ndarray:
-    """Evaluate piecewise polynomials at sorted ``times`` within ``[bounds[0], bounds[-1]]``.
-
-    Step n spans ``bounds[n]..bounds[n + 1]``; a time equal to a step's end
-    belongs to that step.  ``coefficients(steps)`` returns the coefficients
-    of the steps in the index array ``steps``, shape ``(m, c, steps.size)``;
-    it is asked only for the steps that hold a time.  At ``x``, the fraction
-    of its step elapsed, a time's value is ``sum_m coef[m, :, n] x^m``, in
-    Horner form.
-
-    Each time's step is found by counting the times in each step, and the
-    polynomials are evaluated ``_DENSE_BLOCK`` times at a time.  Returns
-    shape ``(c, times.size)``.
-    """
-    counts = np.diff(np.searchsorted(times, bounds[1:], side="right"), prepend=0)
-    steps = np.flatnonzero(counts)
-    coef = coefficients(steps)
-    idx = np.repeat(np.arange(steps.size), counts[steps])
-    start, length = bounds[steps], bounds[steps + 1] - bounds[steps]
-    out = np.empty((coef.shape[1], times.size), dtype=coef.dtype)
-    for lo in range(0, times.size, _DENSE_BLOCK):
-        k = idx[lo : lo + _DENSE_BLOCK]
-        x = (times[lo : lo + _DENSE_BLOCK] - start[k]) / length[k]
-        out[:, lo : lo + _DENSE_BLOCK] = _horner(coef.take(k, axis=2), x)
-    return out
-
-
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_m coef[m] x^m`` in Horner form, from the top; overwrites ``coef[-1]``."""
-    acc = coef[-1]
-    for m in range(coef.shape[0] - 2, -1, -1):
-        acc *= x
-        acc += coef[m]
-    return acc
+    return at
 
 
 def _balance_blocks(
@@ -559,36 +552,25 @@ def _balance_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The adaptive route on ``linspace(0, t_end, 2 n_pairs + 1)``, a block at a time.
 
-    It runs :func:`_dopri45` once without a grid and forms every accepted
-    step's dense coefficients once.  Then, for about ``_DENSE_BLOCK`` nodes
-    at a time, it yields ``(y, b)``: the amplitudes on the block's even
-    nodes, shape ``(3, m + 1)``, and ``b`` on the ``m`` odd nodes between
-    them.  Each block begins with the even node that ended the block before.
-    The values are those of :func:`integrate_pseudomode` on the whole grid,
+    It runs :func:`_dopri45` once and asks :func:`_dense_output` for every
+    accepted step.  Then, for about ``_DENSE_BLOCK`` nodes at a time, it
+    yields ``(y, b)``: the amplitudes on the block's even nodes, shape
+    ``(3, m + 1)``, and ``b`` on the ``m`` odd nodes between them.  Each
+    block begins with the even node that ended the block before.  The
+    values are those of :func:`integrate_pseudomode` on the whole grid,
     byte for byte, but no array spans the grid.
     """
     cfg, init, y0 = _initial_state(init, t_end, cfg)
     M = _system_matrix(params)
-    bounds, ys = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step, None)
-    start, length = bounds[:-1], np.diff(bounds)
-    coef = _dense_coefficients(M, length, ys[:, :-1])
-    ends = bounds[1:]
+    bounds, ys = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    at = _dense_output(M, bounds, ys, np.arange(bounds.size - 1))
     step = t_end / (2 * n_pairs)
     for lo in range(0, n_pairs, _DENSE_BLOCK // 2):
         hi = min(lo + _DENSE_BLOCK // 2, n_pairs)
         t = np.arange(2 * lo, 2 * hi + 1) * step
         if hi == n_pairs:
             t[-1] = t_end
-        # the steps from the one holding t[0] to the one holding t[-1], and
-        # how many of the times each holds; a time equal to a step's end
-        # belongs to that step
-        first, last = np.searchsorted(ends, (t[0], t[-1]))
-        held = np.searchsorted(t, ends[first : last + 1], side="right")
-        k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
-        x = (t - start[k]) / length[k]
-        y = _horner(coef.take(k[::2], axis=2), x[::2])
-        b = _horner(coef[:, 2].take(k[1::2], axis=1), x[1::2])
-        yield y, b
+        yield at(t[::2]), at(t[1::2], 2)
 
 
 # Powers of the step matrix that _power_scan forms; carrying the state

@@ -27,6 +27,8 @@ __all__ = [
     "COMPARE_POINTS",
     "THREE_SOLVER_TOL",
     "LEAK_IDENTITY_TOL",
+    "LEAK_IDENTITY_DT",
+    "LEAK_IDENTITY_CONFIG",
     "POPULATION_GROWTH_TOL",
     "PopulationGrowthError",
     "SolverComparison",
@@ -37,6 +39,12 @@ __all__ = [
 
 THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
+
+# The balance check's node spacing and the adaptive route's tolerances for
+# it: they keep both the O(dt^2) differencing bias and the interpolation
+# noise well below LEAK_IDENTITY_TOL at the frequency scales of interest.
+LEAK_IDENTITY_DT = 5e-5
+LEAK_IDENTITY_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 # Size of the shared comparison grid; ``n_steps`` must be a multiple of
 # ``COMPARE_POINTS - 1``.
@@ -123,29 +131,26 @@ def leak_identity_residual(
     params: SystemParams,
     init: InitialAmplitudes,
     t_end: float = 10.0,
-    dt: float = 5e-5,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-13,
 ) -> float:
     """Worst-case residual of the population balance along dense ODE output.
 
     The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
-    dP/dt = -2 lam |b|^2 exactly.  The check samples the solution at spacing
-    dt/2, forms the difference quotient of P between consecutive even grid
-    nodes, and compares it with -2 lam |b|^2 evaluated at the odd nodes
-    between them; the returned value is the largest absolute mismatch.  The
-    default spacing and tolerances keep both the O(dt^2) differencing bias
-    and the integrator's interpolation noise comfortably below 1e-6 at the
-    frequency scales of interest.
+    dP/dt = -2 lam |b|^2 exactly.  The check runs the adaptive route with
+    ``LEAK_IDENTITY_CONFIG``, samples its dense output at spacing
+    ``LEAK_IDENTITY_DT / 2``, forms the difference quotient of P between
+    consecutive even grid nodes, and compares it with -2 lam |b|^2
+    evaluated at the odd nodes between them; the returned value is the
+    largest absolute mismatch.  The dense output is the one that
+    :func:`integrate_pseudomode` samples on a grid.
 
     The grid is walked a block at a time, so memory does not grow with it;
     a NaN anywhere makes the result NaN.
     """
-    n_pairs = max(1, round(t_end / dt))  # a horizon below dt still gets one pair
+    # a horizon below the spacing still gets one pair
+    n_pairs = max(1, round(t_end / LEAK_IDENTITY_DT))
     h = 2.0 * (t_end / (2 * n_pairs))  # the pair's width, as linspace spaces the nodes
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     worst = np.float64(0.0)
-    for y, b in _balance_blocks(params, init, t_end, n_pairs, cfg):
+    for y, b in _balance_blocks(params, init, t_end, n_pairs, LEAK_IDENTITY_CONFIG):
         pop = np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2 + np.abs(y[2]) ** 2
         quotient = (pop[1:] - pop[:-1]) / h
         rate_mid = -2.0 * params.lam * np.abs(b) ** 2

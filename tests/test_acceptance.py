@@ -169,7 +169,7 @@ def test_criterion_3_steady_state_criterion():
         verdict = steady_state_verdict(p, init)
         assert verdict.steady == expect_steady
         # (a) pure-imaginary root presence matches the verdict
-        pole = surviving_pole(char_roots(p), p.lam, 1e-8)
+        pole = surviving_pole(char_roots(p), p.lam)
         assert (pole is not None) == expect_steady
         # (b) long-time amplitude product survives iff steady
         t_end = asymptotic_t_end(p)

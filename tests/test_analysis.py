@@ -211,6 +211,45 @@ class TestDisentanglementTime:
         with pytest.raises(ValueError, match="threshold"):
             disentanglement_time((t, np.ones_like(t)), 1.5, window=1.0)
 
+    def test_matches_per_sample_loop(self, rng):
+        # values on three levels, so that runs below the threshold alternate
+        # with plateaus exactly at it and stretches above it
+        threshold = 0.3
+        seen = {"plateau": 0, "window_0": 0, "to_last": 0, "none": 0, "crossing": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            t = np.cumsum(rng.uniform(0.0, 1.0, n)) - rng.uniform(0.0, 1.0)
+            levels = np.array([threshold - 0.1, threshold, threshold + 0.1])
+            values = levels[rng.integers(0, 3, n)]
+            window = float(rng.choice([0.0, rng.uniform(0.0, 2.0), rng.uniform(2.0, 10.0)]))
+            expected = disentanglement_time_loop(t, values, threshold, window)
+            assert disentanglement_time((t, values), threshold, window) == expected
+            seen["plateau"] += bool(np.any(values == threshold))
+            seen["window_0"] += window == 0.0
+            seen["to_last"] += bool(values[-1] < threshold)
+            seen["none"] += expected is None
+            seen["crossing"] += expected is not None
+        assert min(seen.values()) > 100, seen
+
+
+def disentanglement_time_loop(t, values, threshold, window):
+    """The per-sample loop that ``disentanglement_time`` replaced, kept as its reference."""
+    below = values < threshold
+    n = t.size
+    i = 0
+    while i < n:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and below[j]:
+            j += 1
+        confirm_until = t[i] + window
+        if t[n - 1] >= confirm_until and (j == n or t[j - 1] >= confirm_until):
+            return float(t[i])
+        i = j
+    return None
+
 
 class TestPublishedFormDiscrepancy:
     def test_published_zero_dipole_form_overshoots(self):

@@ -184,6 +184,11 @@ _SWEEP = {
 }
 
 
+# tau up to 1 is t up to 1e300: the closed form's exponentials overflow to NaN
+_NAN_CLOSED_FORM = {"lambda": 1e-300, "W": 1.0, "alpha1": 0.8, "alpha2": 0.6, "K": 1.0,
+                    "init": "phi_minus", "K_values": [0.0, 1.0], "tau_grid": [0.0, 1.0, 3]}
+
+
 class TestFaultyInputs:
     """Each bad input exits 2 promptly, naming the offending field."""
 
@@ -230,6 +235,10 @@ class TestFaultyInputs:
             ("verify", {**_RUN, "solver": "rk4"}, [], "solver"),
             ("run", {**_RUN, "n_steps": 5}, ["--solver", "volterra"], "n_steps"),
             ("run", {**_RUN, "t_end": 1e-320}, [], "t_end"),
+            ("sweep", _NAN_CLOSED_FORM, [], "tau_grid"),
+            ("sweep", _NAN_CLOSED_FORM, ["--svg"], "tau_grid"),
+            ("run", {**_NAN_CLOSED_FORM, "t_end": 1e300, "samples": 3},
+             ["--solver", "closed"], "t_end"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -237,7 +246,7 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
         assert f"'{field}'" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not out.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("value", [True, "", None, ["o.csv"]])
     def test_out_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):

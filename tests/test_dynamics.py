@@ -28,7 +28,7 @@ from atompair.dynamics import (
     _rms,
     _system_matrix,
 )
-from atompair.verification import compare_solvers, leak_identity_residual
+from atompair.verification import LEAK_IDENTITY_CONFIG, compare_solvers, leak_identity_residual
 
 from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_params
 
@@ -473,14 +473,14 @@ class TestPolynomialStep:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
             args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
-            t, y = _dopri45(*args, None)
+            t, y = _dopri45(*args)
             t_ref, _, dense_ref = dopri_stage_reference(*args)
             assert t.size == t_ref.size
             assert t[-1] == t_end
             # the step ends drift apart by rounding, so read the reference
             # at these step ends through its dense output
             assert np.abs(y - dense_ref(t)).max() <= 1e-12
-            _, on_grid = _dopri45(*args, grid)
+            on_grid = dense_on(M, t, y, grid)
             assert np.abs(on_grid - dense_ref(grid)).max() <= 1e-12
 
     def test_constants_reduce_the_tableau(self):
@@ -518,7 +518,7 @@ class TestPolynomialStep:
         h = 1e-3
         assert 0.3 <= np.abs(h * M[M != 0]).min() and np.abs(h * M).max() <= 0.5
         y0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
-        t, y = _dopri45(M, y0, h, 1e-2, 1e-2, math.inf, None)
+        t, y = _dopri45(M, y0, h, 1e-2, 1e-2, math.inf)
         assert t.tolist() == [0.0, h]
         z = h * M
         powers = [np.linalg.matrix_power(z, j) for j in range(7)]
@@ -538,15 +538,16 @@ class TestPolynomialStep:
             M = M[:2, :2]
         y0 = np.ones(M.shape[0], dtype=complex)
         with pytest.raises(ValueError, match="symmetric"):
-            _dopri45(M, y0, 1.0, 1e-9, 1e-12, math.inf, None)
+            _dopri45(M, y0, 1.0, 1e-9, 1e-12, math.inf)
 
 
 def dopri_polynomial_reference(M, y0, t_end, rtol, atol, max_step, times):
     """The polynomial Dormand-Prince loop on a general 3x3 M, nine products per power,
     kept as the byte-for-byte reference for the four-entry step of ``_dopri45``.
 
-    Returns ``(t, y)`` as ``_dopri45`` does; on ``times`` the dense output
-    forms every step's coefficients and evaluates them unblocked.
+    Returns ``(t, y)`` as ``_dopri45`` does with ``times`` None; on ``times``
+    the dense output forms every step's coefficients and evaluates them
+    unblocked.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
 
@@ -644,12 +645,22 @@ def dopri_polynomial_reference(M, y0, t_end, rtol, atol, max_step, times):
     ys = np.array(states + [y], dtype=complex).T
     if times is None:
         return bounds, ys
+    return times, dense_unblocked_reference(bounds, dense_coefficients(M, bounds, ys), times)
+
+
+def dense_coefficients(M, bounds, ys):
+    """Shampine's coefficients of every step, shape ``(5, 3, steps)``, formed directly."""
     coef = np.zeros((5, *ys[:, :-1].shape), dtype=complex)
     coef[0] = z = ys[:, :-1]
     for row in dyn._DENSE:
         z = np.diff(bounds) * np.einsum("ik,kn->in", M, z)
         coef[1:] += row[:, None, None] * z
-    return times, dense_unblocked_reference(bounds, coef, times)
+    return coef
+
+
+def dense_on(M, t, y, times):
+    """``_dense_output`` of every step of the ``_dopri45`` run ``(t, y)``, at ``times``."""
+    return dyn._dense_output(M, t, y, np.arange(t.size - 1))(times)
 
 
 # K = 0 and R = lam/2: a double root at -lam/2; atom 2 uncoupled with K = 0:
@@ -674,11 +685,11 @@ class TestFourEntryStep:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
             args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
-            t, y = _dopri45(*args, None)
+            t, y = _dopri45(*args)
             t_ref, y_ref = dopri_polynomial_reference(*args, None)
             assert t.tobytes() == t_ref.tobytes()
             assert y.tobytes() == y_ref.tobytes()
-            _, on_grid = _dopri45(*args, grid)
+            on_grid = dense_on(M, t, y, grid)
             _, on_grid_ref = dopri_polynomial_reference(*args, grid)
             assert on_grid.tobytes() == on_grid_ref.tobytes()
         # with atom 2 uncoupled and no dipole, c2 never leaves zero
@@ -697,7 +708,7 @@ def dense_unblocked_reference(bounds, coef, times):
 
 
 class TestDenseOutput:
-    """The blocked dense output is the unblocked evaluation, byte for byte."""
+    """The dense output, called a block at a time, is the unblocked evaluation, byte for byte."""
 
     @pytest.fixture
     def steps(self, rng):
@@ -705,8 +716,17 @@ class TestDenseOutput:
         bounds = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n))])
         bounds *= 10.0 / bounds[-1]
         bounds[-1] = 10.0
-        coef = rng.normal(size=(5, 3, n)) + 1j * rng.normal(size=(5, 3, n))
-        return bounds, coef
+        ys = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
+        M = _system_matrix(random_params(rng))
+        return M, bounds, ys, dense_coefficients(M, bounds, ys)
+
+    @staticmethod
+    def blocked(at, times, row=slice(None)):
+        return np.concatenate(
+            [at(times[lo : lo + dyn._DENSE_BLOCK], row)
+             for lo in range(0, times.size, dyn._DENSE_BLOCK)],
+            axis=-1,
+        )
 
     @pytest.mark.parametrize(
         "size",
@@ -714,30 +734,65 @@ class TestDenseOutput:
     )
     @pytest.mark.parametrize("end", [1.0, 0.37], ids=["to_t_end", "short"])
     def test_matches_unblocked(self, steps, size, end):
-        bounds, coef = steps
+        M, bounds, ys, coef = steps
         times = np.linspace(0.0, end * bounds[-1], size)
-        asked = []
-
-        def coefficients(idx):
-            asked.append(idx)
-            return coef[:, :, idx]
-
-        out = dyn._dense_output(bounds, times, coefficients)
+        # only the steps that hold a time are passed
+        held = np.unique(np.searchsorted(bounds[1:], times))
+        at = dyn._dense_output(M, bounds, ys, held)
         ref = dense_unblocked_reference(bounds, coef, times)
-        assert out.tobytes() == ref.tobytes()
-        # only the steps that hold a time are asked for
-        (idx,) = asked
-        assert idx.tolist() == np.unique(np.searchsorted(bounds[1:], times)).tolist()
+        assert self.blocked(at, times).tobytes() == ref.tobytes()
+        assert self.blocked(at, times, 2).tobytes() == ref[2].tobytes()
 
     def test_times_on_step_ends(self, steps):
-        bounds, coef = steps
+        M, bounds, ys, coef = steps
         times = np.union1d(bounds, np.linspace(0.0, bounds[-1], 2 * dyn._DENSE_BLOCK + 3))
-        out = dyn._dense_output(bounds, times, lambda idx: coef[:, :, idx])
+        at = dyn._dense_output(M, bounds, ys, np.arange(bounds.size - 1))
+        out = self.blocked(at, times)
         ref = dense_unblocked_reference(bounds, coef, times)
         assert out.tobytes() == ref.tobytes()
         # a step end is x = 1 of the step it closes: Horner sums from the top
         ends = np.searchsorted(times, bounds[1:])
         assert np.array_equal(out[:, ends], (((coef[4] + coef[3]) + coef[2]) + coef[1]) + coef[0])
+
+    def test_forms_coefficients_for_the_steps_passed_only(self, rng):
+        # every step's coefficients would take 5 x 3 x 16 B = 240 B a step,
+        # 4.8 MB here
+        n = 20_000
+        bounds = np.linspace(0.0, 10.0, n + 1)
+        ys = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
+        M = _system_matrix(fig_params(K=2.0))
+        held = np.array([3, 4, 10_000, n - 1])
+        times = np.sort(rng.uniform(bounds[held], bounds[held + 1]))
+        tracemalloc.start()
+        try:
+            out = dyn._dense_output(M, bounds, ys, held)(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e3
+        ref = dense_unblocked_reference(bounds, dense_coefficients(M, bounds, ys), times)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_both_callers_use_it(self, monkeypatch):
+        # run --solver ode, the solver comparison and the balance check
+        # read one interpolant
+        passed = []
+        real = dyn._dense_output
+
+        def spy(*args):
+            passed.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(dyn, "_dense_output", spy)
+        p, init = fig_params(K=2.0), bell_state("minus")
+        leak_identity_residual(p, init, t_end=1.0)
+        integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
+        steps = integrate_pseudomode(p, init, 1.0, cfg=LEAK_IDENTITY_CONFIG).t.size - 1
+        assert len(passed) == 2
+        # the balance check passes every step, the grid only the two that hold
+        # t = 0 and t = 1
+        assert passed[0].tolist() == list(range(steps))
+        assert passed[1].size == 2
 
 
 class TestLeakResidual:
@@ -758,7 +813,7 @@ class TestLeakResidual:
         # population only where it is used; the full-array formula gives
         # the same float
         dt = 5e-5
-        resid = leak_identity_residual(p, init, t_end=t_end, dt=dt)
+        resid = leak_identity_residual(p, init, t_end=t_end)
         grid = np.linspace(0.0, t_end, 2 * max(1, round(t_end / dt)) + 1)
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         traj = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
