@@ -312,16 +312,29 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 
 def _write_sweep_csv(path: str, tau: np.ndarray, k_values, columns) -> None:
-    _write_table(path, ["tau"] + [f"K={_fmt(k)}" for k in k_values], [tau, *columns])
+    # the K columns go in as one (tau, K) block, so a block of rows is one slice
+    _write_table(path, ["tau"] + [f"K={_fmt(k)}" for k in k_values], [tau, np.transpose(columns)])
+
+
+# CSV rows are turned into Python floats and text in blocks of about this
+# many cells, so that no list spanning the whole table is ever held.
+_CSV_CELLS = 1 << 12
 
 
 def _write_table(path: str, header, cols) -> None:
-    """Write ``cols`` as CSV columns under ``header``, every cell formatted like :func:`_fmt`."""
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    """Write ``cols`` as CSV columns under ``header``, every cell formatted like :func:`_fmt`.
+
+    Each entry of ``cols`` is one column or a 2-D block of columns, as
+    :func:`numpy.column_stack` takes them, with one row per table row.
+    """
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    block = max(1, _CSV_CELLS // len(header))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
+            for start in range(0, len(cols[0]), block):
+                rows = np.column_stack([c[start:start + block] for c in cols]).tolist()
+                fh.writelines(row % tuple(r) for r in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -378,7 +391,7 @@ def _run_trajectory(
         try:
             check_population_decay(traj)
         except PopulationGrowthError as exc:
-            raise _too_coarse(n_steps, exc) from exc
+            raise _too_coarse(n_steps, t_end, steps, exc) from exc
         idx = slice(None, None, per)
         return Trajectory(
             params=params,
@@ -403,9 +416,11 @@ def _check_closed_form(field: str, t_max: float, *amplitudes: np.ndarray) -> Non
         )
 
 
-def _too_coarse(n_steps: int, exc: PopulationGrowthError) -> ConfigError:
+def _too_coarse(n_steps: int, t_end: float, steps: int, exc: PopulationGrowthError) -> ConfigError:
+    """The refusal of a memory-kernel run of ``steps`` steps to ``t_end`` whose population grew."""
     return ConfigError(
-        f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc}; use more steps"
+        f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
+        f"t_end / {steps} = {t_end / steps:.3g}; use more steps, or a shorter 't_end'"
     )
 
 
@@ -574,7 +589,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except StepBudgetError as exc:
         raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
     except PopulationGrowthError as exc:
-        raise _too_coarse(n_steps, exc) from exc
+        raise _too_coarse(n_steps, t_end, n_steps, exc) from exc
 
     failures = 0
     pairs = [

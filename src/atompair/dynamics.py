@@ -643,6 +643,9 @@ def _rk4_fixed(
     return t, y.T
 
 
+# a step too long for the rates overflows to inf and NaN; the result is
+# returned as it is, for check_population_decay to refuse
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_volterra(
     params: SystemParams,
     init: InitialAmplitudes,

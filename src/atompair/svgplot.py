@@ -6,6 +6,7 @@ output.  Only what the CLI needs: multi-series line charts and a heatmap.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,12 @@ _PALETTE = [
 ]
 _W, _H = 880, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
+# _Frame starts with the opening tag, the background, the title and the two
+# axis labels; rows handed to _Frame.save are written after them
+_HEAD_PARTS = 5
+# the heatmap colours and formats this many drawn rows at a time, so that no
+# whole-grid array of colours or list of row strings is ever held
+_HEATMAP_ROWS = 16
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -85,12 +92,17 @@ class _Frame:
             self.parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
             self.parts.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(v)}</text>')
 
-    def save(self, path) -> None:
-        """Write the parts, one line each, without joining them into one string first."""
+    def save(self, path, rows=()) -> None:
+        """Write the parts, one line each, with ``rows`` after the header parts.
+
+        ``rows`` may be any iterable of strings; each is written as it comes,
+        and nothing is joined into one string first.
+        """
         self.parts.append("</svg>")
+        head, tail = self.parts[1:_HEAD_PARTS], self.parts[_HEAD_PARTS:]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.parts[0])
-            for part in self.parts[1:]:
+            for part in itertools.chain(head, rows, tail):
                 fh.write("\n")
                 fh.write(part)
 
@@ -150,7 +162,7 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     x = np.asarray(x, dtype=float)
     order = np.argsort(y, kind="stable")
     y = np.asarray(y, dtype=float)[order]
-    z = np.asarray(z, dtype=float)[order]
+    z = np.asarray(z, dtype=float)
     bad = np.count_nonzero(~np.isfinite(z))
     if bad:
         raise ValueError(f"heatmap z must be finite, but {bad} value(s) are NaN or infinite")
@@ -159,7 +171,7 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     # draw one cell per point.  The CSV holds the full grid either way.
     sx = max(1, x.size // 220)
     sy = max(1, y.size // 220)
-    xs, ys, zs = x[::sx], y[::sy], z[::sy, ::sx]
+    xs, ys = x[::sx], y[::sy]
     # a cell spans from its point to the next one, the last to the frame edge
     x0 = fr.px(xs)
     x1 = np.append(x0[1:], fr.px(fr.xhi))
@@ -173,13 +185,21 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     )
     tops = [f"{v:.1f}" for v in np.minimum(y0, y1).tolist()]
     heights = [f"{v:.1f}" for v in (np.abs(y0 - y1) + 0.5).tolist()]
-    codes, index = np.unique(_viridis_rgb((zs - zlo) / (zhi - zlo or 1.0)).ravel(), return_inverse=True)
-    fills = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[index.reshape(zs.shape)]
-    args = [None] * (3 * xs.size)
-    for top, height, row in zip(tops, heights, fills):
-        args[0::3] = [top] * xs.size
-        args[1::3] = [height] * xs.size
-        args[2::3] = row.tolist()
-        fr.parts.append(template % tuple(args))
+    drawn = order[::sy]  # z's rows, in the order they are drawn
+    scale = zhi - zlo or 1.0
+
+    def rows():
+        args = [None] * (3 * xs.size)
+        for start in range(0, drawn.size, _HEATMAP_ROWS):
+            stop = start + _HEATMAP_ROWS
+            rgb = _viridis_rgb((z[drawn[start:stop], ::sx] - zlo) / scale)
+            codes, index = np.unique(rgb, return_inverse=True)
+            fills = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[index.reshape(rgb.shape)]
+            for top, height, row in zip(tops[start:stop], heights[start:stop], fills):
+                args[0::3] = [top] * xs.size
+                args[1::3] = [height] * xs.size
+                args[2::3] = row.tolist()
+                yield template % tuple(args)
+
     fr.axes()
-    fr.save(path)
+    fr.save(path, rows())

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from atompair.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     TRAJECTORY_COLUMNS,
+    _CSV_CELLS,
     _write_sweep_csv,
+    _write_table,
     init_from_config,
     main,
     params_from_config,
@@ -122,6 +125,37 @@ class TestCsvBytes:
         _write_sweep_csv(str(new), tau, k_values, columns)
         assert new.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n_columns", [12, 402])  # a trajectory's width, the figure's
+    def test_sweep_csv_matches_at_block_edges(self, tmp_path, rng, n_columns, offset):
+        # the writer formats _CSV_CELLS // n_columns rows at a time
+        rows = _CSV_CELLS // n_columns + offset
+        tau = np.linspace(0.0, 10.0, rows)
+        columns = [rng.uniform(0.0, 1.0, rows) for _ in range(n_columns - 1)]
+        columns[0][-3:] = [math.nan, -0.0, 5e-324]
+        k_values = np.linspace(-20.0, 20.0, n_columns - 1).tolist()
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        write_sweep_csv_reference(ref, tau, k_values, columns)
+        _write_sweep_csv(str(new), tau, k_values, np.array(columns))
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_table_memory_does_not_grow_with_rows(self, rng):
+        # a list of every cell's Python float took about 10 MB per 20,000
+        # rows of twelve columns; a block of rows takes a fixed amount
+        header = [f"c{j}" for j in range(12)]
+        peaks = []
+        for rows in (20_001, 200_001):
+            cols = [rng.uniform(-1.0, 1.0, rows) for _ in header]
+            tracemalloc.start()
+            try:
+                _write_table(os.devnull, header, cols)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 1.5 * peaks[0] + 100_000
+        assert peaks[1] < 2_000_000
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
@@ -187,6 +221,10 @@ _SWEEP = {
 # tau up to 1 is t up to 1e300: the closed form's exponentials overflow to NaN
 _NAN_CLOSED_FORM = {"lambda": 1e-300, "W": 1.0, "alpha1": 0.8, "alpha2": 0.6, "K": 1.0,
                     "init": "phi_minus", "K_values": [0.0, 1.0], "tau_grid": [0.0, 1.0, 3]}
+# the memory-kernel step t_end / 20000 = 5e295 is far too long for W = 1: its
+# amplitudes overflow
+_VOLTERRA_OVERFLOW = {"lambda": 1e-300, "W": 1, "alpha1": 0.8, "alpha2": 0.6, "K": 1,
+                      "init": "phi_minus", "t_end": 1e300}
 
 
 class TestFaultyInputs:
@@ -239,6 +277,8 @@ class TestFaultyInputs:
             ("sweep", _NAN_CLOSED_FORM, ["--svg"], "tau_grid"),
             ("run", {**_NAN_CLOSED_FORM, "t_end": 1e300, "samples": 3},
              ["--solver", "closed"], "t_end"),
+            ("verify", _VOLTERRA_OVERFLOW, [], "n_steps"),
+            ("run", _VOLTERRA_OVERFLOW, ["--solver", "volterra"], "n_steps"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -287,6 +327,16 @@ class TestFaultyInputs:
         del payload["n_steps"]
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", [["verify"], ["run", "--solver", "volterra"]])
+    def test_overflowing_volterra_step_is_named(self, tmp_path, capsys, command):
+        # the refusal gives the step, so that t_end shows as what sets it
+        cfg = write_config(tmp_path, "c.json", _VOLTERRA_OVERFLOW)
+        out = tmp_path / "o.csv"
+        assert main([*command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "'n_steps'" in captured.err and "t_end / 20000 = 5e+295" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_infinite_max_step_is_allowed(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": math.inf})

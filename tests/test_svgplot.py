@@ -2,6 +2,7 @@
 per-cell and per-point loops they replaced."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,36 @@ def test_heatmap_bytes_match_at_the_figure_shape(tmp_path):
     heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
     svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_heatmap_bytes_match_on_a_descending_axis_across_blocks(tmp_path):
+    # 37 drawn rows: two whole blocks of _HEATMAP_ROWS and a short one
+    assert 37 % svgplot._HEATMAP_ROWS
+    x, y, z = _grid(23, 37, seed=12)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y[::-1], z[::-1], title="t", xlabel="tau", ylabel="K")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_heatmap_bytes_match_thinned_on_both_axes(tmp_path):
+    # 900 rows keep every 4th, 225 drawn rows; 450 columns keep every 2nd
+    x, y, z = _grid(450, 900, seed=13)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_heatmap_memory_does_not_span_the_grid(tmp_path):
+    # the figure's grid; holding every row string and whole-grid colour
+    # arrays took about 11 MB
+    x, y, z = _grid(301, 401, seed=14)
+    tracemalloc.start()
+    try:
+        svgplot.heatmap(tmp_path / "map.svg", x, y, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_heatmap_bytes_match_with_a_single_colour(tmp_path):
