@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .closedform import (
     CharacteristicCubic,
-    CubicRoots,
     ResidueSolution,
     char_roots,
     residue_coefficients,
@@ -34,21 +33,13 @@ from .dynamics import (
     leak_series,
     sample_closed_form,
 )
-from .model import (
-    DerivedParams,
-    InitialAmplitudes,
-    SystemParams,
-    bell_state,
-    derive,
-    validate_initial,
-)
+from .model import InitialAmplitudes, SystemParams, bell_state, validate_initial
 from .verification import SolverComparison, compare_solvers, leak_identity_residual
 
 __all__ = [
     "__version__",
-    "SystemParams", "DerivedParams", "InitialAmplitudes",
-    "derive", "bell_state", "validate_initial",
-    "CharacteristicCubic", "CubicRoots", "ResidueSolution",
+    "SystemParams", "InitialAmplitudes", "bell_state", "validate_initial",
+    "CharacteristicCubic", "ResidueSolution",
     "char_roots", "residue_coefficients", "surviving_pole",
     "Trajectory", "IntegratorConfig", "StepUnderflowError", "StepBudgetError",
     "integrate_pseudomode", "integrate_volterra", "sample_closed_form",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import char_roots, surviving_pole
-from .model import InitialAmplitudes, SystemParams, derive, validate_initial
+from .model import InitialAmplitudes, SystemParams, validate_initial
 
 __all__ = [
     "EQUAL_COUPLING_TOL",
@@ -130,22 +130,21 @@ def steady_state_verdict(
         apply.
     """
     init = validate_initial(init, "strict")
-    d = derive(params)
-    if d.R == 0.0:
+    if params.R == 0.0:
         raise ValueError(
             "steady-state classification requires W > 0; with no reservoir "
             "coupling the amplitudes never settle"
         )
-    K = params.K
-    if abs(d.r1 - d.r2) <= EQUAL_COUPLING_TOL:
+    K, r1, r2 = params.K, params.r1, params.r2
+    if abs(r1 - r2) <= EQUAL_COUPLING_TOL:
         regime = "equal_coupling"
         pole = complex(0.0, K)
         c_inf = 0.5 * abs(init.c10 - init.c20) ** 2
     elif K == 0.0:
         regime = "zero_K"
         pole = complex(0.0)
-        dark = d.r2 * init.c10 - d.r1 * init.c20
-        c_inf = 2.0 * d.r1 * d.r2 * abs(dark) ** 2
+        dark = r2 * init.c10 - r1 * init.c20
+        c_inf = 2.0 * r1 * r2 * abs(dark) ** 2
     else:
         regime = "decaying"
         pole = None
@@ -153,7 +152,7 @@ def steady_state_verdict(
 
     found = surviving_pole(char_roots(params), params.lam)
     if pole is not None:
-        scale = params.lam + d.R + abs(K)
+        scale = params.lam + params.R + abs(K)
         if found is None or abs(found - pole) > 1e-6 * scale:
             raise RuntimeError(
                 f"analytic steady pole {pole} not confirmed by the root finder "

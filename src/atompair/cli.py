@@ -20,12 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import concurrence_array, concurrence_series, steady_state_verdict
-from .closedform import (
-    char_cubic,
-    char_roots,
-    evolve_over_K,
-    surviving_pole,
-)
+from .closedform import char_cubic, char_roots, evolve_over_K
 from .dynamics import (
     IntegratorConfig,
     StepBudgetError,
@@ -36,12 +31,12 @@ from .dynamics import (
     leak_series,
     sample_closed_form,
 )
-from .model import InitialAmplitudes, SystemParams, bell_state, derive, validate_initial
+from .model import InitialAmplitudes, SystemParams, bell_state, validate_initial
 from .verification import (
-    COMPARE_POINTS,
     LEAK_IDENTITY_TOL,
     THREE_SOLVER_TOL,
     PopulationGrowthError,
+    _volterra_stride,
     check_population_decay,
     compare_solvers,
     leak_identity_residual,
@@ -251,7 +246,7 @@ def _check_cubic_range(params: SystemParams, K, r_field: str, k_field: str) -> N
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    inputs = {r_field: derive(params).R, k_field: float(K[i]), "lambda": params.lam}
+    inputs = {r_field: params.R, k_field: float(K[i]), "lambda": params.lam}
     largest = max(inputs, key=lambda k: abs(inputs[k]))
     for name, over in overflows.items():
         if over[i]:
@@ -380,7 +375,7 @@ def _run_trajectory(
             ) from exc
     if solver == "volterra":
         n_steps = cfg["n_steps"]
-        per = max(1, math.ceil(n_steps / (samples - 1)))
+        per = _volterra_stride(n_steps, samples)
         steps = per * (samples - 1)
         if steps < 100:
             raise ConfigError(
@@ -391,7 +386,7 @@ def _run_trajectory(
         try:
             check_population_decay(traj)
         except PopulationGrowthError as exc:
-            raise _too_coarse(n_steps, t_end, steps, exc) from exc
+            raise _too_coarse(n_steps, t_end, exc) from exc
         idx = slice(None, None, per)
         return Trajectory(
             params=params,
@@ -416,12 +411,38 @@ def _check_closed_form(field: str, t_max: float, *amplitudes: np.ndarray) -> Non
         )
 
 
-def _too_coarse(n_steps: int, t_end: float, steps: int, exc: PopulationGrowthError) -> ConfigError:
-    """The refusal of a memory-kernel run of ``steps`` steps to ``t_end`` whose population grew."""
+def _too_coarse(n_steps: int, t_end: float, exc: PopulationGrowthError) -> ConfigError:
+    """The refusal of a memory-kernel run to ``t_end`` whose population grew, asked
+    for with ``n_steps`` steps and run with ``exc.steps``."""
     return ConfigError(
         f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
-        f"t_end / {steps} = {t_end / steps:.3g}; use more steps, or a shorter 't_end'"
+        f"t_end / {exc.steps} = {t_end / exc.steps:.3g}; use more steps, or a shorter 't_end'"
     )
+
+
+def _chart_path(cfg: dict, out: str) -> str | None:
+    """The chart path for the CSV ``out`` when ``svg`` is set, else None: ``out``
+    with the suffix .svg.  One equal to ``out`` would overwrite the CSV, and is
+    refused."""
+    if not cfg["svg"]:
+        return None
+    path = os.path.splitext(out)[0] + ".svg"
+    if path == out:
+        raise ConfigError(
+            f"field 'out' = {out!r} ends in .svg, so the chart would be written over "
+            f"the CSV: give the CSV another suffix"
+        )
+    return path
+
+
+def _write_chart(path: str, chart, *args, **kwargs) -> None:
+    """Draw ``chart(path, *args, **kwargs)``; a path that cannot be written is a
+    ConfigError, as for the CSV."""
+    try:
+        chart(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -430,17 +451,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     init = init_from_config(cfg)
     t_end = _required(cfg, "t_end")
     solver = cfg.get("solver", "ode")
-    traj = _run_trajectory(params, init, t_end, solver, cfg)
     out = cfg.get("out", "trajectory.csv")
+    svg_path = _chart_path(cfg, out)
+    traj = _run_trajectory(params, init, t_end, solver, cfg)
     write_trajectory_csv(out, traj)
     print(f"wrote {len(traj)} samples to {out} (solver: {traj.solver_tag})")
-    if cfg["svg"]:
-        svg_path = os.path.splitext(out)[0] + ".svg"
+    if svg_path:
         tau, conc = concurrence_series(traj)
         tau = params.lam * tau
         _, p_leak = leak_series(traj)
-        svgplot.line_chart(
+        _write_chart(
             svg_path,
+            svgplot.line_chart,
             tau,
             {
                 "concurrence": conc,
@@ -452,7 +474,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             xlabel="tau = lam * t",
             ylabel="concurrence / population",
         )
-        print(f"wrote {svg_path}")
     return EXIT_OK
 
 
@@ -482,6 +503,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("missing required field 'K_values' (or 'K_rel_values')")
     K = np.asarray(k_values)
     _check_cubic_range(base, K, "R_rel" if "R_rel" in cfg else "W", axis)
+    out = cfg.get("out", "sweep.csv")
+    svg_path = _chart_path(cfg, out)
 
     # one concurrence row per dipole strength, from the closed form
     times = tau / base.lam
@@ -493,17 +516,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _check_closed_form("tau_grid", times[-1], c1, c2)
         z[start:start + block] = concurrence_array(c1, c2)
 
-    out = cfg.get("out", "sweep.csv")
     _write_sweep_csv(out, tau, k_values, z)
     print(f"wrote {tau.size} x {len(k_values)} sweep to {out}")
-    if cfg["svg"]:
-        svg_path = os.path.splitext(out)[0] + ".svg"
-        svgplot.heatmap(
-            svg_path, tau, K, z,
+    if svg_path:
+        _write_chart(
+            svg_path, svgplot.heatmap, tau, K, z,
             title="concurrence vs dipole strength",
             xlabel="tau = lam * t", ylabel="K",
         )
-        print(f"wrote {svg_path}")
     return EXIT_OK
 
 
@@ -517,18 +537,14 @@ def cmd_roots(args: argparse.Namespace) -> int:
     init = init_from_config(cfg, default="phi_minus")
     cubic = char_cubic(params)
     roots = char_roots(params)
-    e1 = sum(roots.roots)
-    e2 = (
-        roots.roots[0] * roots.roots[1]
-        + roots.roots[0] * roots.roots[2]
-        + roots.roots[1] * roots.roots[2]
-    )
-    e3 = roots.roots[0] * roots.roots[1] * roots.roots[2]
+    e1 = sum(roots)
+    e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    e3 = roots[0] * roots[1] * roots[2]
     print(
         f"characteristic cubic: s^3 + {cubic.a2:g} s^2 + {cubic.a1:g} s + "
         f"({cubic.a0.real:g}{cubic.a0.imag:+g}i)"
     )
-    for i, s in enumerate(roots.roots, start=1):
+    for i, s in enumerate(roots, start=1):
         print(f"  s_{i} = {s.real:+.12e} {s.imag:+.12e}i   |D(s)| = {abs(cubic(s)):.3e}")
     print(
         "Vieta residuals: "
@@ -538,26 +554,26 @@ def cmd_roots(args: argparse.Namespace) -> int:
     )
     try:
         verdict = steady_state_verdict(params, init)
+    except ValueError as exc:
+        # W = 0: two undamped poles on the imaginary axis, and no verdict
+        print("surviving pole: not applicable")
+        print(f"verdict: not applicable ({exc})")
+    else:
         pole = verdict.surviving_pole
-        verdict_line = (
+        if pole is None:
+            print("surviving pole: none")
+        else:
+            print(f"surviving pole: {pole.real:+.3e} {pole.imag:+.6e}i")
+        print(
             f"verdict: {'steady' if verdict.steady else 'fully decaying'} "
             f"(regime {verdict.regime}, asymptotic concurrence "
             f"{verdict.asymptotic_concurrence:.6f})"
         )
-    except ValueError as exc:
-        # no analytic verdict (W = 0): report the numerically located pole
-        pole = surviving_pole(roots, params.lam)
-        verdict_line = f"verdict: not applicable ({exc})"
-    if pole is None:
-        print("surviving pole: none")
-    else:
-        print(f"surviving pole: {pole.real:+.3e} {pole.imag:+.6e}i")
-    print(verdict_line)
     if "out" in cfg:
         _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), [
-            [s.real for s in roots.roots],
-            [s.imag for s in roots.roots],
-            [abs(cubic(s)) for s in roots.roots],
+            [s.real for s in roots],
+            [s.imag for s in roots],
+            [abs(cubic(s)) for s in roots],
         ])
     return EXIT_OK
 
@@ -572,10 +588,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     init = init_from_config(cfg)
     t_end = cfg.get("t_end", 10.0)
     n_steps = cfg["n_steps"]
-    if n_steps % (COMPARE_POINTS - 1):
-        raise ConfigError(
-            f"field 'n_steps' must be a multiple of {COMPARE_POINTS - 1} for 'verify', got {n_steps}"
-        )
     solver = cfg.get("solver", "all")
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
@@ -589,7 +601,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except StepBudgetError as exc:
         raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
     except PopulationGrowthError as exc:
-        raise _too_coarse(n_steps, t_end, n_steps, exc) from exc
+        raise _too_coarse(n_steps, t_end, exc) from exc
 
     failures = 0
     pairs = [

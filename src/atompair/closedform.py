@@ -18,7 +18,8 @@ covers simple, double and triple roots, at O(1) per sample.
 
 Every stage works on an array of dipole strengths K at once, so a sweep over
 K is a handful of array operations; ``char_roots`` and
-``residue_coefficients`` are the one-point case of the same code.
+``residue_coefficients`` are the one-point case of the same code, and
+``ResidueSolution`` keeps that case's arrays for ``evolve`` as they come.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialAmplitudes, SystemParams, derive, validate_initial
+from .model import InitialAmplitudes, SystemParams, validate_initial
 
 __all__ = [
     "SURVIVING_POLE_TOL",
     "CharacteristicCubic",
-    "CubicRoots",
     "ResidueSolution",
     "char_cubic",
     "char_roots",
@@ -79,28 +79,20 @@ class CharacteristicCubic:
         return (3.0 * s + 2.0 * self.a2) * s + self.a1
 
 
-@dataclass(frozen=True)
-class CubicRoots:
-    """Three roots, sorted by (real, imag)."""
-
-    roots: tuple[complex, complex, complex]
-
-
 def char_cubic(params: SystemParams, K=None) -> CharacteristicCubic:
     """Build the characteristic cubic for ``params``.
 
     Given an array ``K`` of dipole strengths, which replaces ``params.K``,
     the coefficients ``a1`` and ``a0`` are arrays over it.
     """
-    d = derive(params)
-    R2 = d.R * d.R
+    R2 = params.R * params.R
     k = np.atleast_1d(np.asarray(params.K if K is None else K, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = R2 + k * k
         # set by parts, as complex(x, y) would, to keep the sign of a zero
         # imaginary part: Cardano's square root branches on it
         a0 = (k * k * params.lam).astype(complex)
-        a0.imag = -2.0 * k * R2 * d.r1 * d.r2
+        a0.imag = -2.0 * k * R2 * params.r1 * params.r2
     if K is None:
         return CharacteristicCubic(a2=params.lam, a1=float(a1[0]), a0=complex(a0[0]))
     return CharacteristicCubic(a2=params.lam, a1=a1, a0=a0)
@@ -175,10 +167,10 @@ def _cubic_roots(cubic: CharacteristicCubic) -> np.ndarray:
     return np.take_along_axis(roots, order, axis=1)
 
 
-def char_roots(params: SystemParams) -> CubicRoots:
-    """Find the three roots of the characteristic cubic: the one-point case of the K axis."""
-    roots = _cubic_roots(char_cubic(params, [params.K]))[0]
-    return CubicRoots(roots=tuple(complex(s) for s in roots))
+def char_roots(params: SystemParams) -> tuple[complex, complex, complex]:
+    """The three roots of the characteristic cubic, sorted by (real, imag): the
+    one-point case of the K axis."""
+    return tuple(_cubic_roots(char_cubic(params, [params.K]))[0].tolist())
 
 
 def _pair_difference(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -266,10 +258,13 @@ def _amplitudes(nodes: np.ndarray, newton: np.ndarray, t: np.ndarray) -> np.ndar
     return x[:, :, 0] * E[:, 0] + x[:, :, 1] * E[:, 1] + x[:, :, 2] * E[:, 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSolution:
-    """Roots (a, b, c), (a, c) the widest pair, and per amplitude the Newton
-    coefficients (N(a), n2 (a + b) + n1, n2) of N(s) = n2 s^2 + n1 s + n0.
+    """The sorted ``roots``; the ``nodes`` (a, b, c), shape (3,), the same roots
+    with (a, c) the widest pair; and ``newton``, shape (3, 3), whose row k holds
+    the Newton coefficients (N(a), n2 (a + b) + n1, n2) of amplitude k of
+    (c1, c2, b), with numerator N(s) = n2 s^2 + n1 s + n0.  The arrays are
+    read-only.
 
     At t = 0 only E[c] = 1 survives, and n2 is c10, c20 and 0 for (c1, c2, b),
     so the initial data are reproduced exactly.
@@ -277,17 +272,20 @@ class ResidueSolution:
 
     params: SystemParams
     init: InitialAmplitudes
-    roots: CubicRoots
-    nodes: tuple[complex, complex, complex]
-    newton_c1: tuple[complex, complex, complex]
-    newton_c2: tuple[complex, complex, complex]
-    newton_b: tuple[complex, complex, complex]
+    roots: tuple[complex, complex, complex]
+    nodes: np.ndarray
+    newton: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("nodes", "newton"):
+            arr = np.asarray(getattr(self, name), dtype=complex)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def evolve(self, t):
         """Evaluate (c1, c2, b) at scalar or array ``t >= 0``."""
         t = np.asarray(t, dtype=float)
-        newton = np.array([[self.newton_c1, self.newton_c2, self.newton_b]])
-        c1, c2, b = _amplitudes(np.array([self.nodes]), newton, t.reshape(-1))[:, 0]
+        c1, c2, b = _amplitudes(self.nodes[None], self.newton[None], t.reshape(-1))[:, 0]
         if t.ndim == 0:
             return complex(c1[0]), complex(c2[0]), complex(b[0])
         return c1.reshape(t.shape), c2.reshape(t.shape), b.reshape(t.shape)
@@ -304,11 +302,10 @@ def _newton_form(
         N_c2(s) = the same with indices 1 and 2 exchanged
         N_b(s)  = -i R [(r1 c10 + r2 c20) s - i K (r1 c20 + r2 c10)]
     """
-    d = derive(params)
     K = np.asarray(K, dtype=float)
     roots = _cubic_roots(char_cubic(params, K))
-    lam, R = params.lam, d.R
-    r1, r2 = d.r1, d.r2
+    lam, R = params.lam, params.R
+    r1, r2 = params.r1, params.r2
     R2 = R * R
     c10, c20 = init.c10, init.c20
     cross = 1j * K * lam + R2 * r1 * r2
@@ -339,16 +336,7 @@ def residue_coefficients(
     the one-point case of :func:`evolve_over_K`'s K axis."""
     init = validate_initial(init, "strict")
     roots, nodes, newton = _newton_form(params, init, [params.K])
-    row = lambda v: tuple(complex(x) for x in v)
-    return ResidueSolution(
-        params=params,
-        init=init,
-        roots=CubicRoots(roots=row(roots[0])),
-        nodes=row(nodes[0]),
-        newton_c1=row(newton[0, 0]),
-        newton_c2=row(newton[0, 1]),
-        newton_b=row(newton[0, 2]),
-    )
+    return ResidueSolution(params, init, tuple(roots[0].tolist()), nodes[0], newton[0])
 
 
 def evolve_over_K(
@@ -360,16 +348,18 @@ def evolve_over_K(
     return _amplitudes(nodes, newton, np.asarray(t, dtype=float).reshape(-1))
 
 
-def surviving_pole(roots: CubicRoots, lam: float) -> complex | None:
-    """The unique root on the imaginary axis, if there is exactly one.
+def surviving_pole(roots: tuple[complex, ...], lam: float) -> complex | None:
+    """The unique one of ``roots`` on the imaginary axis, if there is exactly one.
 
     A root counts as lying on the axis when |Re s| <= SURVIVING_POLE_TOL *
     lam.  The residue at such a pole is the only contribution that survives
-    as t -> infinity; when no root (or more than one, which requires a fully
-    decoupled reservoir) qualifies, the amplitudes decay to zero and None is
-    returned.
+    as t -> infinity.  When no root qualifies, the amplitudes decay to zero
+    and None is returned.  More than one qualifies only with no reservoir
+    coupling (W = 0), where D(s) = (s + lam)(s^2 + K^2) puts two undamped
+    poles on the axis, at +-iK or doubly at 0; nothing decays then, no
+    single pole survives, and None is returned too.
     """
-    found = [s for s in roots.roots if abs(s.real) <= SURVIVING_POLE_TOL * lam]
+    found = [s for s in roots if abs(s.real) <= SURVIVING_POLE_TOL * lam]
     if len(found) == 1:
         return found[0]
     return None

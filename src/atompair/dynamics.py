@@ -853,7 +853,7 @@ def asymptotic_t_end(params: SystemParams) -> float:
     (its residue never decays).
     """
     lam = params.lam
-    roots = char_roots(params).roots
+    roots = char_roots(params)
     decaying = [s.real for s in roots if s.real < -SURVIVING_POLE_TOL * lam]
     if not decaying:
         return 50.0 / lam

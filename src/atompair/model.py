@@ -1,11 +1,12 @@
-"""Physical parameters, derived coupling measures, and canonical initial states.
+"""Physical parameters, with their coupling measures, and canonical initial states.
 
 Two two-level atoms share a common reservoir with a Lorentzian spectral
 density of half-width ``lam`` and coupling scale ``W``; the atoms couple to
 it with relative strengths ``alpha1`` and ``alpha2`` and exchange excitation
 directly through a dipole-dipole term of strength ``K``.  Everything
 downstream (closed-form solution, integrators, observables) is driven by the
-values collected here.
+values collected here, and the coupling measures ``R``, ``r1`` and ``r2``
+are properties of :class:`SystemParams`.
 
 All types in this module are immutable values; they can be shared freely
 between threads or processes.
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 __all__ = [
     "NORM_TOL",
     "SystemParams",
-    "DerivedParams",
     "InitialAmplitudes",
-    "derive",
     "bell_state",
     "validate_initial",
 ]
@@ -51,6 +50,9 @@ class SystemParams:
         Common atomic transition frequency.  The amplitude equations are
         written in the frame rotating at ``omega0``, so it never enters any
         derived quantity or trajectory; it is carried for bookkeeping only.
+
+    The dynamics depends on the inputs only through ``K / lam``,
+    ``R / lam``, ``r1`` and the dimensionless time ``lam * t``.
     """
 
     lam: float
@@ -81,53 +83,21 @@ class SystemParams:
                 "is undefined"
             )
 
+    @property
+    def R(self) -> float:
+        """``W * sqrt(alpha1^2 + alpha2^2)``, the vacuum Rabi frequency of the
+        collective bright mode."""
+        return self.W * math.hypot(self.alpha1, self.alpha2)
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from :class:`SystemParams`.
+    @property
+    def r1(self) -> float:
+        """``alpha1 / sqrt(alpha1^2 + alpha2^2)``; ``r1**2 + r2**2 == 1``."""
+        return self.alpha1 / math.hypot(self.alpha1, self.alpha2)
 
-    ``R = W * sqrt(alpha1^2 + alpha2^2)`` is the vacuum Rabi frequency of the
-    collective bright mode, and ``r1, r2 = alpha_j / sqrt(alpha1^2 + alpha2^2)``
-    are the normalized relative couplings (``r1**2 + r2**2 == 1``).
-    ``coupling_ratio`` is ``r1 / r2``, absent when atom 2 is uncoupled.
-    ``K_rel`` and ``R_rel`` are ``K`` and ``R`` in units of the reservoir
-    half-width; the dynamics depends on the inputs only through
-    ``(K_rel, R_rel, r1)`` and the dimensionless time ``lam * t``.
-    """
-
-    R: float
-    r1: float
-    r2: float
-    coupling_ratio: float | None
-    K_rel: float
-    R_rel: float
-
-
-def derive(params: SystemParams) -> DerivedParams:
-    """Compute the derived coupling measures for ``params``.
-
-    Raises
-    ------
-    ValueError
-        If both alphas vanish (rejected by :class:`SystemParams` too; the
-        check is repeated here so the function stands on its own).
-    """
-    a1, a2 = params.alpha1, params.alpha2
-    norm = math.hypot(a1, a2)
-    if norm == 0.0:
-        raise ValueError("alpha1 = alpha2 = 0: collective coupling undefined")
-    R = params.W * norm
-    r1 = a1 / norm
-    r2 = a2 / norm
-    ratio = r1 / r2 if r2 > 0.0 else None
-    return DerivedParams(
-        R=R,
-        r1=r1,
-        r2=r2,
-        coupling_ratio=ratio,
-        K_rel=params.K / params.lam,
-        R_rel=R / params.lam,
-    )
+    @property
+    def r2(self) -> float:
+        """``alpha2 / sqrt(alpha1^2 + alpha2^2)``."""
+        return self.alpha2 / math.hypot(self.alpha1, self.alpha2)
 
 
 @dataclass(frozen=True)

@@ -153,11 +153,11 @@ def _viridis_rgb(v: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, zhi=1.0) -> None:
+def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="") -> None:
     """Write a heatmap of z[j, i] over increasing columns x[i] and rows y[j].
 
-    The rows are drawn in increasing order of y, whatever order they come in.
-    A NaN or infinite z has no colour, and raises ValueError.
+    The rows are drawn in increasing order of y, whatever order they come in,
+    and z is coloured on [0, 1], the range of a concurrence.  A NaN or infinite z has no colour, and raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     order = np.argsort(y, kind="stable")
@@ -186,13 +186,12 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="", zlo=0.0, 
     tops = [f"{v:.1f}" for v in np.minimum(y0, y1).tolist()]
     heights = [f"{v:.1f}" for v in (np.abs(y0 - y1) + 0.5).tolist()]
     drawn = order[::sy]  # z's rows, in the order they are drawn
-    scale = zhi - zlo or 1.0
 
     def rows():
         args = [None] * (3 * xs.size)
         for start in range(0, drawn.size, _HEATMAP_ROWS):
             stop = start + _HEATMAP_ROWS
-            rgb = _viridis_rgb((z[drawn[start:stop], ::sx] - zlo) / scale)
+            rgb = _viridis_rgb(z[drawn[start:stop], ::sx])
             codes, index = np.unique(rgb, return_inverse=True)
             fills = np.array([f"{c:06x}" for c in codes.tolist()], dtype=object)[index.reshape(rgb.shape)]
             for top, height, row in zip(tops[start:stop], heights[start:stop], fills):

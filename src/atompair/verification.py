@@ -46,8 +46,8 @@ LEAK_IDENTITY_TOL = 1e-6
 LEAK_IDENTITY_DT = 5e-5
 LEAK_IDENTITY_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
-# Size of the shared comparison grid; ``n_steps`` must be a multiple of
-# ``COMPARE_POINTS - 1``.
+# Size of the shared comparison grid; the memory-kernel route's steps are
+# rounded up to a multiple of ``COMPARE_POINTS - 1`` (see _volterra_stride).
 COMPARE_POINTS = 2001
 
 # dP/dt = -2 lam |b|^2 <= 0 for the tracked population P, so a memory-kernel
@@ -57,11 +57,22 @@ POPULATION_GROWTH_TOL = 1e-6
 
 
 class PopulationGrowthError(Exception):
-    """A trajectory's tracked population grew past 1 + POPULATION_GROWTH_TOL, or is NaN."""
+    """A trajectory's tracked population grew past 1 + POPULATION_GROWTH_TOL, or is NaN.
 
-    def __init__(self, peak: float) -> None:
+    ``steps`` is the number of steps the trajectory took.
+    """
+
+    def __init__(self, peak: float, steps: int) -> None:
         super().__init__(f"the memory-kernel route's tracked population grew to {peak:.3e}")
         self.peak = peak
+        self.steps = steps
+
+
+def _volterra_stride(n_steps: int, samples: int) -> int:
+    """Memory-kernel steps per interval of a grid of ``samples`` points: the
+    fewest that make at least ``n_steps`` steps in all, so that the route's
+    own grid contains the sample grid."""
+    return -(-n_steps // (samples - 1))
 
 
 def check_population_decay(traj: Trajectory) -> None:
@@ -70,7 +81,7 @@ def check_population_decay(traj: Trajectory) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         peak = float(traj.tracked_population.max())
     if not peak <= 1.0 + POPULATION_GROWTH_TOL:
-        raise PopulationGrowthError(peak)
+        raise PopulationGrowthError(peak, len(traj) - 1)
 
 
 def _sup_norm(a: Trajectory, b: Trajectory, idx_a=slice(None), idx_b=slice(None)) -> float:
@@ -89,9 +100,6 @@ class SolverComparison:
     closed_vs_volterra: float
     ode_vs_volterra: float
 
-    def worst(self) -> float:
-        return max(self.closed_vs_ode, self.closed_vs_volterra, self.ode_vs_volterra)
-
 
 def compare_solvers(
     params: SystemParams,
@@ -102,19 +110,20 @@ def compare_solvers(
 ) -> SolverComparison:
     """Run all three solvers and report pairwise sup-norm discrepancies.
 
-    The comparison grid has ``COMPARE_POINTS`` uniform points;
-    ``COMPARE_POINTS - 1`` must divide ``n_steps`` so the memory-kernel
-    solver's own grid contains it exactly.  The adaptive route runs with the
+    The comparison grid has ``COMPARE_POINTS`` uniform points.  The
+    memory-kernel route takes ``n_steps`` rounded up to a multiple of
+    ``COMPARE_POINTS - 1`` (:func:`_volterra_stride`), so that its own grid
+    contains the comparison grid exactly.  The adaptive route runs with the
     default :class:`IntegratorConfig`.  The memory-kernel route runs first:
     with the true kernel sign, a tracked population that grows raises
     :class:`PopulationGrowthError` before the adaptive route starts.
     """
-    if n_steps % (COMPARE_POINTS - 1) != 0:
-        raise ValueError("COMPARE_POINTS - 1 must divide n_steps")
-    stride = n_steps // (COMPARE_POINTS - 1)
+    stride = _volterra_stride(n_steps, COMPARE_POINTS)
     grid = np.linspace(0.0, t_end, COMPARE_POINTS)
 
-    vol = integrate_volterra(params, init, t_end, n_steps, _kernel_sign=_kernel_sign)
+    vol = integrate_volterra(
+        params, init, t_end, stride * (COMPARE_POINTS - 1), _kernel_sign=_kernel_sign
+    )
     if _kernel_sign == 1.0:
         check_population_decay(vol)
     ode = integrate_pseudomode(params, init, t_end, times=grid)

@@ -29,6 +29,11 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
+def largest_discrepancy(comp) -> float:
+    """The largest of a solver comparison's three pairwise discrepancies."""
+    return max(comp.closed_vs_ode, comp.closed_vs_volterra, comp.ode_vs_volterra)
+
+
 def random_init(rng: np.random.Generator) -> InitialAmplitudes:
     v = rng.normal(size=4)
     c10 = complex(v[0], v[1])

@@ -31,7 +31,14 @@ from atompair import (
 from atompair.cli import TRAJECTORY_COLUMNS
 from atompair.verification import compare_solvers, leak_identity_residual
 
-from conftest import SQRT3_2, equal_params, fig_params, random_init, random_params
+from conftest import (
+    SQRT3_2,
+    equal_params,
+    fig_params,
+    largest_discrepancy,
+    random_init,
+    random_params,
+)
 from test_closedform import assert_root_invariants
 
 THREE_SOLVER_TOL = 1e-5
@@ -139,15 +146,15 @@ def test_criterion_1_three_solver_equivalence():
     worst = 0.0
     for p, init in criterion1_sets():
         comp = compare_solvers(p, init, t_end=10.0, n_steps=20000)
-        assert comp.worst() <= THREE_SOLVER_TOL
-        worst = max(worst, comp.worst())
+        assert largest_discrepancy(comp) <= THREE_SOLVER_TOL
+        worst = max(worst, largest_discrepancy(comp))
     # repeated roots: the closed form needs no fallback, and all three agree
     confluent = 0.0
     for p in (double_root_set(), triple_root_set()):
         for init in (bell_state("minus"), InitialAmplitudes(1.0, 0.0)):
             comp = compare_solvers(p, init, t_end=10.0, n_steps=20000)
-            assert comp.worst() <= THREE_SOLVER_TOL
-            confluent = max(confluent, comp.worst())
+            assert largest_discrepancy(comp) <= THREE_SOLVER_TOL
+            confluent = max(confluent, largest_discrepancy(comp))
     print(f"\nPASS criterion 1: three-solver sup-norm <= {THREE_SOLVER_TOL:.0e} "
           f"on 50 random sets (worst {worst:.2e}) and at the double and triple "
           f"roots (worst {confluent:.2e})")
@@ -185,11 +192,11 @@ def test_criterion_4_analytic_pole_identities():
         scale_lin = max(1.0, lam + R + abs(K))
         scale_cub = max(1.0, lam ** 3 + R ** 3 + abs(K) ** 3)
         p0 = fig_params(K=0.0, R=R, r1=r1, lam=lam)
-        assert abs(char_roots(p0).roots[0] * 0.0) == 0.0  # no-op guard
-        assert min(abs(s) for s in char_roots(p0).roots) <= 1e-12 * scale_lin
+        assert abs(char_roots(p0)[0] * 0.0) == 0.0  # no-op guard
+        assert min(abs(s) for s in char_roots(p0)) <= 1e-12 * scale_lin
         pe = equal_params(K=K, R=R, lam=lam)
         roots = char_roots(pe)
-        assert min(abs(s - 1j * K) for s in roots.roots) <= 1e-9 * scale_lin
+        assert min(abs(s - 1j * K) for s in roots) <= 1e-9 * scale_lin
         from atompair.closedform import char_cubic
 
         assert abs(char_cubic(pe)(1j * K)) <= 1e-9 * scale_cub
@@ -222,7 +229,7 @@ def test_criterion_5_equal_coupling_asymptote():
 def test_criterion_6_zero_dipole_asymptote():
     worst = 0.0
     for i, (p, init) in enumerate(criterion6_cases()):
-        d1, d2 = derive_r(p)
+        d1, d2 = p.r1, p.r2
         dark = 2.0 * d1 * d2 * abs(d2 * init.c10 - d1 * init.c20) ** 2
         if i == 0:
             # the stated oracle for the protected-projection value
@@ -246,13 +253,6 @@ def test_criterion_6_zero_dipole_asymptote():
     print(f"\nPASS criterion 6: dark-projection asymptote matched within "
           f"{ASYMPTOTE_TOL:.0e} (worst {worst:.2e}); published form off by "
           f"{published - DARK_PLATEAU:+.3f} as documented")
-
-
-def derive_r(p: SystemParams):
-    from atompair import derive
-
-    d = derive(p)
-    return d.r1, d.r2
 
 
 def test_criterion_7_decoherence_free_subspace():

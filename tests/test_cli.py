@@ -23,7 +23,7 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
-from atompair import char_roots, dynamics
+from atompair import char_roots, dynamics, verification
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
@@ -248,7 +248,7 @@ class TestFaultyInputs:
             ("run", {**_RUN, "samples": True}, [], "samples"),
             ("run", {**_RUN, "sample_stride": 0}, [], "sample_stride"),
             ("run", {**_RUN, "n_steps": "many"}, ["--solver", "volterra"], "n_steps"),
-            ("verify", {**_RUN, "n_steps": 3000}, [], "n_steps"),
+            ("verify", {**_RUN, "n_steps": 0}, [], "n_steps"),
             ("sweep", {**_SWEEP, "jobs": 1}, [], "jobs"),
             ("sweep", {**_SWEEP, "jobs": None}, [], "jobs"),
             ("sweep", {**_SWEEP, "K_rel_values": [0.0, math.nan]}, [], "K_rel_values"),
@@ -337,6 +337,26 @@ class TestFaultyInputs:
         captured = capsys.readouterr()
         assert "'n_steps'" in captured.err and "t_end / 20000 = 5e+295" in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [("run", _RUN), ("sweep", _SWEEP)])
+    def test_chart_over_the_csv_is_refused(self, tmp_path, capsys, command, payload):
+        # --svg writes the chart beside the CSV with the suffix .svg: an
+        # 'out' that already has it would lose the CSV under the chart
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o.svg"
+        assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "field 'out'" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [("run", _RUN), ("sweep", _SWEEP)])
+    def test_unwritable_chart_path_is_named(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        chart = tmp_path / "o.svg"
+        chart.mkdir()
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == EXIT_CONFIG
+        assert f"cannot write {chart}" in capsys.readouterr().err
 
     def test_infinite_max_step_is_allowed(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": math.inf})
@@ -438,16 +458,25 @@ class TestRun:
         assert rows[0, 1] == pytest.approx(0.6)
         assert rows[0, 4] == pytest.approx(0.8)
 
-    def test_solvers_agree_in_csv(self, tmp_path):
+    @staticmethod
+    def _assert_solvers_agree(tmp_path, samples):
         outs = {}
         for solver in ("closed", "ode", "volterra"):
-            payload = {**FIG1A_K0, "t_end": 5.0, "solver": solver, "samples": 201}
+            payload = {**FIG1A_K0, "t_end": 5.0, "solver": solver, "samples": samples}
             cfg = write_config(tmp_path, f"{solver}.json", payload)
             out = tmp_path / f"{solver}.csv"
             assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
             outs[solver] = read_csv(out)[1]
         for a in ("ode", "volterra"):
+            assert outs[a].shape == (samples, 12)
             assert np.abs(outs[a] - outs["closed"]).max() < 1e-5
+
+    def test_solvers_agree_in_csv(self, tmp_path):
+        self._assert_solvers_agree(tmp_path, 201)
+
+    def test_solvers_agree_across_dense_output_blocks(self, tmp_path):
+        # 20,001 samples span three blocks of the adaptive route's dense output
+        self._assert_solvers_agree(tmp_path, 20001)
 
     def test_fixed_dt_bit_reproducible(self, tmp_path):
         payload = {**FIG1A_K0, "t_end": 3.0, "fixed_dt": 1e-3}
@@ -585,10 +614,20 @@ class TestRoots:
         assert rows.shape == (3, 3)
         assert rows[:, 2].max() < 1e-8
         # one row per root, sorted by (real, imag) part
-        roots = char_roots(params_from_config(payload)).roots
+        roots = char_roots(params_from_config(payload))
         assert rows[:, :2].tolist() == [[s.real, s.imag] for s in roots]
         assert rows[:, :2].tolist() == sorted(rows[:, :2].tolist())
 
+
+    @pytest.mark.parametrize("k_rel", [2.0, 0.0])
+    def test_no_pole_line_without_reservoir_coupling(self, tmp_path, capsys, k_rel):
+        # W = 0: D(s) = (s + lam)(s^2 + K^2) has two undamped roots, at +-iK
+        # or doubly at 0, and no single one survives
+        cfg = write_config(tmp_path, "r.json", {"R_rel": 0.0, "K_rel": k_rel, "r1": 0.8})
+        assert main(["roots", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "surviving pole: not applicable\n" in out
+        assert "verdict: not applicable" in out
 
     def test_pole_line_agrees_with_verdict(self, tmp_path, capsys):
         # the numerically smallest |Re s| is far below the root finder's axis
@@ -614,6 +653,42 @@ class TestVerify:
         payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}
         cfg = write_config(tmp_path, "v.json", payload)
         assert main(["verify", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**FIG1A_K0, "K_rel": 2.0, "t_end": 10.0},
+            # the most adaptive steps in the verification box, with a complex state
+            {"R_rel": 20.0, "K_rel": -20.0, "r1": 0.6,
+             "init": {"c10": [0.6, 0.3], "c20": [-0.2, 0.714142842854285]}},
+            # one coupled atom: with K = 0 and c20 = 0, c2 stays exactly 0
+            {"R_rel": 10.0, "K_rel": 0.0, "r1": 1.0,
+             "init": {"c10": [1.0, 0.0], "c20": [0.0, 0.0]}},
+        ],
+        ids=["reference", "corner", "single_atom"],
+    )
+    def test_passes_across_the_box(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, "v.json", payload)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("all checks passed\n")
+
+    def test_rounds_n_steps_up_to_the_comparison_grid(self, tmp_path, capsys, monkeypatch):
+        # the memory-kernel route is put on the 2001-point grid as run puts it
+        # on its samples: 3000 steps become 2 per interval, 4000 in all
+        taken = []
+        integrate = verification.integrate_volterra
+        monkeypatch.setattr(verification, "integrate_volterra",
+                            lambda *a, **k: taken.append(a[3]) or integrate(*a, **k))
+        cfg = write_config(tmp_path, "v.json", {**FIG1A_K0, "K_rel": 2.0, "t_end": 5.0,
+                                                "n_steps": 3000})
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        assert taken == [4000]
+        assert "all checks passed" in capsys.readouterr().out
+        # a refusal gives the steps taken
+        cfg = write_config(tmp_path, "v.json", {**_VOLTERRA_OVERFLOW, "n_steps": 3000})
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'n_steps' = 3000" in err and "t_end / 4000 = 2.5e+296" in err
 
     def test_negative_control_fails(self, tmp_path, capsys):
         payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}

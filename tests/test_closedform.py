@@ -9,7 +9,6 @@ from atompair import (
     SystemParams,
     bell_state,
     char_roots,
-    derive,
     integrate_pseudomode,
     residue_coefficients,
     sample_closed_form,
@@ -20,6 +19,7 @@ from atompair.closedform import (
     _clustered_differences,
     _cubic_roots,
     _exp_divided_differences,
+    _newton_form,
     _separated_differences,
     char_cubic,
     evolve_over_K,
@@ -29,20 +29,19 @@ from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_pa
 
 
 def cubic_scale(params: SystemParams) -> float:
-    d = derive(params)
-    return max(1.0, params.lam ** 3 + d.R ** 3 + abs(params.K) ** 3)
+    return max(1.0, params.lam ** 3 + params.R ** 3 + abs(params.K) ** 3)
 
 
 def assert_root_invariants(params: SystemParams) -> None:
     """Residual, Vieta, and half-plane bounds from the root contract."""
     cubic = char_cubic(params)
     roots = char_roots(params)
-    s1, s2, s3 = roots.roots
+    s1, s2, s3 = roots
     bound = 1e-9 * cubic_scale(params)
-    for s in roots.roots:
+    for s in roots:
         assert abs(cubic(s)) <= bound
         assert s.real <= 1e-9 * params.lam
-    scale = params.lam + derive(params).R + abs(params.K)
+    scale = params.lam + params.R + abs(params.K)
     assert abs((s1 + s2 + s3) + cubic.a2) <= 1e-9 * max(1.0, scale)
     assert abs((s1 * s2 + s1 * s3 + s2 * s3) - cubic.a1) <= 1e-9 * max(1.0, scale ** 2)
     assert abs((s1 * s2 * s3) + cubic.a0) <= 1e-9 * max(1.0, scale ** 3)
@@ -75,17 +74,17 @@ class TestCharRoots:
         for _ in range(10):
             p = fig_params(K=0.0, R=rng.uniform(0.6, 20.0), r1=rng.uniform(0.05, 0.95))
             roots = char_roots(p)
-            assert min(abs(s) for s in roots.roots) <= 1e-12 * cubic_scale(p)
+            assert min(abs(s) for s in roots) <= 1e-12 * cubic_scale(p)
 
     def test_equal_coupling_root_at_iK(self):
         p = equal_params(K=5.0, R=10.0, lam=1.0)
         roots = char_roots(p)
-        assert min(abs(s - 5j) for s in roots.roots) <= 1e-9
+        assert min(abs(s - 5j) for s in roots) <= 1e-9
 
     def test_decaying_case_all_left_half_plane(self):
         p = fig_params(K=2.0)
         roots = char_roots(p)
-        assert all(s.real < 0.0 for s in roots.roots)
+        assert all(s.real < 0.0 for s in roots)
         assert_root_invariants(p)
 
     def test_random_suite_invariants(self, rng):
@@ -97,9 +96,9 @@ class TestCharRoots:
         for _ in range(30):
             p = random_params(rng)
             cubic = char_cubic(p)
-            ours = list(char_roots(p).roots)
+            ours = list(char_roots(p))
             ref = np.roots([1.0, cubic.a2, cubic.a1, cubic.a0])
-            scale = p.lam + derive(p).R + abs(p.K)
+            scale = p.lam + p.R + abs(p.K)
             for s in ref:
                 assert min(abs(s - z) for z in ours) < 1e-9 * scale
 
@@ -110,7 +109,7 @@ class TestCharRoots:
         for _ in range(300):
             p = fig_params(K=0.0, R=rng.uniform(0.6, 20.0), r1=rng.uniform(0.05, 0.95),
                            lam=rng.uniform(0.2, 5.0))
-            pair = [s for s in char_roots(p).roots if abs(s.imag) > 1e-9]
+            pair = [s for s in char_roots(p) if abs(s.imag) > 1e-9]
             if pair:  # otherwise all three roots are real (overdamped)
                 assert len(pair) == 2 and pair[0] == pair[1].conjugate()
                 pairs += 1
@@ -118,8 +117,8 @@ class TestCharRoots:
 
     def test_roots_sorted_deterministically(self):
         p = fig_params(K=3.0)
-        r1 = char_roots(p).roots
-        r2 = char_roots(p).roots
+        r1 = char_roots(p)
+        r2 = char_roots(p)
         assert r1 == r2
         assert list(r1) == sorted(r1, key=lambda s: (s.real, s.imag))
 
@@ -131,20 +130,28 @@ class TestResidues:
             init = random_init(rng)
             sol = residue_coefficients(p, init)
             # the last Newton coefficient is the numerator's leading one
-            assert abs(sol.newton_c1[2] - init.c10) < 1e-9
-            assert abs(sol.newton_c2[2] - init.c20) < 1e-9
-            assert abs(sol.newton_b[2]) < 1e-9
+            assert abs(sol.newton[0, 2] - init.c10) < 1e-9
+            assert abs(sol.newton[1, 2] - init.c20) < 1e-9
+            assert abs(sol.newton[2, 2]) < 1e-9
             c1, c2, b = sol.evolve(0.0)
             assert abs(c1 - init.c10) < 1e-9
             assert abs(c2 - init.c20) < 1e-9
             assert abs(b) < 1e-9
+
+    def test_holds_the_newton_form_row_read_only(self, rng):
+        p, init = random_params(rng), random_init(rng)
+        sol = residue_coefficients(p, init)
+        roots, nodes, newton = _newton_form(p, init, [p.K])
+        assert sol.roots == char_roots(p) == tuple(roots[0].tolist())
+        assert np.array_equal(sol.nodes, nodes[0]) and np.array_equal(sol.newton, newton[0])
+        assert not (sol.nodes.flags.writeable or sol.newton.flags.writeable)
 
     def test_uncoupled_unexcited_atom_stays_empty(self):
         # alpha2 = 0 and K = 0 with all weight on atom 1: the numerator of
         # the second amplitude vanishes identically
         p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         sol = residue_coefficients(p, InitialAmplitudes(1.0, 0.0))
-        assert all(abs(c) == 0.0 for c in sol.newton_c2)
+        assert all(abs(c) == 0.0 for c in sol.newton[1])
 
     def test_matches_ode_on_window(self):
         p = fig_params(K=2.0)
@@ -287,10 +294,10 @@ class TestSymmetries:
         b = residue_coefficients(swapped_p, swapped_init)
         # the cubic is symmetric under the swap, so the sorted roots coincide
         assert all(
-            abs(x - y) < 1e-9 for x, y in zip(a.roots.roots, b.roots.roots)
+            abs(x - y) < 1e-9 for x, y in zip(a.roots, b.roots)
         )
-        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton_c1, b.newton_c2))
-        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton_c2, b.newton_c1))
+        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton[0], b.newton[1]))
+        assert all(abs(x - y) < 1e-9 for x, y in zip(a.newton[1], b.newton[0]))
 
     def test_conjugation_symmetry(self, rng):
         p = fig_params(K=6.0)
@@ -304,10 +311,10 @@ class TestSymmetries:
         assert np.abs(d2 - np.conj(c2)).max() < 1e-9
         assert np.abs(db + np.conj(b)).max() < 1e-9
         # root sets reflect across the real axis
-        ra = {complex(round(s.real, 9), round(s.imag, 9)) for s in char_roots(p).roots}
+        ra = {complex(round(s.real, 9), round(s.imag, 9)) for s in char_roots(p)}
         rb = {
             complex(round(s.real, 9), round(-s.imag, 9))
-            for s in char_roots(flipped).roots
+            for s in char_roots(flipped)
         }
         assert ra == rb
 
@@ -385,7 +392,7 @@ class TestBatchedOverK:
             pair = [s for s in roots[row] if abs(s.imag) > 1e-9]
             assert len(pair) == 2 and pair[0] == pair[1].conjugate()
         for k, row in zip(K, roots):
-            assert tuple(row) == char_roots(replace(p, K=float(k))).roots
+            assert tuple(row) == char_roots(replace(p, K=float(k)))
 
     def test_roots_are_sorted_by_real_then_imaginary_part(self, rng):
         for _ in range(20):

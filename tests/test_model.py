@@ -7,7 +7,6 @@ from atompair import (
     InitialAmplitudes,
     SystemParams,
     bell_state,
-    derive,
     integrate_pseudomode,
     residue_coefficients,
     validate_initial,
@@ -46,41 +45,41 @@ class TestSystemParams:
 
 
 class TestDerive:
+    """R, r1 and r2, the properties of SystemParams."""
+
     def test_printed_definitions(self):
-        d = derive(SystemParams(lam=1.0, W=5.0, alpha1=math.sqrt(3.0), alpha2=1.0, K=0.0))
-        assert d.R == pytest.approx(10.0, abs=1e-12)
-        assert d.r1 == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
-        assert d.r2 == pytest.approx(0.5, abs=1e-15)
-        assert d.coupling_ratio == pytest.approx(math.sqrt(3.0), abs=1e-14)
+        p = SystemParams(lam=1.0, W=5.0, alpha1=math.sqrt(3.0), alpha2=1.0, K=0.0)
+        assert p.R == pytest.approx(10.0, abs=1e-12)
+        assert p.r1 == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
+        assert p.r2 == pytest.approx(0.5, abs=1e-15)
 
     def test_symmetric_case(self):
-        d = derive(SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0))
-        assert d.r1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-        assert d.r2 == d.r1
-        assert d.R == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        p = SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+        assert p.r1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        assert p.r2 == p.r1
+        assert p.R == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_good_cavity_regime(self):
-        # any alphas with W = 10/sqrt(a1^2+a2^2) give R_rel = 10 at lam = 1
+        # any alphas with W = 10/sqrt(a1^2+a2^2) give R = 10 at lam = 1
         for a1, a2 in [(2.0, 1.0), (0.3, 0.7), (1.0, 0.0)]:
             W = 10.0 / math.hypot(a1, a2)
-            d = derive(SystemParams(lam=1.0, W=W, alpha1=a1, alpha2=a2, K=0.0))
-            assert d.R_rel == pytest.approx(10.0, rel=1e-14)
+            p = SystemParams(lam=1.0, W=W, alpha1=a1, alpha2=a2, K=0.0)
+            assert p.R == pytest.approx(10.0, rel=1e-14)
 
     def test_unit_relative_couplings(self, rng):
         for _ in range(50):
-            d = derive(random_params(rng))
-            assert abs(d.r1 ** 2 + d.r2 ** 2 - 1.0) < 1e-12
+            p = random_params(rng)
+            assert abs(p.r1 ** 2 + p.r2 ** 2 - 1.0) < 1e-12
 
     def test_uncoupled_second_atom_has_no_ratio(self):
-        d = derive(SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.0, K=0.0))
-        assert d.coupling_ratio is None
-        assert d.r2 == 0.0
+        p = SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.0, K=0.0)
+        assert p.r2 == 0.0
 
     def test_rel_quantities_exact_by_construction(self):
+        # each property is its one expression in the inputs, bit for bit
         p = SystemParams(lam=2.5, W=4.0, alpha1=1.0, alpha2=2.0, K=-3.0)
-        d = derive(p)
-        assert d.R == p.lam * d.R_rel
-        assert p.K == p.lam * d.K_rel
+        norm = math.hypot(p.alpha1, p.alpha2)
+        assert (p.R, p.r1, p.r2) == (p.W * norm, p.alpha1 / norm, p.alpha2 / norm)
 
 
 class TestInitialStates:
@@ -136,7 +135,7 @@ class TestCovariances:
         base = dict(lam=1.0, W=10.0, alpha1=0.8, alpha2=0.6, K=3.0)
         p1 = SystemParams(omega0=0.0, **base)
         p2 = SystemParams(omega0=123.456, **base)
-        assert derive(p1) == derive(p2)
+        assert (p1.R, p1.r1, p1.r2) == (p2.R, p2.r1, p2.r2)
         init = bell_state("minus")
         t1 = integrate_pseudomode(p1, init, 5.0)
         t2 = integrate_pseudomode(p2, init, 5.0)
