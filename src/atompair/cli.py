@@ -39,7 +39,6 @@ from .verification import (
     _volterra_stride,
     check_population_decay,
     compare_solvers,
-    leak_identity_residual,
 )
 from . import svgplot
 
@@ -591,37 +590,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     solver = cfg.get("solver", "all")
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
-    check_leak = solver in ("all", "ode")
     try:
         comp = compare_solvers(
             params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
         )
-        if check_leak:
-            resid = leak_identity_residual(params, init, t_end=min(t_end, 10.0))
     except StepBudgetError as exc:
         raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
     except PopulationGrowthError as exc:
         raise _too_coarse(n_steps, t_end, exc) from exc
 
     failures = 0
-    pairs = [
-        ("closed_form vs pseudomode_ode", ("closed", "ode"), comp.closed_vs_ode),
-        ("closed_form vs volterra", ("closed", "volterra"), comp.closed_vs_volterra),
-        ("pseudomode_ode vs volterra", ("ode", "volterra"), comp.ode_vs_volterra),
+    sup = ("sup-norm", THREE_SOLVER_TOL)
+    checks = [  # name, the routes it involves, value, what it measures, threshold
+        ("closed_form vs pseudomode_ode", ("closed", "ode"), comp.closed_vs_ode, *sup),
+        ("closed_form vs volterra", ("closed", "volterra"), comp.closed_vs_volterra, *sup),
+        ("pseudomode_ode vs volterra", ("ode", "volterra"), comp.ode_vs_volterra, *sup),
+        ("population-balance identity", ("ode",), comp.balance, "max residual", LEAK_IDENTITY_TOL),
     ]
-    for name, members, val in pairs:
+    for name, members, val, measure, tol in checks:
         if solver != "all" and solver not in members:
             continue
-        ok = val <= THREE_SOLVER_TOL
+        ok = val <= tol
         failures += 0 if ok else 1
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: sup-norm {val:.3e} "
-              f"(threshold {THREE_SOLVER_TOL:.0e})")
-
-    if check_leak:
-        ok = resid <= LEAK_IDENTITY_TOL
-        failures += 0 if ok else 1
-        print(f"[{'PASS' if ok else 'FAIL'}] population-balance identity: "
-              f"max residual {resid:.3e} (threshold {LEAK_IDENTITY_TOL:.0e})")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {measure} {val:.3e} (threshold {tol:.0e})")
 
     if failures:
         print(f"{failures} check(s) failed")
@@ -645,30 +636,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, solver_choices=None, **kw) -> argparse.ArgumentParser:
-        # a flag absent from the command line sets nothing, so each flag's
-        # dest, a config field, merges over the file by name
+    flags = {
+        "--out": {"help": "output path (overrides config)"},
+        "--svg": {"action": "store_true", "help": "also write an SVG chart"},
+        "--t-end": {"type": float, "help": "integration horizon"},
+        "--fixed-dt": {"type": float, "help": "fixed RK4 step (reproducible grids)"},
+    }
+
+    def command(name: str, func, reads, solver_choices=None, **kw) -> argparse.ArgumentParser:
+        # a command takes only the flags it reads; one absent sets nothing,
+        # so each flag's dest, a config field, merges over the file by name
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", help="output path (overrides config)")
-        p.add_argument("--svg", action="store_true", help="also write an SVG chart")
         if solver_choices:
             p.add_argument("--solver", choices=solver_choices, help="solution route")
-        p.add_argument("--t-end", type=float, help="integration horizon")
-        p.add_argument("--fixed-dt", type=float, help="fixed RK4 step (reproducible grids)")
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
         return p
 
-    command("run", cmd_run, ("closed", "ode", "volterra"),
+    command("run", cmd_run, flags, ("closed", "ode", "volterra"),
             help="integrate one configuration and write a trajectory CSV")
-    command("sweep", cmd_sweep, help="concurrence over a grid of dipole strengths")
-    command("roots", cmd_roots, help="report characteristic roots and the steady-state verdict")
-    p_verify = command("verify", cmd_verify, ("closed", "ode", "volterra", "all"),
+    command("sweep", cmd_sweep, ("--out", "--svg"),
+            help="concurrence over a grid of dipole strengths")
+    command("roots", cmd_roots, ("--out",),
+            help="report characteristic roots and the steady-state verdict")
+    p_verify = command("verify", cmd_verify, ("--t-end",), ("closed", "ode", "volterra", "all"),
                        help="cross-check the solution routes on one configuration")
     p_verify.add_argument(
         "--corrupt-kernel-sign", action="store_true", default=False, help=argparse.SUPPRESS
     )
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -11,9 +11,10 @@ Two independent routes produce trajectories:
   each power a product with the four distinct entries of ``hM``: M is
   symmetric, with zeros where the atoms would couple to themselves.
   :func:`_dopri45` returns the accepted steps only; one function,
-  :func:`_dense_output`, evaluates Shampine's interpolant between them, for
-  a sample grid here and for the population-balance check of
-  :mod:`atompair.verification` alike.
+  :func:`_dense_coefficients`, forms Shampine's interpolant on them, both
+  for a sample grid (:func:`_dense_output`) and for the population-balance
+  check of :mod:`atompair.verification` (:func:`_balance_residual`), which
+  finds the interpolant's defect exactly, as a polynomial on each step.
   Either route stops with :class:`StepBudgetError` rather than take more
   than ``_MAX_STEPS`` steps.
 
@@ -35,7 +36,6 @@ Both return :class:`Trajectory` values sampled on their respective grids.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,13 +266,7 @@ def integrate_pseudomode(
         M = _system_matrix(params)
         t, y = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
         if times is not None:
-            # only the steps that hold a sample time; a time equal to a
-            # step's end belongs to that step
-            held = np.diff(np.searchsorted(times, t[1:], side="right"), prepend=0)
-            at = _dense_output(M, t, y, np.flatnonzero(held))
-            t, y = times, np.empty((3, times.size), dtype=complex)
-            for lo in range(0, times.size, _DENSE_BLOCK):
-                y[:, lo : lo + _DENSE_BLOCK] = at(times[lo : lo + _DENSE_BLOCK])
+            t, y = times, _dense_output(M, t, y, times)
     idx = _stride_indices(t.size, cfg.sample_stride) if times is None else slice(None)
     return Trajectory(
         params=params,
@@ -309,9 +303,10 @@ _DENSE = np.array([  # rows z1..z7, columns x^1..x^4
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # Sample times the dense output evaluates at once, so that its working
-# arrays stay in cache.  On 400,001 times and 2688 steps, blocks of 1024 to
-# 16384 times took 25-38 ms, 8192 the least, and one block of all the times
-# 61-71 ms (2-CPU x86-64 machine, numpy 2.4).
+# arrays stay in cache.  On the README reference case's 1089 steps, 200,001
+# times took 10-20 ms in blocks of 1024 to 16384, 8192 the least, and 20 ms
+# in one block; 1,000,001 times took 56 ms at 8192 and 126 ms in one block
+# (2-CPU x86-64 machine, numpy 2.4).
 _DENSE_BLOCK = 8192
 
 
@@ -363,8 +358,8 @@ def _dopri45(
     ``|z_j|`` within about ``3.3^7 |y|``, where powers of M alone would
     overflow near ``|M| = 1e44``.  ``|y|`` is carried over from the trial
     that accepted y.  Each accepted step keeps only its start and its state
-    there; :func:`_dense_output` forms the z_j again after the loop, for
-    the steps its caller asks for, all at once.
+    there; :func:`_dense_coefficients` forms the z_j again after the loop,
+    for the steps its caller asks for, all at once.
 
     Returns ``(t, y)``: the accepted step ends, ``t[0] = 0`` and
     ``t[-1] = t_end``, and the states there, ``y`` of shape ``(3, t.size)``.
@@ -503,74 +498,90 @@ def _dopri45(
     return np.array(starts + [t_end]), np.array(states + [y], dtype=complex).T
 
 
-def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, steps: np.ndarray):
-    """Shampine's dense output of the accepted steps ``steps`` of a :func:`_dopri45` run.
+def _dense_coefficients(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, steps: np.ndarray):
+    """Shampine's interpolant on the steps ``steps`` of the :func:`_dopri45` run ``(bounds, ys)``.
 
-    ``(bounds, ys)`` is what :func:`_dopri45` returned for ``M``; step n
-    spans ``bounds[n]..bounds[n + 1]`` and starts from ``ys[:, n]``.
-    ``steps`` is a sorted index array, and the coefficients of
-    ``x^0..x^4`` are formed once, for those steps only: the state, then the
-    z_j = (hM)^j y of all of them at once, weighed by ``_DENSE``.
-
-    Returns ``at(times, row=slice(None))``: the state, or its row ``row``
-    (2 for ``b``), at sorted ``times`` that each lie in one of ``steps``.  A
-    time equal to a step's end belongs to that step; at ``x``, the fraction
-    of its step elapsed, its value is ``sum_m coef[m] x^m`` in Horner form.
-    Each call finds the steps of its times by counting the times each step
-    holds, so a caller keeps the working arrays small by asking for a
-    block of times at a time.
+    Step n spans ``bounds[n]..bounds[n + 1]`` from ``ys[:, n]``.  Returns
+    each step's length, and the coefficients of ``x^0..x^4``, x the
+    fraction of the step elapsed, shape ``(5, 3, steps.size)``: the state,
+    then the z_j = (hM)^j y of all the steps at once, weighed by ``_DENSE``.
     """
-    start, end = bounds[steps], bounds[steps + 1]
-    length = end - start
+    length = bounds[steps + 1] - bounds[steps]
     coef = np.zeros((5, 3, steps.size), dtype=complex)
     coef[0] = z = ys[:, steps]
     for weights in _DENSE:
         z = length * np.einsum("ik,kn->in", M, z)
         coef[1:] += weights[:, None, None] * z
+    return length, coef
 
-    def at(times: np.ndarray, row=slice(None)) -> np.ndarray:
-        first, last = np.searchsorted(end, (times[0], times[-1]))
-        held = np.searchsorted(times, end[first : last + 1], side="right")
+
+def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.ndarray):
+    """The states, shape ``(3, times.size)``, of the :func:`_dopri45` run
+    ``(bounds, ys)`` of ``M`` at sorted ``times``, from Shampine's interpolant.
+
+    The coefficients are formed only for the steps that hold a time; a time
+    equal to a step's end belongs to that step, and its value is
+    ``sum_m coef[m] x^m`` in Horner form.  The times go ``_DENSE_BLOCK`` at
+    a time, each block's steps found by counting the times each step holds.
+    """
+    steps = np.flatnonzero(np.diff(np.searchsorted(times, bounds[1:], side="right"), prepend=0))
+    start, end = bounds[steps], bounds[steps + 1]
+    length, coef = _dense_coefficients(M, bounds, ys, steps)
+    y = np.empty((3, times.size), dtype=complex)
+    for lo in range(0, times.size, _DENSE_BLOCK):
+        block = times[lo : lo + _DENSE_BLOCK]
+        first, last = np.searchsorted(end, (block[0], block[-1]))
+        held = np.searchsorted(block, end[first : last + 1], side="right")
         k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
-        x = (times - start[k]) / length[k]
-        c = coef[:, row].take(k, axis=-1)
+        x = (block - start[k]) / length[k]
+        c = coef.take(k, axis=-1)
         acc = c[-1]
         for m in range(c.shape[0] - 2, -1, -1):
             acc *= x
             acc += c[m]
-        return acc
+        y[:, lo : lo + _DENSE_BLOCK] = acc
+    return y
 
-    return at
+
+# The balance check's nodes on each step, x = (j + 1/2) / _BALANCE_NODES,
+# and the steps it takes at once: below 1 MB of arrays, 0.8 kB a step.
+_BALANCE_NODES = 16
+_BALANCE_BLOCK = 1024
 
 
-def _balance_blocks(
-    params: SystemParams,
-    init: InitialAmplitudes,
-    t_end: float,
-    n_pairs: int,
-    cfg: IntegratorConfig,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The adaptive route on ``linspace(0, t_end, 2 n_pairs + 1)``, a block at a time.
+def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, lam: float) -> float:
+    """The largest population-balance defect of the :func:`_dopri45` run ``(bounds, ys)`` of ``M``.
 
-    It runs :func:`_dopri45` once and asks :func:`_dense_output` for every
-    accepted step.  Then, for about ``_DENSE_BLOCK`` nodes at a time, it
-    yields ``(y, b)``: the amplitudes on the block's even nodes, shape
-    ``(3, m + 1)``, and ``b`` on the ``m`` odd nodes between them.  Each
-    block begins with the even node that ended the block before.  The
-    values are those of :func:`integrate_pseudomode` on the whole grid,
-    byte for byte, but no array spans the grid.
+    The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
+    dP/dt = -2 lam |b|^2 exactly.  On each step Shampine's interpolant
+    ``sum_m c_m x^m`` is a quartic, so P and |b|^2 are real polynomials of
+    degree 8, with coefficients ``sum_{i + j = d} Re(conj(c_i) . c_j)``, and
+    so is the defect ``r(x) = P'(x) / h + 2 lam |b(x)|^2``.  The largest
+    ``|r|`` at ``_BALANCE_NODES`` midpoints of each step is returned; a NaN
+    anywhere makes it NaN.  The steps go ``_BALANCE_BLOCK`` at a time.
     """
-    cfg, init, y0 = _initial_state(init, t_end, cfg)
-    M = _system_matrix(params)
-    bounds, ys = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
-    at = _dense_output(M, bounds, ys, np.arange(bounds.size - 1))
-    step = t_end / (2 * n_pairs)
-    for lo in range(0, n_pairs, _DENSE_BLOCK // 2):
-        hi = min(lo + _DENSE_BLOCK // 2, n_pairs)
-        t = np.arange(2 * lo, 2 * hi + 1) * step
-        if hi == n_pairs:
-            t[-1] = t_end
-        yield at(t[::2]), at(t[1::2], 2)
+    x = (np.arange(_BALANCE_NODES) + 0.5) / _BALANCE_NODES
+
+    def defect(steps: np.ndarray) -> float:
+        length, coef = _dense_coefficients(M, bounds, ys, steps)
+        re, im = coef.real, coef.imag
+        # coefficients of x^0..x^8 of each |y_k|^2
+        sq = np.zeros((9, 3, steps.size))
+        for i in range(5):
+            for j in range(5):
+                sq[i + j] += re[i] * re[j] + im[i] * im[j]
+        # r = P'(x) / h + 2 lam |b|^2
+        r = 2.0 * lam * sq[:, 2]
+        r[:-1] += np.arange(1.0, 9.0)[:, None] * sq[1:].sum(axis=1) / length
+        acc = np.zeros((steps.size, x.size))
+        for d in range(8, -1, -1):
+            acc *= x
+            acc += r[d][:, None]
+        return np.abs(acc).max()
+
+    n = bounds.size - 1
+    blocks = (np.arange(lo, min(lo + _BALANCE_BLOCK, n)) for lo in range(0, n, _BALANCE_BLOCK))
+    return float(np.max([defect(steps) for steps in blocks]))
 
 
 # Powers of the step matrix that _power_scan forms; carrying the state

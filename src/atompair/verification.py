@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedform import residue_coefficients
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
-    _balance_blocks,
-    integrate_pseudomode,
+    _balance_residual,
+    _dense_output,
+    _dopri45,
+    _initial_state,
+    _system_matrix,
     integrate_volterra,
-    sample_closed_form,
 )
 from .model import InitialAmplitudes, SystemParams
 
@@ -27,7 +30,6 @@ __all__ = [
     "COMPARE_POINTS",
     "THREE_SOLVER_TOL",
     "LEAK_IDENTITY_TOL",
-    "LEAK_IDENTITY_DT",
     "LEAK_IDENTITY_CONFIG",
     "POPULATION_GROWTH_TOL",
     "PopulationGrowthError",
@@ -40,10 +42,9 @@ __all__ = [
 THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
 
-# The balance check's node spacing and the adaptive route's tolerances for
-# it: they keep both the O(dt^2) differencing bias and the interpolation
-# noise well below LEAK_IDENTITY_TOL at the frequency scales of interest.
-LEAK_IDENTITY_DT = 5e-5
+# The adaptive route's tolerances for verification: they keep the
+# interpolant's balance defect well below LEAK_IDENTITY_TOL at the frequency
+# scales of interest (at most 5e-9 on the verification box, lambda 1 to 10).
 LEAK_IDENTITY_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 # Size of the shared comparison grid; the memory-kernel route's steps are
@@ -84,21 +85,21 @@ def check_population_decay(traj: Trajectory) -> None:
         raise PopulationGrowthError(peak, len(traj) - 1)
 
 
-def _sup_norm(a: Trajectory, b: Trajectory, idx_a=slice(None), idx_b=slice(None)) -> float:
-    return max(
-        float(np.abs(a.c1[idx_a] - b.c1[idx_b]).max()),
-        float(np.abs(a.c2[idx_a] - b.c2[idx_b]).max()),
-        float(np.abs(a.b[idx_a] - b.b[idx_b]).max()),
-    )
-
-
 @dataclass(frozen=True)
 class SolverComparison:
-    """Pairwise sup-norm discrepancies on a shared grid."""
+    """Pairwise sup-norm discrepancies on a shared grid, and the balance residual."""
 
     closed_vs_ode: float
     closed_vs_volterra: float
     ode_vs_volterra: float
+    balance: float
+
+
+def _tight_run(params: SystemParams, init: InitialAmplitudes, t_end: float):
+    """``(M, bounds, ys)``: the adaptive route's accepted steps at ``LEAK_IDENTITY_CONFIG``."""
+    cfg, _, y0 = _initial_state(init, t_end, LEAK_IDENTITY_CONFIG)
+    M = _system_matrix(params)
+    return M, *_dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
 
 
 def compare_solvers(
@@ -113,10 +114,12 @@ def compare_solvers(
     The comparison grid has ``COMPARE_POINTS`` uniform points.  The
     memory-kernel route takes ``n_steps`` rounded up to a multiple of
     ``COMPARE_POINTS - 1`` (:func:`_volterra_stride`), so that its own grid
-    contains the comparison grid exactly.  The adaptive route runs with the
-    default :class:`IntegratorConfig`.  The memory-kernel route runs first:
-    with the true kernel sign, a tracked population that grows raises
-    :class:`PopulationGrowthError` before the adaptive route starts.
+    contains the comparison grid exactly.  The memory-kernel route runs
+    first: with the true kernel sign, a tracked population that grows raises
+    :class:`PopulationGrowthError` before the adaptive route starts.  The
+    adaptive route then runs once, at ``LEAK_IDENTITY_CONFIG``; the grid is
+    sampled from its dense output, and the population balance is checked on
+    every one of its steps.
     """
     stride = _volterra_stride(n_steps, COMPARE_POINTS)
     grid = np.linspace(0.0, t_end, COMPARE_POINTS)
@@ -126,13 +129,16 @@ def compare_solvers(
     )
     if _kernel_sign == 1.0:
         check_population_decay(vol)
-    ode = integrate_pseudomode(params, init, t_end, times=grid)
-    vol_idx = slice(None, None, stride)
-    closed = sample_closed_form(params, init, grid)
+    M, bounds, ys = _tight_run(params, init, t_end)
+    ode = _dense_output(M, bounds, ys, grid)
+    closed = np.array(residue_coefficients(params, init).evolve(grid))
+    vol = np.array([vol.c1[::stride], vol.c2[::stride], vol.b[::stride]])
+    sup = lambda a, b: float(np.abs(a - b).max())
     return SolverComparison(
-        closed_vs_ode=_sup_norm(closed, ode),
-        closed_vs_volterra=_sup_norm(closed, vol, slice(None), vol_idx),
-        ode_vs_volterra=_sup_norm(ode, vol, slice(None), vol_idx),
+        closed_vs_ode=sup(closed, ode),
+        closed_vs_volterra=sup(closed, vol),
+        ode_vs_volterra=sup(ode, vol),
+        balance=_balance_residual(M, bounds, ys, params.lam),
     )
 
 
@@ -145,23 +151,9 @@ def leak_identity_residual(
 
     The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
     dP/dt = -2 lam |b|^2 exactly.  The check runs the adaptive route with
-    ``LEAK_IDENTITY_CONFIG``, samples its dense output at spacing
-    ``LEAK_IDENTITY_DT / 2``, forms the difference quotient of P between
-    consecutive even grid nodes, and compares it with -2 lam |b|^2
-    evaluated at the odd nodes between them; the returned value is the
-    largest absolute mismatch.  The dense output is the one that
-    :func:`integrate_pseudomode` samples on a grid.
-
-    The grid is walked a block at a time, so memory does not grow with it;
-    a NaN anywhere makes the result NaN.
+    ``LEAK_IDENTITY_CONFIG`` to ``t_end`` and returns the largest defect
+    P' + 2 lam |b|^2 of its interpolant, the one :func:`integrate_pseudomode`
+    samples, at 16 midpoints of each step (:func:`_balance_residual`); a NaN
+    anywhere makes the result NaN.
     """
-    # a horizon below the spacing still gets one pair
-    n_pairs = max(1, round(t_end / LEAK_IDENTITY_DT))
-    h = 2.0 * (t_end / (2 * n_pairs))  # the pair's width, as linspace spaces the nodes
-    worst = np.float64(0.0)
-    for y, b in _balance_blocks(params, init, t_end, n_pairs, LEAK_IDENTITY_CONFIG):
-        pop = np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2 + np.abs(y[2]) ** 2
-        quotient = (pop[1:] - pop[:-1]) / h
-        rate_mid = -2.0 * params.lam * np.abs(b) ** 2
-        worst = np.maximum(worst, np.abs(quotient - rate_mid).max())
-    return float(worst)
+    return _balance_residual(*_tight_run(params, init, t_end), params.lam)

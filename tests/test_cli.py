@@ -284,7 +284,9 @@ class TestFaultyInputs:
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o.csv"
-        assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+        # verify writes no file, so it takes no --out
+        out_flag = [] if command == "verify" else ["--out", str(out)]
+        assert main([command, "--config", cfg, *out_flag, *extra]) == EXIT_CONFIG
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists() and not out.with_suffix(".svg").exists()
 
@@ -333,7 +335,8 @@ class TestFaultyInputs:
         # the refusal gives the step, so that t_end shows as what sets it
         cfg = write_config(tmp_path, "c.json", _VOLTERRA_OVERFLOW)
         out = tmp_path / "o.csv"
-        assert main([*command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        out_flag = [] if command == ["verify"] else ["--out", str(out)]
+        assert main([*command, "--config", cfg, *out_flag]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "'n_steps'" in captured.err and "t_end / 20000 = 5e+295" in captured.err
         assert captured.out == "" and not out.exists()
@@ -643,8 +646,8 @@ class TestRoots:
 class TestVerify:
     @pytest.mark.parametrize("t_end", [2.5e-5, 1e-6])
     def test_horizon_below_the_identity_step(self, tmp_path, capsys, t_end):
-        # the population-balance check samples at dt/2 = 2.5e-5 and once had
-        # no pair of half-steps below that horizon
+        # a population-balance check on nodes 2.5e-5 apart once had no pair
+        # of them below that horizon; one adaptive step serves any horizon
         cfg = write_config(tmp_path, "v.json", {**FIG1A_K0, "t_end": t_end})
         assert main(["verify", "--config", cfg]) == EXIT_OK
         assert "[PASS] population-balance identity" in capsys.readouterr().out
@@ -671,6 +674,24 @@ class TestVerify:
         cfg = write_config(tmp_path, "v.json", payload)
         assert main(["verify", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.endswith("all checks passed\n")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**FIG1A_K0, "K_rel": 2.0, "t_end": 10.0, "lambda": 10.0},
+            {"R_rel": 20.0, "K_rel": -20.0, "r1": 0.6, "lambda": 3.0,
+             "init": {"c10": [0.6, 0.3], "c20": [-0.2, 0.714142842854285]}},
+        ],
+        ids=["reference_lambda_10", "corner_lambda_3"],
+    )
+    def test_fast_rates_pass_the_balance(self, tmp_path, capsys, payload):
+        # a difference quotient on nodes 2.5e-5 apart once read 2.8e-6 and
+        # 3.0e-6 here, a differencing bias above the threshold on honest runs
+        cfg = write_config(tmp_path, "v.json", payload)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[PASS] population-balance identity" in out
+        assert out.endswith("all checks passed\n")
 
     def test_rounds_n_steps_up_to_the_comparison_grid(self, tmp_path, capsys, monkeypatch):
         # the memory-kernel route is put on the 2001-point grid as run puts it
@@ -740,6 +761,47 @@ class TestVerify:
                      "pseudomode_ode vs volterra"):
             assert f"[PASS] {pair}:" in out
         assert "FAIL" not in out and "note" not in out
+
+
+class TestCommandFlags:
+    """Each command takes only the flags it reads; any other is a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, payload, flag",
+        [
+            ("sweep", _SWEEP, ["--t-end", "3"]),
+            ("sweep", _SWEEP, ["--fixed-dt", "1e-3"]),
+            ("roots", _RUN, ["--svg"]),
+            ("roots", _RUN, ["--t-end", "3"]),
+            ("roots", _RUN, ["--fixed-dt", "1e-3"]),
+            ("verify", _RUN, ["--out", "o.csv"]),
+            ("verify", _RUN, ["--svg"]),
+            ("verify", _RUN, ["--fixed-dt", "1e-3"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                     command, payload, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json", payload)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *flag])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_flags_the_command_reads_are_taken(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "c.json", _RUN)
+        assert main(["run", "--config", cfg, "--out", "r.csv", "--svg", "--t-end", "1",
+                     "--fixed-dt", "1e-2"]) == EXIT_OK
+        assert main(["roots", "--config", cfg, "--out", "roots.csv"]) == EXIT_OK
+        assert main(["verify", "--config", cfg, "--t-end", "1"]) == EXIT_OK
+        sweep = write_config(tmp_path, "s.json", _SWEEP)
+        assert main(["sweep", "--config", sweep, "--out", "s.csv", "--svg"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "r.csv", "r.svg", "roots.csv", "s.csv", "s.json", "s.svg"]
 
 
 def test_readme_field_table_names_every_field():

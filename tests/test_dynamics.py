@@ -28,7 +28,12 @@ from atompair.dynamics import (
     _rms,
     _system_matrix,
 )
-from atompair.verification import LEAK_IDENTITY_CONFIG, compare_solvers, leak_identity_residual
+from atompair.verification import (
+    LEAK_IDENTITY_CONFIG,
+    LEAK_IDENTITY_TOL,
+    compare_solvers,
+    leak_identity_residual,
+)
 
 from conftest import (
     INV_SQRT2,
@@ -487,7 +492,7 @@ class TestPolynomialStep:
             # the step ends drift apart by rounding, so read the reference
             # at these step ends through its dense output
             assert np.abs(y - dense_ref(t)).max() <= 1e-12
-            on_grid = dense_on(M, t, y, grid)
+            on_grid = dyn._dense_output(M, t, y, grid)
             assert np.abs(on_grid - dense_ref(grid)).max() <= 1e-12
 
     def test_constants_reduce_the_tableau(self):
@@ -665,11 +670,6 @@ def dense_coefficients(M, bounds, ys):
     return coef
 
 
-def dense_on(M, t, y, times):
-    """``_dense_output`` of every step of the ``_dopri45`` run ``(t, y)``, at ``times``."""
-    return dyn._dense_output(M, t, y, np.arange(t.size - 1))(times)
-
-
 # K = 0 and R = lam/2: a double root at -lam/2; atom 2 uncoupled with K = 0:
 # c2 stays exactly c20
 DOUBLE_ROOT = fig_params(K=0.0, R=0.5, r1=0.6)
@@ -696,7 +696,7 @@ class TestFourEntryStep:
             t_ref, y_ref = dopri_polynomial_reference(*args, None)
             assert t.tobytes() == t_ref.tobytes()
             assert y.tobytes() == y_ref.tobytes()
-            on_grid = dense_on(M, t, y, grid)
+            on_grid = dyn._dense_output(M, t, y, grid)
             _, on_grid_ref = dopri_polynomial_reference(*args, grid)
             assert on_grid.tobytes() == on_grid_ref.tobytes()
         # with atom 2 uncoupled and no dipole, c2 never leaves zero
@@ -715,7 +715,7 @@ def dense_unblocked_reference(bounds, coef, times):
 
 
 class TestDenseOutput:
-    """The dense output, called a block at a time, is the unblocked evaluation, byte for byte."""
+    """The dense output, a block of times at a time, is the unblocked evaluation, byte for byte."""
 
     @pytest.fixture
     def steps(self, rng):
@@ -727,14 +727,6 @@ class TestDenseOutput:
         M = _system_matrix(random_params(rng))
         return M, bounds, ys, dense_coefficients(M, bounds, ys)
 
-    @staticmethod
-    def blocked(at, times, row=slice(None)):
-        return np.concatenate(
-            [at(times[lo : lo + dyn._DENSE_BLOCK], row)
-             for lo in range(0, times.size, dyn._DENSE_BLOCK)],
-            axis=-1,
-        )
-
     @pytest.mark.parametrize(
         "size",
         [1, dyn._DENSE_BLOCK - 1, dyn._DENSE_BLOCK, dyn._DENSE_BLOCK + 1, 400_001],
@@ -743,18 +735,13 @@ class TestDenseOutput:
     def test_matches_unblocked(self, steps, size, end):
         M, bounds, ys, coef = steps
         times = np.linspace(0.0, end * bounds[-1], size)
-        # only the steps that hold a time are passed
-        held = np.unique(np.searchsorted(bounds[1:], times))
-        at = dyn._dense_output(M, bounds, ys, held)
         ref = dense_unblocked_reference(bounds, coef, times)
-        assert self.blocked(at, times).tobytes() == ref.tobytes()
-        assert self.blocked(at, times, 2).tobytes() == ref[2].tobytes()
+        assert dyn._dense_output(M, bounds, ys, times).tobytes() == ref.tobytes()
 
     def test_times_on_step_ends(self, steps):
         M, bounds, ys, coef = steps
         times = np.union1d(bounds, np.linspace(0.0, bounds[-1], 2 * dyn._DENSE_BLOCK + 3))
-        at = dyn._dense_output(M, bounds, ys, np.arange(bounds.size - 1))
-        out = self.blocked(at, times)
+        out = dyn._dense_output(M, bounds, ys, times)
         ref = dense_unblocked_reference(bounds, coef, times)
         assert out.tobytes() == ref.tobytes()
         # a step end is x = 1 of the step it closes: Horner sums from the top
@@ -763,7 +750,8 @@ class TestDenseOutput:
 
     def test_forms_coefficients_for_the_steps_passed_only(self, rng):
         # every step's coefficients would take 5 x 3 x 16 B = 240 B a step,
-        # 4.8 MB here
+        # 4.8 MB here; finding the steps that hold a time counts the times
+        # up to each step's end, 8 B a step for each of three arrays
         n = 20_000
         bounds = np.linspace(0.0, 10.0, n + 1)
         ys = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
@@ -772,34 +760,72 @@ class TestDenseOutput:
         times = np.sort(rng.uniform(bounds[held], bounds[held + 1]))
         tracemalloc.start()
         try:
-            out = dyn._dense_output(M, bounds, ys, held)(times)
+            out = dyn._dense_output(M, bounds, ys, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50e3
+        assert peak < 0.6e6
         ref = dense_unblocked_reference(bounds, dense_coefficients(M, bounds, ys), times)
         assert out.tobytes() == ref.tobytes()
 
     def test_both_callers_use_it(self, monkeypatch):
-        # run --solver ode, the solver comparison and the balance check
-        # read one interpolant
+        # run --solver ode, the solver comparison and the balance check read
+        # one set of coefficients, formed by _dense_output and
+        # _balance_residual through one function
         passed = []
-        real = dyn._dense_output
+        real = dyn._dense_coefficients
 
         def spy(*args):
             passed.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(dyn, "_dense_output", spy)
+        monkeypatch.setattr(dyn, "_dense_coefficients", spy)
+        monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 64)
         p, init = fig_params(K=2.0), bell_state("minus")
-        leak_identity_residual(p, init, t_end=1.0)
-        integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
         steps = integrate_pseudomode(p, init, 1.0, cfg=LEAK_IDENTITY_CONFIG).t.size - 1
-        assert len(passed) == 2
-        # the balance check passes every step, the grid only the two that hold
-        # t = 0 and t = 1
+        assert steps > 2 * 64 and not passed
+        # the grid passes only the two steps that hold t = 0 and t = 1
+        integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
+        assert [a.size for a in passed] == [2]
+        # the balance check passes every step once, a block at a time
+        passed.clear()
+        leak_identity_residual(p, init, t_end=1.0)
+        assert [a.size for a in passed[:-1]] == [64] * (len(passed) - 1)
+        assert np.concatenate(passed).tolist() == list(range(steps))
+        # the comparison samples its grid from the same run, then checks
+        # the balance on it
+        passed.clear()
+        compare_solvers(p, init, t_end=1.0, n_steps=2000)
         assert passed[0].tolist() == list(range(steps))
-        assert passed[1].size == 2
+        assert np.concatenate(passed[1:]).tolist() == list(range(steps))
+
+
+def balance_reference(M, bounds, ys, lam):
+    """The balance defect P' + 2 lam |b|^2 at the check's nodes, from the
+    interpolant and its derivative, each evaluated by Horner on every step at once."""
+    coef = dense_coefficients(M, bounds, ys)
+    x = (np.arange(dyn._BALANCE_NODES) + 0.5) / dyn._BALANCE_NODES
+    y = coef[-1][..., None]
+    dy = 4.0 * coef[-1][..., None]
+    for m in range(coef.shape[0] - 2, -1, -1):
+        y = y * x + coef[m][..., None]
+        if m:
+            dy = dy * x + m * coef[m][..., None]
+    h = np.diff(bounds)[:, None]
+    dpop = 2.0 * (y.conj() * dy).real.sum(axis=0) / h
+    return float(np.abs(dpop + 2.0 * lam * np.abs(y[2]) ** 2).max())
+
+
+def tight_run(M, init, t_end):
+    y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+    cfg = LEAK_IDENTITY_CONFIG
+    return _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+
+
+# the step-heaviest corner of the verification box at lambda = 10: about
+# 80,000 steps at LEAK_IDENTITY_CONFIG to t_end = 10
+HEAVY_CORNER = (fig_params(K=-200.0, R=200.0, r1=0.6, lam=10.0),
+                InitialAmplitudes(0.6 + 0.3j, -0.2 + 0.714142842854285j))
 
 
 class TestLeakResidual:
@@ -815,32 +841,52 @@ class TestLeakResidual:
         ],
         ids=["reference", "double_root", "triple_root", "single_atom", "one_pair", "cli_grid"],
     )
-    def test_same_float_as_full_populations(self, p, init, t_end):
-        # the residual walks the grid a block at a time and reads each
-        # population only where it is used; the full-array formula gives
-        # the same float
-        dt = 5e-5
+    def test_same_float_as_full_populations(self, monkeypatch, p, init, t_end):
+        # the residual walks the steps a block at a time and forms the
+        # defect's polynomial coefficients; blocks of another size give the
+        # same float, and the interpolant and its derivative evaluated on
+        # every step at once agree to rounding of the rate scale
         resid = leak_identity_residual(p, init, t_end=t_end)
-        grid = np.linspace(0.0, t_end, 2 * max(1, round(t_end / dt)) + 1)
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-        traj = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
-        pop = traj.tracked_population
-        quotient = (pop[2::2] - pop[:-2:2]) / (grid[2] - grid[0])
-        expected = float(np.abs(quotient + 2.0 * p.lam * traj.pb[1::2]).max())
-        assert resid == expected
+        monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 7)
+        assert leak_identity_residual(p, init, t_end=t_end) == resid
+        M = _system_matrix(p)
+        expected = balance_reference(M, *tight_run(M, init, t_end), p.lam)
+        assert abs(resid - expected) <= 1e-12 * np.abs(M).max()
+        assert resid < 1e-8
 
-    def test_memory_does_not_grow_with_the_grid(self):
-        # on the CLI's 400,001-node grid; the full grid of amplitudes
-        # alone would take 19 MB
-        p, init = fig_params(K=2.0), bell_state("minus")
-        leak_identity_residual(p, init, t_end=1.0)
+    @pytest.mark.parametrize("corrupt", ["damping_sign", "coupling_phase"])
+    @pytest.mark.parametrize(
+        "p, init",
+        [(fig_params(K=2.0), bell_state("minus")), (HEAVY_CORNER[0], bell_state("plus")),
+         (SINGLE_ATOM, InitialAmplitudes(1.0, 0.0))],
+        ids=["reference", "corner", "single_atom"],
+    )
+    def test_corrupted_matrix_fails(self, p, init, corrupt):
+        # negative controls: b growing where it should decay, and a coupling
+        # that has lost its -i, each fail by orders of magnitude
+        M = _system_matrix(p)
+        if corrupt == "damping_sign":
+            M[2, 2] = p.lam
+        else:
+            M[0, 2] = M[2, 0] = -p.W * p.alpha1
+        resid = dyn._balance_residual(M, *tight_run(M, init, 1.0), p.lam)
+        assert resid >= 1e3 * LEAK_IDENTITY_TOL
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # the coefficients of every step would take 5 x 3 x 16 B = 240 B a
+        # step, 19 MB here; a block of them stays below 1 MB
+        p, init = HEAVY_CORNER
+        M = _system_matrix(p)
+        bounds, ys = tight_run(M, init, 10.0)
+        assert bounds.size > 70_000
         tracemalloc.start()
         try:
-            leak_identity_residual(p, init, t_end=10.0)
+            resid = dyn._balance_residual(M, bounds, ys, p.lam)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 1e6
+        assert resid < 1e-8
 
 
 class TestVolterra:
