@@ -154,40 +154,44 @@ def _tau_grid(key: str, v) -> np.ndarray:
     return grid
 
 
+_ALL = frozenset({"run", "sweep", "roots", "verify"})
+
 # Every config field: its parser, which returns the checked value or raises a
-# ConfigError naming the field, and its default where every command shares
-# it.  The parameter fields' defaults depend on the parameterization and live
-# in params_from_config; each command has its own for t_end, solver, out and init.
+# ConfigError naming the field, its default where every command shares it,
+# and the commands that read it; a command takes a flag only for a field it
+# reads.  The parameter fields' defaults depend on the parameterization and
+# live in params_from_config; each command has its own for t_end, solver, out
+# and init.
 _FIELDS = {
-    "lambda": (_finite, None),
-    "W": (_finite, None),
-    "alpha1": (_finite, None),
-    "alpha2": (_finite, None),
-    "K": (_finite, None),
-    "omega0": (_finite, None),
-    "R_rel": (_finite, None),
-    "K_rel": (_finite, None),
-    "r1": (_rule(lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]", _finite), None),
-    "init": (_init, None),
-    "renormalize": (_boolean, False),
+    "lambda": (_finite, None, _ALL),
+    "W": (_finite, None, _ALL),
+    "alpha1": (_finite, None, _ALL),
+    "alpha2": (_finite, None, _ALL),
+    "K": (_finite, None, _ALL),
+    "R_rel": (_finite, None, _ALL),
+    "K_rel": (_finite, None, _ALL),
+    "r1": (_rule(lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]", _finite), None, _ALL),
+    "init": (_init, None, _ALL),
+    "renormalize": (_boolean, False, _ALL),
     # a subnormal t_end leaves no room for distinct sample times
-    "t_end": (_rule(lambda x: x >= sys.float_info.min, "be positive and normal", _finite), None),
+    "t_end": (_rule(lambda x: x >= sys.float_info.min, "be positive and normal", _finite), None,
+              {"run", "verify"}),
     "solver": (_rule(lambda v: v in ("closed", "ode", "volterra", "all"),
-                     "be one of closed|ode|volterra|all"), None),
-    "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001),
-    "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000),
-    "rel_tol": (_tolerance, 1e-9),
-    "abs_tol": (_tolerance, 1e-12),
-    # null, like an absent fixed_dt, keeps the adaptive route; an infinite
-    # max_step, the integrator's default, sets no cap on the step
-    "fixed_dt": (lambda key, v: None if v is None else _positive(key, v), None),
-    "max_step": (lambda key, v: v if v == math.inf else _positive(key, v), math.inf),
-    "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), 1),
-    "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None),
-    "svg": (_boolean, False),
-    "K_values": (_number_list, None),
-    "K_rel_values": (_number_list, None),
-    "tau_grid": (_tau_grid, None),
+                     "be one of closed|ode|volterra|all"), None, {"run", "verify"}),
+    "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001, {"run"}),
+    "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000, {"run", "verify"}),
+    "rel_tol": (_tolerance, 1e-9, {"run"}),
+    "abs_tol": (_tolerance, 1e-12, {"run"}),
+    # an infinite max_step, the integrator's default, sets no cap on the step
+    "max_step": (lambda key, v: v if v == math.inf else _positive(key, v), math.inf, {"run"}),
+    # read by no command, but accepted: existing configs, the benchmark's among them, carry it
+    "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), None, set()),
+    "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None,
+            {"run", "sweep", "roots"}),
+    "svg": (_boolean, False, {"run", "sweep"}),
+    "K_values": (_number_list, None, {"sweep"}),
+    "K_rel_values": (_number_list, None, {"sweep"}),
+    "tau_grid": (_tau_grid, None, {"sweep"}),
 }
 
 
@@ -216,7 +220,7 @@ def params_from_config(cfg: dict) -> SystemParams:
             fields = ("W", "K")
             values = [_required(cfg, k) for k in ("lambda", "W", "alpha1", "alpha2", "K")]
         # (lam, W, alpha1, alpha2, K), in SystemParams' order
-        params = SystemParams(*values, omega0=cfg.get("omega0", 0.0))
+        params = SystemParams(*values)
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     _check_cubic_range(params, [params.K], *fields)
@@ -276,11 +280,19 @@ def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
-    """The config file with the flags given over it, every field parsed once."""
+    """The config file with the flags given over it, every field parsed once.
+
+    The fields of the file that ``args.command`` does not read are named on
+    stderr, since one config may serve several commands.
+    """
     cfg = load_config(args.config) if args.config else {}
+    unread = sorted(k for k in cfg if args.command not in _FIELDS[k][2])
     cfg.update((k, v) for k, v in vars(args).items() if k in _FIELDS)
-    merged = {k: default for k, (_, default) in _FIELDS.items() if default is not None}
+    merged = {k: default for k, (_, default, _) in _FIELDS.items() if default is not None}
     merged.update((k, _FIELDS[k][0](k, v)) for k, v in cfg.items())
+    if unread:
+        print(f"note: {args.command} does not read config field(s) "
+              f"{', '.join(map(repr, unread))}", file=sys.stderr)
     return merged
 
 
@@ -353,23 +365,19 @@ def _run_trajectory(
         return traj
     if solver == "ode":
         icfg = IntegratorConfig(
-            rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], dt=cfg.get("fixed_dt"),
-            max_step=cfg["max_step"], sample_stride=cfg["sample_stride"],
+            rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], max_step=cfg["max_step"]
         )
         try:
-            return integrate_pseudomode(
-                params, init, t_end, cfg=icfg, times=grid if icfg.dt is None else None
-            )
+            return integrate_pseudomode(params, init, t_end, cfg=icfg, times=grid)
         except StepUnderflowError as exc:
             raise ConfigError(
                 f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol', "
                 f"or raise 'max_step'"
             ) from exc
         except StepBudgetError as exc:
-            field = "fixed_dt" if exc.knob == "dt" else exc.knob
-            action = "lower" if field == "t_end" else "raise"
+            action = "lower" if exc.knob == "t_end" else "raise"
             raise ConfigError(
-                f"field '{field}' asks for too many steps ({exc}): {action} it, "
+                f"field '{exc.knob}' asks for too many steps ({exc}): {action} it, "
                 f"or use --solver closed"
             ) from exc
     if solver == "volterra":
@@ -636,32 +644,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the config field behind each flag, --t-end for t_end
     flags = {
-        "--out": {"help": "output path (overrides config)"},
-        "--svg": {"action": "store_true", "help": "also write an SVG chart"},
-        "--t-end": {"type": float, "help": "integration horizon"},
-        "--fixed-dt": {"type": float, "help": "fixed RK4 step (reproducible grids)"},
+        "out": {"help": "output path (overrides config)"},
+        "svg": {"action": "store_true", "help": "also write an SVG chart"},
+        "t_end": {"type": float, "help": "integration horizon"},
     }
 
-    def command(name: str, func, reads, solver_choices=None, **kw) -> argparse.ArgumentParser:
-        # a command takes only the flags it reads; one absent sets nothing,
-        # so each flag's dest, a config field, merges over the file by name
+    def command(name: str, func, solver_choices=None, **kw) -> argparse.ArgumentParser:
+        # a command takes the flags of the fields it reads; one absent sets
+        # nothing, so each flag's dest, its field, merges over the file by name
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="JSON config file")
         if solver_choices:
             p.add_argument("--solver", choices=solver_choices, help="solution route")
-        for flag in reads:
-            p.add_argument(flag, **flags[flag])
+        for field, spec in flags.items():
+            if name in _FIELDS[field][2]:
+                p.add_argument("--" + field.replace("_", "-"), **spec)
         return p
 
-    command("run", cmd_run, flags, ("closed", "ode", "volterra"),
+    command("run", cmd_run, ("closed", "ode", "volterra"),
             help="integrate one configuration and write a trajectory CSV")
-    command("sweep", cmd_sweep, ("--out", "--svg"),
-            help="concurrence over a grid of dipole strengths")
-    command("roots", cmd_roots, ("--out",),
-            help="report characteristic roots and the steady-state verdict")
-    p_verify = command("verify", cmd_verify, ("--t-end",), ("closed", "ode", "volterra", "all"),
+    command("sweep", cmd_sweep, help="concurrence over a grid of dipole strengths")
+    command("roots", cmd_roots, help="report characteristic roots and the steady-state verdict")
+    p_verify = command("verify", cmd_verify, ("closed", "ode", "volterra", "all"),
                        help="cross-check the solution routes on one configuration")
     p_verify.add_argument(
         "--corrupt-kernel-sign", action="store_true", default=False, help=argparse.SUPPRESS

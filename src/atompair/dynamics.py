@@ -4,31 +4,28 @@ Two independent routes produce trajectories:
 
 * :func:`integrate_pseudomode` integrates the local-in-time three-amplitude
   system (the memory of the Lorentzian reservoir is carried by one auxiliary
-  mode ``b``) with the adaptive Dormand-Prince 5(4) pair, or with fixed-step
-  RK4 when bit-reproducible grids matter.  On this linear system a
-  Dormand-Prince step and its dense output are polynomials in ``hM``, so the
-  adaptive route steps by powers of ``hM`` with no stages (:func:`_dopri45`),
-  each power a product with the four distinct entries of ``hM``: M is
+  mode ``b``) with the adaptive Dormand-Prince 5(4) pair.  On this linear
+  system a Dormand-Prince step and its dense output are polynomials in
+  ``hM``, so the route steps by powers of ``hM`` with no stages
+  (:func:`_dopri45`), each power a product with the four distinct entries
+  of ``hM``: M is
   symmetric, with zeros where the atoms would couple to themselves.
   :func:`_dopri45` returns the accepted steps only; one function,
   :func:`_dense_coefficients`, forms Shampine's interpolant on them, both
   for a sample grid (:func:`_dense_output`) and for the population-balance
   check of :mod:`atompair.verification` (:func:`_balance_residual`), which
   finds the interpolant's defect exactly, as a polynomial on each step.
-  Either route stops with :class:`StepBudgetError` rather than take more
-  than ``_MAX_STEPS`` steps.
+  It stops with :class:`StepBudgetError` rather than take more than
+  ``_MAX_STEPS`` steps.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
   ``W^2 exp(-lam (t - t1))`` convolved against the stored amplitude history.
   It exists to cross-check the other solvers, so it shares no discretization
-  with the pseudomode routes.
-
-Both fixed-grid schemes, RK4 and the Volterra predictor-corrector, are
-linear recurrences with constant coefficients: each step multiplies a state
-vector by a fixed matrix.  They are evaluated as a blocked scan over powers
-of that matrix (:func:`_power_scan`), not one Python step at a time.  The
-scan holds no discretization of its own; each scheme builds its matrix.
+  with the pseudomode route.  Its predictor-corrector is a linear
+  recurrence with constant coefficients: each step multiplies a state
+  vector by a fixed matrix.  It is evaluated as a blocked scan over powers
+  of that matrix (:func:`_power_scan`), not one Python step at a time.
 
 Both return :class:`Trajectory` values sampled on their respective grids.
 """
@@ -78,9 +75,9 @@ _MAX_STEPS = 1_000_000
 class StepBudgetError(Exception):
     """A run of :func:`integrate_pseudomode` would take more than ``_MAX_STEPS`` steps.
 
-    ``knob`` names what sets the step count: ``"dt"`` or ``"max_step"`` of
+    ``knob`` names what sets the step count: ``"max_step"`` of
     :class:`IntegratorConfig`, checked before stepping, or ``"t_end"`` when
-    the adaptive route has tried that many steps.
+    the integrator has tried that many steps.
     """
 
     def __init__(self, knob: str, message: str) -> None:
@@ -151,30 +148,20 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`integrate_pseudomode`.
-
-    Adaptive mode uses ``rel_tol``/``abs_tol``; setting ``dt`` switches to
-    fixed-step RK4 on a reproducible grid.  ``sample_stride`` keeps every
-    n-th accepted step (the final one always survives).
-    """
+    """Settings for :func:`integrate_pseudomode`: the adaptive step's
+    tolerances and its largest length."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    dt: float | None = None
     max_step: float = math.inf
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if not 0.0 < self.abs_tol <= 1e-2:
             raise ValueError(f"abs_tol must lie in (0, 1e-2], got {self.abs_tol}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
 def _system_matrix(params: SystemParams) -> np.ndarray:
@@ -198,13 +185,6 @@ def _system_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
-def _stride_indices(n: int, stride: int) -> np.ndarray:
-    idx = np.arange(0, n, stride)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
 def _initial_state(
     init: InitialAmplitudes, t_end: float, cfg: IntegratorConfig | None
 ) -> tuple[IntegratorConfig, InitialAmplitudes, np.ndarray]:
@@ -216,10 +196,10 @@ def _initial_state(
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     cfg = cfg or IntegratorConfig()
-    knob, step = ("dt", cfg.dt) if cfg.dt is not None else ("max_step", cfg.max_step)
-    if t_end / step > _MAX_STEPS:
+    if t_end / cfg.max_step > _MAX_STEPS:
         raise StepBudgetError(
-            knob, f"{knob} = {step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}"
+            "max_step",
+            f"max_step = {cfg.max_step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}",
         )
     init = validate_initial(init, "strict")
     return cfg, init, np.array([init.c10, init.c20, 0.0], dtype=complex)
@@ -234,10 +214,9 @@ def integrate_pseudomode(
 ) -> Trajectory:
     """Integrate the three-amplitude system up to ``t_end``.
 
-    With ``times`` given (adaptive mode only), the solution is emitted on
-    that grid, which must start at 0 and stay within ``[0, t_end]``;
-    otherwise the solver's own accepted steps are emitted, thinned by
-    ``cfg.sample_stride``.
+    With ``times`` given, the solution is emitted on that grid, which must
+    start at 0 and stay within ``[0, t_end]``; otherwise every accepted step
+    is emitted.
 
     Raises
     ------
@@ -245,37 +224,24 @@ def integrate_pseudomode(
         If the adaptive solver cannot proceed, which for this linear
         non-stiff system indicates pathological inputs.
     StepBudgetError
-        If ``t_end / cfg.dt`` or, in adaptive mode, ``t_end / cfg.max_step``
-        exceeds ``_MAX_STEPS``, or the adaptive solver has tried more steps
-        than that.
+        If ``t_end / cfg.max_step`` exceeds ``_MAX_STEPS``, or the solver has
+        tried more steps than that.
     """
     cfg, init, y0 = _initial_state(init, t_end, cfg)
-    if cfg.dt is not None:
-        if times is not None:
-            raise ValueError("a custom sample grid requires adaptive mode (dt=None)")
-        t, y = _rk4_fixed(params, y0, t_end, cfg.dt)
-    else:
-        if times is not None:
-            times = np.asarray(times, dtype=float)
-            if times.size == 0 or times[0] != 0.0:
-                raise ValueError("sample grid must start at t = 0")
-            if not np.all(np.diff(times) > 0.0):
-                raise ValueError("sample grid must be strictly increasing")
-            if times[-1] > t_end:
-                raise ValueError("sample grid extends past t_end")
-        M = _system_matrix(params)
-        t, y = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
-        if times is not None:
-            t, y = times, _dense_output(M, t, y, times)
-    idx = _stride_indices(t.size, cfg.sample_stride) if times is None else slice(None)
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if times.size == 0 or times[0] != 0.0:
+            raise ValueError("sample grid must start at t = 0")
+        if not np.all(np.diff(times) > 0.0):
+            raise ValueError("sample grid must be strictly increasing")
+        if times[-1] > t_end:
+            raise ValueError("sample grid extends past t_end")
+    M = _system_matrix(params)
+    t, y = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    if times is not None:
+        t, y = times, _dense_output(M, t, y, times)
     return Trajectory(
-        params=params,
-        init=init,
-        t=t[idx],
-        c1=y[0, idx],
-        c2=y[1, idx],
-        b=y[2, idx],
-        solver_tag="pseudomode_ode",
+        params=params, init=init, t=t, c1=y[0], c2=y[1], b=y[2], solver_tag="pseudomode_ode"
     )
 
 
@@ -616,42 +582,6 @@ def _power_scan(C: np.ndarray, D: np.ndarray, x0: np.ndarray, n: int) -> np.ndar
     for i in range(1, starts.shape[0]):
         starts[i] = starts[i - 1] + np.einsum("ij,j->i", powers[-1], starts[i - 1])
     return np.einsum("nj,bij->nbi", starts, stack).reshape(-1, C.shape[0])[: n + 1]
-
-
-def _rk4_increment(M: np.ndarray, h: float) -> np.ndarray:
-    """One classic RK4 step of length h on dy/dt = M y is y -> y + D y; returns D.
-
-    D = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, the fourth-order Taylor
-    polynomial of exp(hM) - I, in Horner form.
-    """
-    hM = h * M
-    eye = np.eye(M.shape[0])
-    return hM @ (eye + hM @ (eye + hM @ (eye + hM / 4.0) / 3.0) / 2.0)
-
-
-def _rk4_fixed(
-    params: SystemParams, y0: np.ndarray, t_end: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 with a deterministic grid that ends exactly at t_end.
-
-    A multiple of dt within 1e-12 max(1, t_end) of t_end is moved onto it;
-    otherwise a shrunk last step is added.  The steps of length dt are
-    powers of one matrix, evaluated by :func:`_power_scan`; the last step
-    applies the increment of its own length.
-    """
-    M = _system_matrix(params)
-    n_full = int(math.floor(t_end / dt))
-    t = dt * np.arange(n_full + 1)
-    if n_full == 0 or t[-1] < t_end - 1e-12 * max(1.0, t_end):
-        t = np.append(t, t_end)
-    else:
-        t[-1] = t_end
-    y = np.empty((t.size, 3), dtype=complex)
-    y[0] = y0
-    if t.size > 1:
-        y[:-1] = _power_scan(np.eye(3), _rk4_increment(M, dt), y0, t.size - 2)
-        y[-1] = y[-2] + np.einsum("ij,j->i", _rk4_increment(M, t[-1] - t[-2]), y[-2])
-    return t, y.T
 
 
 # a step too long for the rates overflows to inf and NaN; the result is

@@ -46,13 +46,11 @@ class SystemParams:
     K : float
         Dipole-dipole exchange strength.  Either sign is allowed, since the
         underlying geometry can produce both.
-    omega0 : float
-        Common atomic transition frequency.  The amplitude equations are
-        written in the frame rotating at ``omega0``, so it never enters any
-        derived quantity or trajectory; it is carried for bookkeeping only.
 
-    The dynamics depends on the inputs only through ``K / lam``,
-    ``R / lam``, ``r1`` and the dimensionless time ``lam * t``.
+    The amplitude equations are written in the frame rotating at the common
+    atomic transition frequency, so that frequency is not an input.  The
+    dynamics depends on the inputs only through ``K / lam``, ``R / lam``,
+    ``r1`` and the dimensionless time ``lam * t``.
     """
 
     lam: float
@@ -60,10 +58,9 @@ class SystemParams:
     alpha1: float
     alpha2: float
     K: float
-    omega0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("lam", "W", "alpha1", "alpha2", "K", "omega0"):
+        for name in ("lam", "W", "alpha1", "alpha2", "K"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

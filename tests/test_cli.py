@@ -238,7 +238,7 @@ class TestFaultyInputs:
             ("run", {**_RUN, "K_rel": math.inf}, ["--solver", "closed"], "K_rel"),
             ("verify", {**_RUN, "K_rel": math.inf}, [], "K_rel"),
             ("run", {**_RUN, "t_end": math.nan}, [], "t_end"),
-            ("run", _RUN, ["--fixed-dt", "inf"], "fixed_dt"),
+            ("run", {**_RUN, "fixed_dt": 1e-3}, [], "fixed_dt"),
             ("roots", {**_RUN, "R_rel": 1e200}, [], "R_rel"),
             ("roots", {**_RUN, "K_rel": -1e160}, [], "K_rel"),
             ("run", {**_RUN, "R_rel": 1e200}, ["--solver", "closed"], "R_rel"),
@@ -279,6 +279,7 @@ class TestFaultyInputs:
              ["--solver", "closed"], "t_end"),
             ("verify", _VOLTERRA_OVERFLOW, [], "n_steps"),
             ("run", _VOLTERRA_OVERFLOW, ["--solver", "volterra"], "n_steps"),
+            ("run", {**_RUN, "omega0": 0.0}, [], "omega0"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -377,7 +378,7 @@ class TestFaultyInputs:
 class TestStepBudget:
     """A run that would take more than _MAX_STEPS steps exits 2 naming the field."""
 
-    @pytest.mark.parametrize("field", ["fixed_dt", "max_step"])
+    @pytest.mark.parametrize("field", ["max_step"])
     def test_step_field_checked_up_front(self, tmp_path, capsys, field):
         cfg = write_config(tmp_path, "c.json", {**_RUN, field: 1e-300})
         out = tmp_path / "o.csv"
@@ -480,14 +481,6 @@ class TestRun:
     def test_solvers_agree_across_dense_output_blocks(self, tmp_path):
         # 20,001 samples span three blocks of the adaptive route's dense output
         self._assert_solvers_agree(tmp_path, 20001)
-
-    def test_fixed_dt_bit_reproducible(self, tmp_path):
-        payload = {**FIG1A_K0, "t_end": 3.0, "fixed_dt": 1e-3}
-        cfg = write_config(tmp_path, "c.json", payload)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["run", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert main(["run", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("point", ["double", "triple"])
     def test_closed_form_at_confluent_roots(self, tmp_path, capsys, point):
@@ -777,6 +770,7 @@ class TestCommandFlags:
             ("verify", _RUN, ["--out", "o.csv"]),
             ("verify", _RUN, ["--svg"]),
             ("verify", _RUN, ["--fixed-dt", "1e-3"]),
+            ("run", _RUN, ["--fixed-dt", "1e-3"]),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
@@ -794,14 +788,32 @@ class TestCommandFlags:
     def test_flags_the_command_reads_are_taken(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, "c.json", _RUN)
-        assert main(["run", "--config", cfg, "--out", "r.csv", "--svg", "--t-end", "1",
-                     "--fixed-dt", "1e-2"]) == EXIT_OK
+        assert main(["run", "--config", cfg, "--out", "r.csv", "--svg", "--t-end", "1"]) == EXIT_OK
         assert main(["roots", "--config", cfg, "--out", "roots.csv"]) == EXIT_OK
         assert main(["verify", "--config", cfg, "--t-end", "1"]) == EXIT_OK
         sweep = write_config(tmp_path, "s.json", _SWEEP)
         assert main(["sweep", "--config", sweep, "--out", "s.csv", "--svg"]) == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "c.json", "r.csv", "r.svg", "roots.csv", "s.csv", "s.json", "s.svg"]
+
+    def test_config_fields_the_command_does_not_read_are_named(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # one config may serve several commands, so such a field is not refused
+        monkeypatch.chdir(tmp_path)
+        payload = {**FIG1A_K0, "t_end": 2.0}
+        plain = write_config(tmp_path, "plain.json", payload)
+        assert main(["verify", "--config", plain]) == EXIT_OK
+        usual = capsys.readouterr()
+        assert usual.err == ""
+        unread = {"out": "x.csv", "svg": True, "rel_tol": 1e-3, "sample_stride": 5}
+        cfg = write_config(tmp_path, "c.json", {**payload, **unread})
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == usual.out
+        assert captured.err.count("\n") == 1
+        assert "verify does not read" in captured.err
+        assert all(f"'{field}'" in captured.err for field in unread)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "plain.json"]
 
 
 def test_readme_field_table_names_every_field():
@@ -827,7 +839,8 @@ class TestSubprocessEntry:
         assert out.exists()
 
     @pytest.mark.parametrize(
-        "solver_args", [["--fixed-dt", "1e-3"], ["--solver", "volterra"]], ids=["rk4", "volterra"]
+        "solver_args", [["--solver", "ode"], ["--solver", "closed"], ["--solver", "volterra"]],
+        ids=["ode", "closed", "volterra"],
     )
     def test_csv_does_not_depend_on_blas_threads(self, tmp_path, solver_args):
         cfg = tmp_path / "ref.json"

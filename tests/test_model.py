@@ -35,10 +35,10 @@ class TestSystemParams:
     def test_signed_dipole_strength_allowed(self):
         SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=-3.0)
 
-    @pytest.mark.parametrize("field", ["lam", "W", "alpha1", "alpha2", "K", "omega0"])
+    @pytest.mark.parametrize("field", ["lam", "W", "alpha1", "alpha2", "K"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_fields(self, field, value):
-        kwargs = dict(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0, omega0=0.0)
+        kwargs = dict(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SystemParams(**kwargs)
@@ -131,19 +131,6 @@ class TestInitialStates:
 
 
 class TestCovariances:
-    def test_omega0_independence(self):
-        base = dict(lam=1.0, W=10.0, alpha1=0.8, alpha2=0.6, K=3.0)
-        p1 = SystemParams(omega0=0.0, **base)
-        p2 = SystemParams(omega0=123.456, **base)
-        assert (p1.R, p1.r1, p1.r2) == (p2.R, p2.r1, p2.r2)
-        init = bell_state("minus")
-        t1 = integrate_pseudomode(p1, init, 5.0)
-        t2 = integrate_pseudomode(p2, init, 5.0)
-        assert np.array_equal(t1.t, t2.t)
-        assert np.array_equal(t1.c1, t2.c1)
-        assert np.array_equal(t1.c2, t2.c2)
-        assert np.array_equal(t1.b, t2.b)
-
     def test_global_phase_covariance(self, rng):
         p = fig_params(K=2.0)
         init = random_init(rng)
