@@ -27,7 +27,6 @@ from .dynamics import (
     StepUnderflowError,
     Trajectory,
     integrate_pseudomode,
-    integrate_volterra,
     leak_series,
     sample_closed_form,
 )
@@ -36,9 +35,8 @@ from .verification import (
     LEAK_IDENTITY_TOL,
     THREE_SOLVER_TOL,
     PopulationGrowthError,
-    _volterra_stride,
-    check_population_decay,
     compare_solvers,
+    sample_volterra,
 )
 from . import svgplot
 
@@ -114,7 +112,6 @@ def _rule(test, text: str, convert=lambda key, v: v):
     return parse
 
 
-_positive = _rule(lambda x: x > 0.0, "be positive", _finite)
 _tolerance = _rule(lambda x: 0.0 < x <= 1e-2, "lie in (0, 1e-2]", _finite)
 _boolean = _rule(lambda v: isinstance(v, bool), "be true or false")
 
@@ -160,8 +157,8 @@ _ALL = frozenset({"run", "sweep", "roots", "verify"})
 # ConfigError naming the field, its default where every command shares it,
 # and the commands that read it; a command takes a flag only for a field it
 # reads.  The parameter fields' defaults depend on the parameterization and
-# live in params_from_config; each command has its own for t_end, solver, out
-# and init.
+# live in params_from_config; a command that reads t_end, solver, out or init
+# has its own default for it.
 _FIELDS = {
     "lambda": (_finite, None, _ALL),
     "W": (_finite, None, _ALL),
@@ -176,14 +173,12 @@ _FIELDS = {
     # a subnormal t_end leaves no room for distinct sample times
     "t_end": (_rule(lambda x: x >= sys.float_info.min, "be positive and normal", _finite), None,
               {"run", "verify"}),
-    "solver": (_rule(lambda v: v in ("closed", "ode", "volterra", "all"),
-                     "be one of closed|ode|volterra|all"), None, {"run", "verify"}),
+    "solver": (_rule(lambda v: v in ("closed", "ode", "volterra"),
+                     "be one of closed|ode|volterra"), None, {"run"}),
     "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001, {"run"}),
     "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000, {"run", "verify"}),
     "rel_tol": (_tolerance, 1e-9, {"run"}),
     "abs_tol": (_tolerance, 1e-12, {"run"}),
-    # an infinite max_step, the integrator's default, sets no cap on the step
-    "max_step": (lambda key, v: v if v == math.inf else _positive(key, v), math.inf, {"run"}),
     # read by no command, but accepted: existing configs, the benchmark's among them, carry it
     "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), None, set()),
     "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None,
@@ -364,49 +359,23 @@ def _run_trajectory(
         _check_closed_form("t_end", t_end, traj.c1, traj.c2, traj.b)
         return traj
     if solver == "ode":
-        icfg = IntegratorConfig(
-            rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"], max_step=cfg["max_step"]
-        )
+        icfg = IntegratorConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
         try:
             return integrate_pseudomode(params, init, t_end, cfg=icfg, times=grid)
         except StepUnderflowError as exc:
             raise ConfigError(
-                f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol', "
-                f"or raise 'max_step'"
+                f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol'"
             ) from exc
         except StepBudgetError as exc:
-            action = "lower" if exc.knob == "t_end" else "raise"
-            raise ConfigError(
-                f"field '{exc.knob}' asks for too many steps ({exc}): {action} it, "
-                f"or use --solver closed"
-            ) from exc
-    if solver == "volterra":
-        n_steps = cfg["n_steps"]
-        per = _volterra_stride(n_steps, samples)
-        steps = per * (samples - 1)
-        if steps < 100:
-            raise ConfigError(
-                f"field 'n_steps' = {n_steps} is too few: the memory-kernel route takes at "
-                f"least 100 steps, and {steps} on {samples} samples"
-            )
-        traj = integrate_volterra(params, init, t_end, steps)
-        try:
-            check_population_decay(traj)
-        except PopulationGrowthError as exc:
-            raise _too_coarse(n_steps, t_end, exc) from exc
-        idx = slice(None, None, per)
-        return Trajectory(
-            params=params,
-            init=init,
-            t=traj.t[idx],
-            c1=traj.c1[idx],
-            c2=traj.c2[idx],
-            b=traj.b[idx],
-            solver_tag="volterra",
-        )
-    raise ConfigError(
-        f"field 'solver' must be one of closed|ode|volterra for 'run', got {solver!r}"
-    )
+            raise _too_many_steps(exc, ", or use --solver closed") from exc
+    # the memory-kernel route, the one left
+    n_steps = cfg["n_steps"]
+    try:
+        return sample_volterra(params, init, t_end, n_steps, samples)
+    except ValueError as exc:
+        raise ConfigError(f"field 'n_steps' = {n_steps} is too few: {exc}") from exc
+    except PopulationGrowthError as exc:
+        raise _too_coarse(n_steps, t_end, exc) from exc
 
 
 def _check_closed_form(field: str, t_max: float, *amplitudes: np.ndarray) -> None:
@@ -425,6 +394,12 @@ def _too_coarse(n_steps: int, t_end: float, exc: PopulationGrowthError) -> Confi
         f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
         f"t_end / {exc.steps} = {t_end / exc.steps:.3g}; use more steps, or a shorter 't_end'"
     )
+
+
+def _too_many_steps(exc: StepBudgetError, alternative: str = "") -> ConfigError:
+    """The refusal of an adaptive run that used up its step budget short of
+    ``t_end``; ``alternative`` follows the advice to lower it."""
+    return ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it{alternative}")
 
 
 def _chart_path(cfg: dict, out: str) -> str | None:
@@ -595,7 +570,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     init = init_from_config(cfg)
     t_end = cfg.get("t_end", 10.0)
     n_steps = cfg["n_steps"]
-    solver = cfg.get("solver", "all")
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
     try:
@@ -603,21 +577,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
         )
     except StepBudgetError as exc:
-        raise ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it") from exc
+        raise _too_many_steps(exc) from exc
     except PopulationGrowthError as exc:
         raise _too_coarse(n_steps, t_end, exc) from exc
 
     failures = 0
     sup = ("sup-norm", THREE_SOLVER_TOL)
-    checks = [  # name, the routes it involves, value, what it measures, threshold
-        ("closed_form vs pseudomode_ode", ("closed", "ode"), comp.closed_vs_ode, *sup),
-        ("closed_form vs volterra", ("closed", "volterra"), comp.closed_vs_volterra, *sup),
-        ("pseudomode_ode vs volterra", ("ode", "volterra"), comp.ode_vs_volterra, *sup),
-        ("population-balance identity", ("ode",), comp.balance, "max residual", LEAK_IDENTITY_TOL),
+    checks = [  # name, value, what it measures, threshold
+        ("closed_form vs pseudomode_ode", comp.closed_vs_ode, *sup),
+        ("closed_form vs volterra", comp.closed_vs_volterra, *sup),
+        ("pseudomode_ode vs volterra", comp.ode_vs_volterra, *sup),
+        ("population-balance identity", comp.balance, "max residual", LEAK_IDENTITY_TOL),
     ]
-    for name, members, val, measure, tol in checks:
-        if solver != "all" and solver not in members:
-            continue
+    for name, val, measure, tol in checks:
         ok = val <= tol
         failures += 0 if ok else 1
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {measure} {val:.3e} (threshold {tol:.0e})")
@@ -646,29 +618,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the config field behind each flag, --t-end for t_end
     flags = {
+        "solver": {"choices": ("closed", "ode", "volterra"), "help": "solution route"},
         "out": {"help": "output path (overrides config)"},
         "svg": {"action": "store_true", "help": "also write an SVG chart"},
         "t_end": {"type": float, "help": "integration horizon"},
     }
 
-    def command(name: str, func, solver_choices=None, **kw) -> argparse.ArgumentParser:
+    def command(name: str, func, **kw) -> argparse.ArgumentParser:
         # a command takes the flags of the fields it reads; one absent sets
         # nothing, so each flag's dest, its field, merges over the file by name
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="JSON config file")
-        if solver_choices:
-            p.add_argument("--solver", choices=solver_choices, help="solution route")
         for field, spec in flags.items():
             if name in _FIELDS[field][2]:
                 p.add_argument("--" + field.replace("_", "-"), **spec)
         return p
 
-    command("run", cmd_run, ("closed", "ode", "volterra"),
-            help="integrate one configuration and write a trajectory CSV")
+    command("run", cmd_run, help="integrate one configuration and write a trajectory CSV")
     command("sweep", cmd_sweep, help="concurrence over a grid of dipole strengths")
     command("roots", cmd_roots, help="report characteristic roots and the steady-state verdict")
-    p_verify = command("verify", cmd_verify, ("closed", "ode", "volterra", "all"),
+    p_verify = command("verify", cmd_verify,
                        help="cross-check the solution routes on one configuration")
     p_verify.add_argument(
         "--corrupt-kernel-sign", action="store_true", default=False, help=argparse.SUPPRESS

@@ -15,8 +15,10 @@ Two independent routes produce trajectories:
   for a sample grid (:func:`_dense_output`) and for the population-balance
   check of :mod:`atompair.verification` (:func:`_balance_residual`), which
   finds the interpolant's defect exactly, as a polynomial on each step.
-  It stops with :class:`StepBudgetError` rather than take more than
-  ``_MAX_STEPS`` steps.
+  One function, :func:`_adaptive_run`, runs the stepper for both
+  :func:`integrate_pseudomode` and :mod:`atompair.verification`.  It stops
+  with :class:`StepBudgetError` once it has tried ``_MAX_STEPS`` steps
+  short of ``t_end``.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -73,16 +75,7 @@ _MAX_STEPS = 1_000_000
 
 
 class StepBudgetError(Exception):
-    """A run of :func:`integrate_pseudomode` would take more than ``_MAX_STEPS`` steps.
-
-    ``knob`` names what sets the step count: ``"max_step"`` of
-    :class:`IntegratorConfig`, checked before stepping, or ``"t_end"`` when
-    the integrator has tried that many steps.
-    """
-
-    def __init__(self, knob: str, message: str) -> None:
-        super().__init__(message)
-        self.knob = knob
+    """The adaptive integrator tried ``_MAX_STEPS`` steps and had not reached ``t_end``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,20 +141,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`integrate_pseudomode`: the adaptive step's
-    tolerances and its largest length."""
+    """Settings for :func:`integrate_pseudomode`: the adaptive step's tolerances."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if not 0.0 < self.abs_tol <= 1e-2:
             raise ValueError(f"abs_tol must lie in (0, 1e-2], got {self.abs_tol}")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 def _system_matrix(params: SystemParams) -> np.ndarray:
@@ -185,24 +174,20 @@ def _system_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
-def _initial_state(
-    init: InitialAmplitudes, t_end: float, cfg: IntegratorConfig | None
-) -> tuple[IntegratorConfig, InitialAmplitudes, np.ndarray]:
-    """Check a pseudomode run's horizon, step budget and initial state.
+def _adaptive_run(
+    params: SystemParams, init: InitialAmplitudes, t_end: float, cfg: IntegratorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adaptive route from ``(c10, c20, 0)`` to ``t_end`` at ``cfg``'s tolerances.
 
-    Returns the config (the default one for None), the validated initial
-    amplitudes and the state ``(c10, c20, 0)``.
+    Returns ``M`` of :func:`_system_matrix` and the :func:`_dopri45` run
+    ``(bounds, ys)``.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    cfg = cfg or IntegratorConfig()
-    if t_end / cfg.max_step > _MAX_STEPS:
-        raise StepBudgetError(
-            "max_step",
-            f"max_step = {cfg.max_step!r} takes more than {_MAX_STEPS} steps to t_end = {t_end!r}",
-        )
-    init = validate_initial(init, "strict")
-    return cfg, init, np.array([init.c10, init.c20, 0.0], dtype=complex)
+    validate_initial(init, "strict")
+    y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+    M = _system_matrix(params)
+    return M, *_dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
 
 
 def integrate_pseudomode(
@@ -224,10 +209,8 @@ def integrate_pseudomode(
         If the adaptive solver cannot proceed, which for this linear
         non-stiff system indicates pathological inputs.
     StepBudgetError
-        If ``t_end / cfg.max_step`` exceeds ``_MAX_STEPS``, or the solver has
-        tried more steps than that.
+        If the solver has tried ``_MAX_STEPS`` steps short of ``t_end``.
     """
-    cfg, init, y0 = _initial_state(init, t_end, cfg)
     if times is not None:
         times = np.asarray(times, dtype=float)
         if times.size == 0 or times[0] != 0.0:
@@ -236,8 +219,7 @@ def integrate_pseudomode(
             raise ValueError("sample grid must be strictly increasing")
         if times[-1] > t_end:
             raise ValueError("sample grid extends past t_end")
-    M = _system_matrix(params)
-    t, y = _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    M, t, y = _adaptive_run(params, init, t_end, cfg or IntegratorConfig())
     if times is not None:
         t, y = times, _dense_output(M, t, y, times)
     return Trajectory(
@@ -299,7 +281,6 @@ def _dopri45(
     t_end: float,
     rtol: float,
     atol: float,
-    max_step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive Dormand-Prince 5(4) for dy/dt = M y on [0, t_end].
 
@@ -367,7 +348,7 @@ def _dopri45(
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, t_end, max_step)
+    h_abs = min(100.0 * h0, h1, t_end)
 
     sqrt, isfinite, ulp = math.sqrt, math.isfinite, math.ulp
     t = 0.0
@@ -379,9 +360,7 @@ def _dopri45(
     ay1, ay2, ay3 = abs(y1), abs(y2), abs(y3)
     while t < t_end:
         min_step = 10.0 * ulp(t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -389,9 +368,7 @@ def _dopri45(
                 raise StepUnderflowError(f"step size fell below {min_step:.3e} at t = {t!r}")
             tried += 1
             if tried > _MAX_STEPS:
-                raise StepBudgetError(
-                    "t_end", f"more than {_MAX_STEPS} adaptive steps tried by t = {t!r}"
-                )
+                raise StepBudgetError(f"more than {_MAX_STEPS} adaptive steps tried by t = {t!r}")
             t_new = t + h_abs
             if t_new > t_end:
                 t_new = t_end

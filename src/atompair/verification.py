@@ -17,11 +17,9 @@ from .closedform import residue_coefficients
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
+    _adaptive_run,
     _balance_residual,
     _dense_output,
-    _dopri45,
-    _initial_state,
-    _system_matrix,
     integrate_volterra,
 )
 from .model import InitialAmplitudes, SystemParams
@@ -37,6 +35,7 @@ __all__ = [
     "check_population_decay",
     "compare_solvers",
     "leak_identity_residual",
+    "sample_volterra",
 ]
 
 THREE_SOLVER_TOL = 1e-5
@@ -48,7 +47,7 @@ LEAK_IDENTITY_TOL = 1e-6
 LEAK_IDENTITY_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 # Size of the shared comparison grid; the memory-kernel route's steps are
-# rounded up to a multiple of ``COMPARE_POINTS - 1`` (see _volterra_stride).
+# rounded up to a multiple of ``COMPARE_POINTS - 1`` (see sample_volterra).
 COMPARE_POINTS = 2001
 
 # dP/dt = -2 lam |b|^2 <= 0 for the tracked population P, so a memory-kernel
@@ -69,13 +68,6 @@ class PopulationGrowthError(Exception):
         self.steps = steps
 
 
-def _volterra_stride(n_steps: int, samples: int) -> int:
-    """Memory-kernel steps per interval of a grid of ``samples`` points: the
-    fewest that make at least ``n_steps`` steps in all, so that the route's
-    own grid contains the sample grid."""
-    return -(-n_steps // (samples - 1))
-
-
 def check_population_decay(traj: Trajectory) -> None:
     """Raise :class:`PopulationGrowthError` unless ``traj``'s tracked population stays
     at most 1 + POPULATION_GROWTH_TOL."""
@@ -83,6 +75,44 @@ def check_population_decay(traj: Trajectory) -> None:
         peak = float(traj.tracked_population.max())
     if not peak <= 1.0 + POPULATION_GROWTH_TOL:
         raise PopulationGrowthError(peak, len(traj) - 1)
+
+
+def sample_volterra(
+    params: SystemParams,
+    init: InitialAmplitudes,
+    t_end: float,
+    n_steps: int,
+    samples: int,
+    _kernel_sign: float = 1.0,
+) -> Trajectory:
+    """The memory-kernel route on ``samples`` evenly spaced times from 0 to ``t_end``.
+
+    The route takes the fewest steps per sample interval that make at least
+    ``n_steps`` in all, so that its own grid contains the sample grid, and
+    the result keeps the nodes on that grid.  With the true kernel sign, a
+    tracked population that grows raises :class:`PopulationGrowthError`;
+    ``_kernel_sign`` is :func:`integrate_volterra`'s verification hook.
+
+    Raises
+    ------
+    ValueError
+        If that makes fewer than the 100 steps :func:`integrate_volterra`
+        takes at least.
+    """
+    stride = -(-n_steps // (samples - 1))
+    steps = stride * (samples - 1)
+    if steps < 100:
+        raise ValueError(
+            f"the memory-kernel route takes at least 100 steps, and {steps} on {samples} samples"
+        )
+    traj = integrate_volterra(params, init, t_end, steps, _kernel_sign=_kernel_sign)
+    if _kernel_sign == 1.0:
+        check_population_decay(traj)
+    idx = slice(None, None, stride)
+    return Trajectory(
+        params=params, init=traj.init, t=traj.t[idx], c1=traj.c1[idx], c2=traj.c2[idx],
+        b=traj.b[idx], solver_tag="volterra",
+    )
 
 
 @dataclass(frozen=True)
@@ -93,13 +123,6 @@ class SolverComparison:
     closed_vs_volterra: float
     ode_vs_volterra: float
     balance: float
-
-
-def _tight_run(params: SystemParams, init: InitialAmplitudes, t_end: float):
-    """``(M, bounds, ys)``: the adaptive route's accepted steps at ``LEAK_IDENTITY_CONFIG``."""
-    cfg, _, y0 = _initial_state(init, t_end, LEAK_IDENTITY_CONFIG)
-    M = _system_matrix(params)
-    return M, *_dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
 
 
 def compare_solvers(
@@ -113,7 +136,7 @@ def compare_solvers(
 
     The comparison grid has ``COMPARE_POINTS`` uniform points.  The
     memory-kernel route takes ``n_steps`` rounded up to a multiple of
-    ``COMPARE_POINTS - 1`` (:func:`_volterra_stride`), so that its own grid
+    ``COMPARE_POINTS - 1`` (:func:`sample_volterra`), so that its own grid
     contains the comparison grid exactly.  The memory-kernel route runs
     first: with the true kernel sign, a tracked population that grows raises
     :class:`PopulationGrowthError` before the adaptive route starts.  The
@@ -121,18 +144,12 @@ def compare_solvers(
     sampled from its dense output, and the population balance is checked on
     every one of its steps.
     """
-    stride = _volterra_stride(n_steps, COMPARE_POINTS)
     grid = np.linspace(0.0, t_end, COMPARE_POINTS)
-
-    vol = integrate_volterra(
-        params, init, t_end, stride * (COMPARE_POINTS - 1), _kernel_sign=_kernel_sign
-    )
-    if _kernel_sign == 1.0:
-        check_population_decay(vol)
-    M, bounds, ys = _tight_run(params, init, t_end)
+    vol = sample_volterra(params, init, t_end, n_steps, COMPARE_POINTS, _kernel_sign)
+    M, bounds, ys = _adaptive_run(params, init, t_end, LEAK_IDENTITY_CONFIG)
     ode = _dense_output(M, bounds, ys, grid)
     closed = np.array(residue_coefficients(params, init).evolve(grid))
-    vol = np.array([vol.c1[::stride], vol.c2[::stride], vol.b[::stride]])
+    vol = np.array([vol.c1, vol.c2, vol.b])
     sup = lambda a, b: float(np.abs(a - b).max())
     return SolverComparison(
         closed_vs_ode=sup(closed, ode),
@@ -156,4 +173,4 @@ def leak_identity_residual(
     samples, at 16 midpoints of each step (:func:`_balance_residual`); a NaN
     anywhere makes the result NaN.
     """
-    return _balance_residual(*_tight_run(params, init, t_end), params.lam)
+    return _balance_residual(*_adaptive_run(params, init, t_end, LEAK_IDENTITY_CONFIG), params.lam)

@@ -257,6 +257,7 @@ class TestFaultyInputs:
             ("sweep", {**_SWEEP, "lambda": 10.0, "K_rel_values": [1e308]}, [], "K_rel_values"),
             ("sweep", {**_SWEEP, "tau_grid": [0.0, math.inf, 11]}, [], "tau_grid"),
             ("sweep", {**_SWEEP, "tau_grid": [0.0, 1.0, math.nan]}, [], "tau_grid"),
+            # max_step is no config field: every value of it is refused as unknown
             ("run", {**_RUN, "max_step": "0.1"}, [], "max_step"),
             ("run", {**_RUN, "max_step": True}, [], "max_step"),
             ("run", {**_RUN, "max_step": math.nan}, [], "max_step"),
@@ -280,6 +281,7 @@ class TestFaultyInputs:
             ("verify", _VOLTERRA_OVERFLOW, [], "n_steps"),
             ("run", _VOLTERRA_OVERFLOW, ["--solver", "volterra"], "n_steps"),
             ("run", {**_RUN, "omega0": 0.0}, [], "omega0"),
+            ("verify", {**_RUN, "solver": "all"}, [], "solver"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -305,7 +307,7 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        for field in ("abs_tol", "rel_tol", "max_step"):
+        for field in ("abs_tol", "rel_tol"):
             assert f"'{field}'" in err
         assert not out.exists()
 
@@ -362,11 +364,15 @@ class TestFaultyInputs:
         assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == EXIT_CONFIG
         assert f"cannot write {chart}" in capsys.readouterr().err
 
-    def test_infinite_max_step_is_allowed(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": math.inf})
+    def test_max_step_is_an_unknown_field(self, tmp_path, capsys):
+        # the adaptive step has no cap: a config that sets one is refused
+        # before anything runs
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "max_step": 0.1})
         out = tmp_path / "o.csv"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 22
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unknown config field(s): 'max_step'" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_integral_float_counts_as_integer(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**_RUN, "samples": 21.0})
@@ -377,16 +383,6 @@ class TestFaultyInputs:
 
 class TestStepBudget:
     """A run that would take more than _MAX_STEPS steps exits 2 naming the field."""
-
-    @pytest.mark.parametrize("field", ["max_step"])
-    def test_step_field_checked_up_front(self, tmp_path, capsys, field):
-        cfg = write_config(tmp_path, "c.json", {**_RUN, field: 1e-300})
-        out = tmp_path / "o.csv"
-        start = time.perf_counter()
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert time.perf_counter() - start < 1.0
-        assert f"'{field}'" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_adaptive_budget_names_t_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
@@ -732,15 +728,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] closed_form vs volterra" in out
 
-    def test_single_solver_selection_filters_pairs(self, tmp_path, capsys):
-        payload = {**FIG1A_K0, "t_end": 5.0, "n_steps": 10000}
-        cfg = write_config(tmp_path, "v.json", payload)
-        assert main(["verify", "--config", cfg, "--solver", "closed"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "closed_form vs pseudomode_ode" in out
-        assert "closed_form vs volterra" in out
-        assert "population-balance" not in out
-
     @pytest.mark.parametrize("point", ["double", "triple"])
     def test_all_pairs_checked_at_confluent_roots(self, tmp_path, capsys, point):
         payload = {
@@ -771,6 +758,7 @@ class TestCommandFlags:
             ("verify", _RUN, ["--svg"]),
             ("verify", _RUN, ["--fixed-dt", "1e-3"]),
             ("run", _RUN, ["--fixed-dt", "1e-3"]),
+            ("verify", _RUN, ["--solver", "closed"]),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
@@ -816,13 +804,32 @@ class TestCommandFlags:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "plain.json"]
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_readme_field_table_names_every_field():
     from atompair.cli import _FIELDS
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         keys = re.findall(r"^\| `(\w+)` \|", fh.read(), flags=re.MULTILINE)
     assert sorted(keys) == sorted(_FIELDS)
+
+
+def test_readme_run_config_verifies_all_four_checks(tmp_path, capsys):
+    # the README runs verify on its run config, whose "solver" is run's
+    # alone: verify names it as unread and still makes every check
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```", fh.read(), flags=re.MULTILINE | re.DOTALL)
+    payload = next(json.loads(b) for b in blocks if '"solver"' in b and '"t_end"' in b)
+    cfg = write_config(tmp_path, "run.json", payload)
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:-1]] == [
+        "[PASS] closed_form vs pseudomode_ode", "[PASS] closed_form vs volterra",
+        "[PASS] pseudomode_ode vs volterra", "[PASS] population-balance identity"]
+    assert lines[-1] == "all checks passed"
+    assert "'samples'" in captured.err and "'solver'" in captured.err
 
 
 class TestSubprocessEntry:

@@ -4,8 +4,8 @@ Any config built from the known fields, with values drawn from per-field edge
 lists, run through any subcommand, either succeeds (exit 0), fails a
 verification check (exit 1, ``verify`` only) or exits 2; it never raises,
 writes only inside its own directory, and an exit-0 CSV holds no NaN.  The
-edge lists keep every case's work bounded: t_end <= 10, samples <= 2001,
-n_steps <= 20000, and max_step >= 1e-3 unless invalid.
+edge lists keep every case's work bounded: t_end <= 10, samples <= 2001 and
+n_steps <= 20000.
 """
 
 import builtins
@@ -45,12 +45,11 @@ EDGES = {
     ),
     "renormalize": ([True, False], [1, "no"]),
     "t_end": ([2.0, 10.0, 2.5e-5, 1e-9], [5e-324, 0.0, -1.0]),
-    "solver": (["closed", "ode", "volterra", "all"], ["rk4", 3]),
+    "solver": (["closed", "ode", "volterra"], ["rk4", 3, "all"]),
     "samples": ([2, 21, 2001, 21.0], [1, 2.5]),
     "n_steps": ([1, 5, 100, 2000, 20000, 3000], [0, 2.5]),
     "rel_tol": ([1e-9, 1e-2, 1e-300], [0.0, 0.5, "abc"]),
     "abs_tol": ([1e-12, 1e-300], [0.0, 1.0]),
-    "max_step": ([math.inf, 1e-3, 0.1], [0.0, -1.0, "0.1"]),
     "sample_stride": ([1, 5], [0]),
     "out": (["o.csv", "missing/o.csv", "."], ["", True]),
     "svg": ([True, False], ["no", 0]),
@@ -93,8 +92,7 @@ configs = st.builds(
 # each command with each solver flag it takes, and without one
 argvs = st.sampled_from(
     [["run"], ["run", "--solver", "closed"], ["run", "--solver", "ode"],
-     ["run", "--solver", "volterra"], ["sweep"], ["roots"], ["verify"],
-     ["verify", "--solver", "closed"]]
+     ["run", "--solver", "volterra"], ["sweep"], ["roots"], ["verify"]]
 )
 
 

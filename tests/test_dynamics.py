@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import time
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from atompair import (
     residue_coefficients,
 )
 import atompair.dynamics as dyn
+import atompair.verification as verification
 from atompair.dynamics import (
     StepBudgetError,
     StepUnderflowError,
@@ -116,7 +119,7 @@ class TestPseudomode:
         init = bell_state("plus")
         traj2 = integrate_pseudomode(p, init, 5.0)
         y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-        bounds, ys = _dopri45(_system_matrix(p), y0, 5.0, 1e-9, 1e-12, math.inf)
+        bounds, ys = _dopri45(_system_matrix(p), y0, 5.0, 1e-9, 1e-12)
         assert np.array_equal(traj2.t, bounds) and traj2.t[-1] == 5.0
         assert np.array_equal(np.array([traj2.c1, traj2.c2, traj2.b]), ys)
 
@@ -184,7 +187,7 @@ def _rk45_reference(p, init, t_end, cfg):
         warnings.simplefilter("ignore", UserWarning)
         sol = integrate.solve_ivp(
             lambda t, y: M @ y, (0.0, t_end), [init.c10, init.c20, 0.0], method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
+            rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True,
         )
     assert sol.success
     return sol
@@ -199,33 +202,14 @@ ADAPTIVE_CONFIGS = pytest.mark.parametrize(
     [
         IntegratorConfig(),
         IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13),
-        IntegratorConfig(max_step=0.05),
         IntegratorConfig(rel_tol=1e-15, abs_tol=1e-13),
     ],
-    ids=["default", "leak_check", "max_step", "rtol_floor"],
+    ids=["default", "leak_check", "rtol_floor"],
 )
 
 
 class TestStepBudget:
     """No run takes or tries more than _MAX_STEPS steps."""
-
-    def test_max_step_count_checked_first(self):
-        cfg = IntegratorConfig(max_step=1e-300)
-        with pytest.raises(StepBudgetError) as exc:
-            integrate_pseudomode(fig_params(K=2.0), bell_state("minus"), 10.0, cfg=cfg)
-        assert exc.value.knob == "max_step"
-
-    def test_budget_admits_exactly_max_steps(self, monkeypatch):
-        # slow rates and loose tolerances make every step max_step long, and
-        # 100 steps of 0.125 sum to t_end exactly
-        monkeypatch.setattr(dyn, "_MAX_STEPS", 100)
-        p, init = SystemParams(lam=1.0, W=0.01, alpha1=0.8, alpha2=0.6, K=0.0), bell_state("minus")
-        loose = dict(rel_tol=1e-2, abs_tol=1e-2)
-        traj = integrate_pseudomode(p, init, 12.5, IntegratorConfig(max_step=0.125, **loose))
-        assert traj.t.size == 101
-        with pytest.raises(StepBudgetError) as exc:
-            integrate_pseudomode(p, init, 12.5, IntegratorConfig(max_step=0.124, **loose))
-        assert exc.value.knob == "max_step"
 
     def test_adaptive_loop_counts_tried_steps(self, monkeypatch):
         # the smallest budget that lets the run finish is the number of steps
@@ -251,9 +235,8 @@ class TestStepBudget:
         monkeypatch.setattr(dyn, "_MAX_STEPS", tried)
         integrate_pseudomode(p, init, 10.0)
         monkeypatch.setattr(dyn, "_MAX_STEPS", tried - 1)
-        with pytest.raises(StepBudgetError) as exc:
+        with pytest.raises(StepBudgetError):
             integrate_pseudomode(p, init, 10.0)
-        assert exc.value.knob == "t_end"
 
 
 class TestAgainstScipyRK45:
@@ -312,7 +295,7 @@ DP_P = [
 ]
 
 
-def dopri_stage_reference(M, y0, t_end, rtol, atol, max_step):
+def dopri_stage_reference(M, y0, t_end, rtol, atol):
     """The seven-stage Dormand-Prince loop with FSAL, kept as the reference for the
     polynomial form of ``_dopri45``.
 
@@ -342,7 +325,7 @@ def dopri_stage_reference(M, y0, t_end, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, t_end, max_step)
+    h_abs = min(100.0 * h0, h1, t_end)
 
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
         [float(a) for a in row] for row in DP_A[1:]
@@ -354,9 +337,7 @@ def dopri_stage_reference(M, y0, t_end, rtol, atol, max_step):
     steps = []  # per accepted step: y at its start, then the seven stages
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         y1, y2, y3 = y
         p1, p2, p3 = k1
@@ -457,7 +438,7 @@ class TestPolynomialStep:
         for p, init in _dopri_points(rng):
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
             t, y = _dopri45(*args)
             t_ref, _, dense_ref = dopri_stage_reference(*args)
             assert t.size == t_ref.size
@@ -503,7 +484,7 @@ class TestPolynomialStep:
         h = 1e-3
         assert 0.3 <= np.abs(h * M[M != 0]).min() and np.abs(h * M).max() <= 0.5
         y0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
-        t, y = _dopri45(M, y0, h, 1e-2, 1e-2, math.inf)
+        t, y = _dopri45(M, y0, h, 1e-2, 1e-2)
         assert t.tolist() == [0.0, h]
         z = h * M
         powers = [np.linalg.matrix_power(z, j) for j in range(7)]
@@ -523,10 +504,10 @@ class TestPolynomialStep:
             M = M[:2, :2]
         y0 = np.ones(M.shape[0], dtype=complex)
         with pytest.raises(ValueError, match="symmetric"):
-            _dopri45(M, y0, 1.0, 1e-9, 1e-12, math.inf)
+            _dopri45(M, y0, 1.0, 1e-9, 1e-12)
 
 
-def dopri_polynomial_reference(M, y0, t_end, rtol, atol, max_step, times):
+def dopri_polynomial_reference(M, y0, t_end, rtol, atol, times):
     """The polynomial Dormand-Prince loop on a general 3x3 M, nine products per power,
     kept as the byte-for-byte reference for the four-entry step of ``_dopri45``.
 
@@ -557,16 +538,14 @@ def dopri_polynomial_reference(M, y0, t_end, rtol, atol, max_step, times):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, t_end, max_step)
+    h_abs = min(100.0 * h0, h1, t_end)
 
     t = 0.0
     starts = []
     states = []
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         y1, y2, y3 = y
         rejected = False
@@ -664,7 +643,7 @@ class TestFourEntryStep:
         for p, init in points:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
             t, y = _dopri45(*args)
             t_ref, y_ref = dopri_polynomial_reference(*args, None)
             assert t.tobytes() == t_ref.tobytes()
@@ -772,6 +751,19 @@ class TestDenseOutput:
         assert passed[0].tolist() == list(range(steps))
         assert np.concatenate(passed[1:]).tolist() == list(range(steps))
 
+    def test_verification_steps_through_one_driver(self):
+        # the comparison and the balance check reach the stepper only through
+        # _adaptive_run, as integrate_pseudomode does
+        tree = ast.parse(inspect.getsource(verification))
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dynamics"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private == {"_adaptive_run", "_balance_residual", "_dense_output"}
+
 
 def balance_reference(M, bounds, ys, lam):
     """The balance defect P' + 2 lam |b|^2 at the check's nodes, from the
@@ -792,7 +784,7 @@ def balance_reference(M, bounds, ys, lam):
 def tight_run(M, init, t_end):
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
     cfg = LEAK_IDENTITY_CONFIG
-    return _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    return _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
 
 
 # the step-heaviest corner of the verification box at lambda = 10: about
