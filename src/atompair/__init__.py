@@ -33,12 +33,12 @@ from .dynamics import (
     leak_series,
     sample_closed_form,
 )
-from .model import InitialAmplitudes, SystemParams, bell_state, validate_initial
+from .model import InitialAmplitudes, SystemParams, bell_state
 from .verification import SolverComparison, compare_solvers, leak_identity_residual
 
 __all__ = [
     "__version__",
-    "SystemParams", "InitialAmplitudes", "bell_state", "validate_initial",
+    "SystemParams", "InitialAmplitudes", "bell_state",
     "CharacteristicCubic", "ResidueSolution",
     "char_roots", "residue_coefficients", "surviving_pole",
     "Trajectory", "IntegratorConfig", "StepUnderflowError", "StepBudgetError",

@@ -30,7 +30,7 @@ from .dynamics import (
     leak_series,
     sample_closed_form,
 )
-from .model import InitialAmplitudes, SystemParams, bell_state, validate_initial
+from .model import InitialAmplitudes, SystemParams, bell_state
 from .verification import (
     LEAK_IDENTITY_TOL,
     THREE_SOLVER_TOL,
@@ -265,13 +265,15 @@ def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes
         raise ConfigError("missing required field 'init'")
     if isinstance(value, str):
         return bell_state(value.removeprefix("phi_"))
-    mode = "renormalize" if cfg.get("renormalize") else "strict"
+    c10, c20 = complex(*value["c10"]), complex(*value["c20"])
     try:
-        return validate_initial(
-            InitialAmplitudes(complex(*value["c10"]), complex(*value["c20"])), mode
-        )
+        if cfg.get("renormalize"):
+            return InitialAmplitudes.normalized(c10, c20)
+        return InitialAmplitudes(c10, c20)
     except ValueError as exc:
-        raise ConfigError(f"invalid init: {exc}") from exc
+        # an off-norm pair's message names the library's rescaling; a config sets a field
+        reason = str(exc).replace("use InitialAmplitudes.normalized", 'set "renormalize": true')
+        raise ConfigError(f"invalid init: {reason}") from exc
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
@@ -373,7 +375,7 @@ def _run_trajectory(
     try:
         return sample_volterra(params, init, t_end, n_steps, samples)
     except ValueError as exc:
-        raise ConfigError(f"field 'n_steps' = {n_steps} is too few: {exc}") from exc
+        raise _steps_out_of_range(n_steps, exc) from exc
     except PopulationGrowthError as exc:
         raise _too_coarse(n_steps, t_end, exc) from exc
 
@@ -393,6 +395,13 @@ def _too_coarse(n_steps: int, t_end: float, exc: PopulationGrowthError) -> Confi
     return ConfigError(
         f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
         f"t_end / {exc.steps} = {t_end / exc.steps:.3g}; use more steps, or a shorter 't_end'"
+    )
+
+
+def _steps_out_of_range(n_steps: int, exc: ValueError) -> ConfigError:
+    """The refusal of a memory-kernel run that would take too few or too many steps."""
+    return ConfigError(
+        f"field 'n_steps' = {n_steps}, rounded up per sample interval, is out of range: {exc}"
     )
 
 
@@ -578,6 +587,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     except StepBudgetError as exc:
         raise _too_many_steps(exc) from exc
+    except ValueError as exc:  # the memory-kernel route's step count
+        raise _steps_out_of_range(n_steps, exc) from exc
     except PopulationGrowthError as exc:
         raise _too_coarse(n_steps, t_end, exc) from exc
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialAmplitudes, SystemParams, validate_initial
+from .model import InitialAmplitudes, SystemParams
 
 __all__ = [
     "SURVIVING_POLE_TOL",
@@ -334,7 +334,6 @@ def residue_coefficients(
 ) -> ResidueSolution:
     """Newton coefficients of the residue sum, valid for every root configuration:
     the one-point case of :func:`evolve_over_K`'s K axis."""
-    init = validate_initial(init, "strict")
     roots, nodes, newton = _newton_form(params, init, [params.K])
     return ResidueSolution(params, init, tuple(roots[0].tolist()), nodes[0], newton[0])
 
@@ -344,7 +343,7 @@ def evolve_over_K(
 ) -> np.ndarray:
     """Amplitudes (c1, c2, b) of ``params`` with each dipole strength of the
     array ``K`` in place of ``params.K``, at times ``t >= 0``: shape (3, K.size, t.size)."""
-    _, nodes, newton = _newton_form(params, validate_initial(init, "strict"), K)
+    _, nodes, newton = _newton_form(params, init, K)
     return _amplitudes(nodes, newton, np.asarray(t, dtype=float).reshape(-1))
 
 

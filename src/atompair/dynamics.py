@@ -44,7 +44,7 @@ from .closedform import (
     char_roots,
     residue_coefficients,
 )
-from .model import InitialAmplitudes, SystemParams, validate_initial
+from .model import InitialAmplitudes, SystemParams
 
 __all__ = [
     "StepUnderflowError",
@@ -72,6 +72,8 @@ class StepUnderflowError(Exception):
 # would need more takes long enough, and holds enough memory, to be a
 # mistake; the closed form reaches any horizon at once.
 _MAX_STEPS = 1_000_000
+# The most steps one run of integrate_volterra may take, for the same reason.
+_MAX_VOLTERRA_STEPS = _MAX_STEPS
 
 
 class StepBudgetError(Exception):
@@ -184,7 +186,6 @@ def _adaptive_run(
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    validate_initial(init, "strict")
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
     M = _system_matrix(params)
     return M, *_dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
@@ -562,7 +563,7 @@ def _power_scan(C: np.ndarray, D: np.ndarray, x0: np.ndarray, n: int) -> np.ndar
 
 
 # a step too long for the rates overflows to inf and NaN; the result is
-# returned as it is, for check_population_decay to refuse
+# returned as it is, for verification.sample_volterra to refuse
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_volterra(
     params: SystemParams,
@@ -596,15 +597,15 @@ def integrate_volterra(
     Raises
     ------
     ValueError
-        If ``n_steps < 100`` (the scheme needs a few nodes per oscillation
-        period to be meaningful, and coarser grids defeat its purpose as an
-        oracle).
+        If ``n_steps`` is below 100 (the scheme needs a few nodes per
+        oscillation period to be meaningful, and coarser grids defeat its
+        purpose as an oracle) or above ``_MAX_VOLTERRA_STEPS``; either is
+        refused before anything is allocated.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if n_steps < 100:
-        raise ValueError(f"n_steps must be >= 100, got {n_steps}")
-    init = validate_initial(init, "strict")
+    if not 100 <= n_steps <= _MAX_VOLTERRA_STEPS:
+        raise ValueError(f"n_steps must lie in [100, {_MAX_VOLTERRA_STEPS}], got {n_steps}")
     lam, K, W = params.lam, params.K, params.W
     a1, a2 = params.alpha1, params.alpha2
     W2 = _kernel_sign * W * W

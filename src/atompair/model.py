@@ -8,6 +8,10 @@ downstream (closed-form solution, integrators, observables) is driven by the
 values collected here, and the coupling measures ``R``, ``r1`` and ``r2``
 are properties of :class:`SystemParams`.
 
+Each type checks its invariants when it is built, so code that receives one
+checks nothing again: an :class:`InitialAmplitudes` has unit norm, and
+:meth:`InitialAmplitudes.normalized` rescales a pair to it.
+
 All types in this module are immutable values; they can be shared freely
 between threads or processes.
 """
@@ -22,10 +26,9 @@ __all__ = [
     "SystemParams",
     "InitialAmplitudes",
     "bell_state",
-    "validate_initial",
 ]
 
-# Tolerance on |c10|^2 + |c20|^2 - 1 accepted by strict validation.
+# Tolerance on |c10|^2 + |c20|^2 - 1 accepted by InitialAmplitudes.
 NORM_TOL = 1e-10
 
 
@@ -99,20 +102,48 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class InitialAmplitudes:
-    """Single-excitation atomic amplitudes at t = 0.
+    """Single-excitation atomic amplitudes at t = 0, of unit norm.
 
     ``c10`` multiplies |e>_1 |g>_2 and ``c20`` multiplies |g>_1 |e>_2; the
     reservoir starts in vacuum, so the auxiliary mode amplitude is always
-    zero initially.  Use :func:`validate_initial` to enforce or restore unit
-    norm.
+    zero initially.  Construction raises ValueError unless
+    ``|c10|^2 + |c20|^2`` is finite and within :data:`NORM_TOL` of one;
+    :meth:`normalized` rescales a finite, nonzero pair to unit norm instead.
     """
 
     c10: complex
     c20: complex
 
+    def __post_init__(self) -> None:
+        n2 = _norm_sq(self.c10, self.c20)
+        if abs(n2 - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"initial state norm^2 = {n2!r} deviates from 1 by more than "
+                f"{NORM_TOL}; use InitialAmplitudes.normalized to rescale"
+            )
+
+    @classmethod
+    def normalized(cls, c10: complex, c20: complex) -> InitialAmplitudes:
+        """``(c10, c20)`` rescaled to unit norm; the pair must be finite and nonzero."""
+        scale = 1.0 / math.sqrt(_norm_sq(c10, c20))
+        return cls(c10 * scale, c20 * scale)
+
     @property
     def norm_sq(self) -> float:
-        return abs(self.c10) ** 2 + abs(self.c20) ** 2
+        return _norm_sq(self.c10, self.c20)
+
+
+def _norm_sq(c10: complex, c20: complex) -> float:
+    """``|c10|^2 + |c20|^2``; ValueError unless it is finite and nonzero."""
+    try:
+        n2 = abs(c10) ** 2 + abs(c20) ** 2
+    except OverflowError:
+        n2 = math.inf
+    if not math.isfinite(n2):
+        raise ValueError(f"initial amplitudes must have a finite norm, got c10={c10}, c20={c20}")
+    if n2 == 0.0:
+        raise ValueError("initial amplitudes cannot both be zero")
+    return n2
 
 
 def bell_state(sign: str) -> InitialAmplitudes:
@@ -126,34 +157,3 @@ def bell_state(sign: str) -> InitialAmplitudes:
     if sign == "minus":
         return InitialAmplitudes(complex(s), complex(-s))
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-
-
-def validate_initial(init: InitialAmplitudes, mode: str = "strict") -> InitialAmplitudes:
-    """Check or restore the unit-norm invariant of an initial state.
-
-    ``mode="strict"`` returns ``init`` unchanged if ``|c10|^2 + |c20|^2`` is
-    within :data:`NORM_TOL` of one, and raises otherwise.
-    ``mode="renormalize"`` rescales to unit norm.  A zero vector, and one
-    whose norm is not finite, is rejected in either mode.
-    """
-    try:
-        n2 = init.norm_sq
-    except OverflowError:
-        n2 = math.inf
-    if not math.isfinite(n2):
-        raise ValueError(
-            f"initial amplitudes must have a finite norm, got c10={init.c10}, c20={init.c20}"
-        )
-    if n2 == 0.0:
-        raise ValueError("initial amplitudes cannot both be zero")
-    if mode == "strict":
-        if abs(n2 - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"initial state norm^2 = {n2!r} deviates from 1 by more than "
-                f"{NORM_TOL}; pass mode='renormalize' to rescale"
-            )
-        return init
-    if mode == "renormalize":
-        scale = 1.0 / math.sqrt(n2)
-        return InitialAmplitudes(init.c10 * scale, init.c20 * scale)
-    raise ValueError(f"mode must be 'strict' or 'renormalize', got {mode!r}")

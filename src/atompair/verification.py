@@ -32,7 +32,6 @@ __all__ = [
     "POPULATION_GROWTH_TOL",
     "PopulationGrowthError",
     "SolverComparison",
-    "check_population_decay",
     "compare_solvers",
     "leak_identity_residual",
     "sample_volterra",
@@ -68,15 +67,6 @@ class PopulationGrowthError(Exception):
         self.steps = steps
 
 
-def check_population_decay(traj: Trajectory) -> None:
-    """Raise :class:`PopulationGrowthError` unless ``traj``'s tracked population stays
-    at most 1 + POPULATION_GROWTH_TOL."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = float(traj.tracked_population.max())
-    if not peak <= 1.0 + POPULATION_GROWTH_TOL:
-        raise PopulationGrowthError(peak, len(traj) - 1)
-
-
 def sample_volterra(
     params: SystemParams,
     init: InitialAmplitudes,
@@ -96,18 +86,17 @@ def sample_volterra(
     Raises
     ------
     ValueError
-        If that makes fewer than the 100 steps :func:`integrate_volterra`
-        takes at least.
+        If that makes a step count :func:`integrate_volterra` refuses.
     """
     stride = -(-n_steps // (samples - 1))
-    steps = stride * (samples - 1)
-    if steps < 100:
-        raise ValueError(
-            f"the memory-kernel route takes at least 100 steps, and {steps} on {samples} samples"
-        )
-    traj = integrate_volterra(params, init, t_end, steps, _kernel_sign=_kernel_sign)
+    traj = integrate_volterra(
+        params, init, t_end, stride * (samples - 1), _kernel_sign=_kernel_sign
+    )
     if _kernel_sign == 1.0:
-        check_population_decay(traj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = float(traj.tracked_population.max())
+        if not peak <= 1.0 + POPULATION_GROWTH_TOL:
+            raise PopulationGrowthError(peak, len(traj) - 1)
     idx = slice(None, None, stride)
     return Trajectory(
         params=params, init=traj.init, t=traj.t[idx], c1=traj.c1[idx], c2=traj.c2[idx],

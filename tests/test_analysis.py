@@ -99,6 +99,15 @@ class TestVerdict:
         v = steady_state_verdict(equal_params(K=11.0), bell_state("minus"))
         assert v.asymptotic_concurrence == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("K", [1e5, 1e6])
+    def test_equal_coupling_strong_dipole(self, K):
+        # the bright mode's roots decay at about R^2 lam / K^2, within the
+        # root finder's axis tolerance, beside the pole at i K
+        v = steady_state_verdict(equal_params(K=K), bell_state("minus"))
+        assert v.steady and v.regime == "equal_coupling"
+        assert v.surviving_pole == complex(0.0, K)
+        assert v.asymptotic_concurrence == pytest.approx(1.0, abs=1e-12)
+
     def test_zero_dipole_dark_projection(self):
         p = fig_params(K=0.0)
         v = steady_state_verdict(p, bell_state("minus"))

@@ -319,6 +319,19 @@ class TestFaultyInputs:
         assert "invalid init" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_off_norm_initial_state_hint_names_the_config_field(self, tmp_path, capsys):
+        # no CLI option takes the library's rescaling; the config field does
+        payload = {**_RUN, "init": {"c10": [0.7071, 0.0], "c20": [0.7071, 0.0]}}
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid init" in err and 'set "renormalize": true' in err
+        assert "mode=" not in err and "normalized" not in err
+        assert not out.exists()
+        cfg = write_config(tmp_path, "c.json", {**payload, "renormalize": True})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
     def test_coarse_volterra_steps_exit_2(self, tmp_path, capsys):
         # at 100 steps the memory-kernel scheme is unstable for these rates
         payload = {"R_rel": 12.2131, "K_rel": 12.4332, "r1": 0.1708, "init": "phi_minus",
@@ -396,6 +409,24 @@ class TestStepBudget:
         assert "'t_end'" in capsys.readouterr().err
         # the closed form reaches the same horizon
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed"]) == EXIT_OK
+
+    def test_volterra_ceiling_names_n_steps(self, tmp_path, capsys, monkeypatch):
+        # the memory-kernel route refuses more than _MAX_VOLTERRA_STEPS steps
+        # before it allocates its step arrays
+        monkeypatch.setattr(dynamics, "_MAX_VOLTERRA_STEPS", 5000)
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 6000})
+        out = tmp_path / "o.csv"
+        argv = ["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "'n_steps' = 6000" in captured.err and "[100, 5000], got 6000" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "'n_steps' = 6000" in captured.err and captured.out == ""
+        # a count within the ceiling runs
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 4000})
+        assert main(argv) == EXIT_OK
 
 
 class TestRateScale:
@@ -621,6 +652,15 @@ class TestRoots:
         assert "surviving pole: not applicable\n" in out
         assert "verdict: not applicable" in out
 
+    def test_equal_coupling_with_a_strong_dipole_term(self, tmp_path, capsys):
+        # the bright mode decays at about 1e-8 lam, within the axis
+        # tolerance, so two roots lie on the axis; the verdict's pole is
+        # the one at i K
+        payload = {"R_rel": 10, "K_rel": 1e5, "r1": 1.0 / math.sqrt(2.0), "init": "phi_minus"}
+        cfg = write_config(tmp_path, "r.json", payload)
+        assert main(["roots", "--config", cfg]) == EXIT_OK
+        assert "verdict: steady (regime equal_coupling" in capsys.readouterr().out
+
     def test_pole_line_agrees_with_verdict(self, tmp_path, capsys):
         # the numerically smallest |Re s| is far below the root finder's axis
         # tolerance here, but the verdict is analytic: no surviving pole
@@ -830,6 +870,16 @@ def test_readme_run_config_verifies_all_four_checks(tmp_path, capsys):
         "[PASS] pseudomode_ode vs volterra", "[PASS] population-balance identity"]
     assert lines[-1] == "all checks passed"
     assert "'samples'" in captured.err and "'solver'" in captured.err
+
+
+def test_readme_library_quick_start_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library quick start", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, regime = capsys.readouterr().out.splitlines()
+    assert verdict.startswith("SteadyStateVerdict(steady=False")
+    assert regime == "decaying"
 
 
 class TestSubprocessEntry:

@@ -859,6 +859,19 @@ class TestVolterra:
         with pytest.raises(ValueError, match="n_steps"):
             integrate_volterra(fig_params(K=0.0), bell_state("minus"), 10.0, 99)
 
+    def test_rejects_steps_past_the_ceiling_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_MAX_VOLTERRA_STEPS", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n_steps must lie in \[100, 1000\], got 1001"):
+                integrate_volterra(fig_params(K=0.0), bell_state("minus"), 10.0, 1001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1001  # less than one complex array of the nodes
+        traj = integrate_volterra(fig_params(K=0.0), bell_state("minus"), 10.0, 1000)
+        assert len(traj) == 1001
+
     def test_single_atom_damped_oscillation(self):
         p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         traj = integrate_volterra(p, InitialAmplitudes(1.0, 0.0), 6.0, 2000)

@@ -9,7 +9,6 @@ from atompair import (
     bell_state,
     integrate_pseudomode,
     residue_coefficients,
-    validate_initial,
 )
 
 from conftest import fig_params, random_init, random_params
@@ -94,8 +93,9 @@ class TestInitialStates:
         # unit norm to the last representable digit
         assert abs(plus.norm_sq - 1.0) <= 1e-15
         assert abs(minus.norm_sq - 1.0) <= 1e-15
-        validate_initial(plus, "strict")
-        validate_initial(minus, "strict")
+        # each is a checked value: rebuilding it from its amplitudes passes
+        assert InitialAmplitudes(plus.c10, plus.c20) == plus
+        assert InitialAmplitudes(minus.c10, minus.c20) == minus
 
     def test_bell_state_rejects_unknown_sign(self):
         with pytest.raises(ValueError):
@@ -103,31 +103,30 @@ class TestInitialStates:
 
     def test_validate_strict_accepts_unit_norm(self):
         init = InitialAmplitudes(1.0, 0.0)
-        assert validate_initial(init, "strict") is init
+        assert (init.c10, init.c20) == (1.0, 0.0)
 
     def test_validate_strict_rejects_off_norm(self):
         with pytest.raises(ValueError, match="norm"):
-            validate_initial(InitialAmplitudes(1.0 + 1e-4, 0.0), "strict")
+            InitialAmplitudes(1.0 + 1e-4, 0.0)
 
     def test_validate_renormalize_scales(self):
-        out = validate_initial(InitialAmplitudes(2.0, 0.0), "renormalize")
+        out = InitialAmplitudes.normalized(2.0, 0.0)
         assert out.c10 == pytest.approx(1.0, abs=1e-15)
         assert out.c20 == 0.0
 
     def test_zero_vector_always_rejected(self):
-        for mode in ("strict", "renormalize"):
+        for build in (InitialAmplitudes, InitialAmplitudes.normalized):
             with pytest.raises(ValueError, match="zero"):
-                validate_initial(InitialAmplitudes(0.0, 0.0), mode)
+                build(0.0, 0.0)
 
-    @pytest.mark.parametrize("mode", ["strict", "renormalize"])
+    @pytest.mark.parametrize("build", [
+        pytest.param(InitialAmplitudes, id="strict"),
+        pytest.param(InitialAmplitudes.normalized, id="renormalize"),
+    ])
     @pytest.mark.parametrize("c10", [complex(math.nan, 0.0), complex(0.6, math.inf), 1e200])
-    def test_non_finite_norm_rejected(self, mode, c10):
+    def test_non_finite_norm_rejected(self, build, c10):
         with pytest.raises(ValueError, match="finite norm"):
-            validate_initial(InitialAmplitudes(c10, 0.8j), mode)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            validate_initial(InitialAmplitudes(1.0, 0.0), "fixup")
+            build(c10, 0.8j)
 
 
 class TestCovariances:
