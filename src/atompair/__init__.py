@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     SteadyStateVerdict,
+    asymptotic_t_end,
     concurrence,
     concurrence_array,
     concurrence_series,
@@ -20,14 +21,11 @@ from .closedform import (
     ResidueSolution,
     char_roots,
     residue_coefficients,
-    surviving_pole,
 )
 from .dynamics import (
-    IntegratorConfig,
     StepBudgetError,
     StepUnderflowError,
     Trajectory,
-    asymptotic_t_end,
     integrate_pseudomode,
     integrate_volterra,
     leak_series,
@@ -40,11 +38,11 @@ __all__ = [
     "__version__",
     "SystemParams", "InitialAmplitudes", "bell_state",
     "CharacteristicCubic", "ResidueSolution",
-    "char_roots", "residue_coefficients", "surviving_pole",
-    "Trajectory", "IntegratorConfig", "StepUnderflowError", "StepBudgetError",
+    "char_roots", "residue_coefficients",
+    "Trajectory", "StepUnderflowError", "StepBudgetError",
     "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
-    "leak_series", "asymptotic_t_end",
+    "leak_series",
     "SteadyStateVerdict", "density_matrix", "concurrence", "concurrence_array",
-    "concurrence_series", "steady_state_verdict", "disentanglement_time",
+    "concurrence_series", "steady_state_verdict", "asymptotic_t_end", "disentanglement_time",
     "SolverComparison", "compare_solvers", "leak_identity_residual",
 ]

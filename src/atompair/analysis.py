@@ -5,10 +5,17 @@ determined by the two amplitudes (c1, c2): a rank-<=2 mixture of a pure
 entangled branch and the shared ground state.  For that structure the
 concurrence collapses to C = 2 |c1| |c2| exactly, so no spin-flip
 eigenvalue machinery is needed.
+
+Which characteristic root survives as t -> infinity is decided in one
+place, :func:`_steady_regime`: the pole on the imaginary axis is known in
+closed form (i K at equal couplings, 0 at K = 0, none otherwise).  Both
+:func:`steady_state_verdict` and the horizon :func:`asymptotic_t_end` read
+it; no tolerance on the roots' real parts decides it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,7 @@ __all__ = [
     "concurrence_array",
     "concurrence_series",
     "steady_state_verdict",
+    "asymptotic_t_end",
     "disentanglement_time",
 ]
 
@@ -78,6 +86,20 @@ def concurrence_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def concurrence_series(traj) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise concurrence along a trajectory; returns (t, C)."""
     return traj.t, concurrence_array(traj.c1, traj.c2)
+
+
+def _steady_regime(params: SystemParams) -> tuple[str, complex | None]:
+    """The regime of ``params`` and its analytic pole on the imaginary axis:
+    ``("equal_coupling", iK)``, ``("zero_K", 0)`` or ``("decaying", None)``.
+
+    Couplings count as equal when |r1 - r2| <= EQUAL_COUPLING_TOL; equal
+    couplings take precedence over K = 0.
+    """
+    if abs(params.r1 - params.r2) <= EQUAL_COUPLING_TOL:
+        return "equal_coupling", complex(0.0, params.K)
+    if params.K == 0.0:
+        return "zero_K", complex(0.0)
+    return "decaying", None
 
 
 @dataclass(frozen=True)
@@ -135,24 +157,18 @@ def steady_state_verdict(
             "steady-state classification requires W > 0; with no reservoir "
             "coupling the amplitudes never settle"
         )
-    K, r1, r2 = params.K, params.r1, params.r2
-    if abs(r1 - r2) <= EQUAL_COUPLING_TOL:
-        regime = "equal_coupling"
-        pole = complex(0.0, K)
+    regime, pole = _steady_regime(params)
+    if regime == "equal_coupling":
         c_inf = 0.5 * abs(init.c10 - init.c20) ** 2
-    elif K == 0.0:
-        regime = "zero_K"
-        pole = complex(0.0)
-        dark = r2 * init.c10 - r1 * init.c20
-        c_inf = 2.0 * r1 * r2 * abs(dark) ** 2
+    elif regime == "zero_K":
+        dark = params.r2 * init.c10 - params.r1 * init.c20
+        c_inf = 2.0 * params.r1 * params.r2 * abs(dark) ** 2
     else:
-        regime = "decaying"
-        pole = None
         c_inf = 0.0
 
     if pole is not None:
         found = min(char_roots(params), key=lambda s: abs(s - pole))
-        if abs(found - pole) > 1e-6 * (params.lam + params.R + abs(K)):
+        if abs(found - pole) > 1e-6 * (params.lam + params.R + abs(params.K)):
             raise RuntimeError(
                 f"analytic steady pole {pole} not confirmed by the root finder "
                 f"(nearest root {found})"
@@ -163,6 +179,30 @@ def steady_state_verdict(
         asymptotic_concurrence=c_inf,
         regime=regime,
     )
+
+
+def asymptotic_t_end(params: SystemParams) -> float:
+    """Horizon for steady-state studies, tied to the actual spectral gap.
+
+    Returns max(50/lam, 10/|Re s_slow|), where s_slow is the slowest
+    decaying characteristic root once the root nearest the analytic pole of
+    :func:`_steady_regime` is dropped (its residue never decays).  Only that
+    one root is dropped: at equal couplings and large |K| the bright mode's
+    root decays at about R^2 lam / K^2, far inside any fixed tolerance of
+    the axis, and the horizon has to outlast it.  With no reservoir coupling
+    (W == 0) only the mode at -lam decays, and the horizon is 50/lam.  A
+    slowest root that the root finder sees as not decaying at all (couplings
+    unequal by less than its resolution) gives inf.
+    """
+    lam = params.lam
+    if params.R == 0.0:
+        return 50.0 / lam
+    roots = list(char_roots(params))
+    _, pole = _steady_regime(params)
+    if pole is not None:
+        roots.remove(min(roots, key=lambda s: abs(s - pole)))
+    slow = max(s.real for s in roots)
+    return max(50.0 / lam, 10.0 / -slow) if slow < 0.0 else math.inf
 
 
 def disentanglement_time(

@@ -22,7 +22,6 @@ from . import __version__
 from .analysis import concurrence_array, concurrence_series, steady_state_verdict
 from .closedform import char_cubic, char_roots, evolve_over_K
 from .dynamics import (
-    IntegratorConfig,
     StepBudgetError,
     StepUnderflowError,
     Trajectory,
@@ -112,7 +111,6 @@ def _rule(test, text: str, convert=lambda key, v: v):
     return parse
 
 
-_tolerance = _rule(lambda x: 0.0 < x <= 1e-2, "lie in (0, 1e-2]", _finite)
 _boolean = _rule(lambda v: isinstance(v, bool), "be true or false")
 
 
@@ -177,8 +175,6 @@ _FIELDS = {
                      "be one of closed|ode|volterra"), None, {"run"}),
     "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001, {"run"}),
     "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000, {"run", "verify"}),
-    "rel_tol": (_tolerance, 1e-9, {"run"}),
-    "abs_tol": (_tolerance, 1e-12, {"run"}),
     # read by no command, but accepted: existing configs, the benchmark's among them, carry it
     "sample_stride": (_rule(lambda n: n >= 1, "be >= 1", _integer), None, set()),
     "out": (_rule(lambda v: isinstance(v, str) and v != "", "be a nonempty path"), None,
@@ -198,7 +194,7 @@ def _required(cfg: dict, key: str):
 
 def params_from_config(cfg: dict) -> SystemParams:
     dimless = {"R_rel", "K_rel", "r1"} & set(cfg)
-    explicit = {"W", "alpha1", "alpha2"} & set(cfg)
+    explicit = {"W", "alpha1", "alpha2", "K"} & set(cfg)
     if dimless and explicit:
         raise ConfigError(
             "give either dimensionless (R_rel, K_rel, r1) or explicit "
@@ -361,12 +357,12 @@ def _run_trajectory(
         _check_closed_form("t_end", t_end, traj.c1, traj.c2, traj.b)
         return traj
     if solver == "ode":
-        icfg = IntegratorConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
         try:
-            return integrate_pseudomode(params, init, t_end, cfg=icfg, times=grid)
+            return integrate_pseudomode(params, init, t_end, times=grid)
         except StepUnderflowError as exc:
             raise ConfigError(
-                f"the adaptive route cannot proceed ({exc}): loosen 'rel_tol' or 'abs_tol'"
+                f"the adaptive route cannot reach field 't_end' ({exc}): lower it, "
+                f"or use --solver closed"
             ) from exc
         except StepBudgetError as exc:
             raise _too_many_steps(exc, ", or use --solver closed") from exc

@@ -31,20 +31,13 @@ import numpy as np
 from .model import InitialAmplitudes, SystemParams
 
 __all__ = [
-    "SURVIVING_POLE_TOL",
     "CharacteristicCubic",
     "ResidueSolution",
     "char_cubic",
     "char_roots",
     "evolve_over_K",
     "residue_coefficients",
-    "surviving_pole",
 ]
-
-# |Re s| <= SURVIVING_POLE_TOL * lam qualifies a root as lying on the
-# imaginary axis.  Tight enough to separate the exact analytic cases from
-# slow decay of nearby parameter sets.
-SURVIVING_POLE_TOL = 1e-8
 
 # Plain quotients of the exponentials are used when, with (a, c) the widest
 # root pair, min(|a - b|, |b - c|) |a - c| >= _SEPARATED * max|s|^2.  Their
@@ -346,19 +339,3 @@ def evolve_over_K(
     _, nodes, newton = _newton_form(params, init, K)
     return _amplitudes(nodes, newton, np.asarray(t, dtype=float).reshape(-1))
 
-
-def surviving_pole(roots: tuple[complex, ...], lam: float) -> complex | None:
-    """The unique one of ``roots`` on the imaginary axis, if there is exactly one.
-
-    A root counts as lying on the axis when |Re s| <= SURVIVING_POLE_TOL *
-    lam.  The residue at such a pole is the only contribution that survives
-    as t -> infinity.  When no root qualifies, the amplitudes decay to zero
-    and None is returned.  More than one qualifies only with no reservoir
-    coupling (W = 0), where D(s) = (s + lam)(s^2 + K^2) puts two undamped
-    poles on the axis, at +-iK or doubly at 0; nothing decays then, no
-    single pole survives, and None is returned too.
-    """
-    found = [s for s in roots if abs(s.real) <= SURVIVING_POLE_TOL * lam]
-    if len(found) == 1:
-        return found[0]
-    return None

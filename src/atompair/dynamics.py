@@ -16,9 +16,12 @@ Two independent routes produce trajectories:
   check of :mod:`atompair.verification` (:func:`_balance_residual`), which
   finds the interpolant's defect exactly, as a polynomial on each step.
   One function, :func:`_adaptive_run`, runs the stepper for both
-  :func:`integrate_pseudomode` and :mod:`atompair.verification`.  It stops
-  with :class:`StepBudgetError` once it has tried ``_MAX_STEPS`` steps
-  short of ``t_end``.
+  :func:`integrate_pseudomode` and :mod:`atompair.verification`, each at
+  its own fixed pair of tolerances: ``_TOLERANCES`` (1e-9 relative, 1e-12
+  absolute) here, and the tighter ``LEAK_IDENTITY_CONFIG`` for the
+  checks.  The route takes no other settings.  It stops with
+  :class:`StepBudgetError` once it has tried ``_MAX_STEPS`` steps short of
+  ``t_end``.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -39,23 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    SURVIVING_POLE_TOL,
-    char_roots,
-    residue_coefficients,
-)
+from .closedform import residue_coefficients
 from .model import InitialAmplitudes, SystemParams
 
 __all__ = [
     "StepUnderflowError",
     "StepBudgetError",
     "Trajectory",
-    "IntegratorConfig",
     "integrate_pseudomode",
     "integrate_volterra",
     "sample_closed_form",
     "leak_series",
-    "asymptotic_t_end",
 ]
 
 SOLVER_TAGS = ("closed_form", "pseudomode_ode", "volterra")
@@ -141,20 +138,6 @@ class Trajectory:
         return self.p1 + self.p2 + self.pb
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Settings for :func:`integrate_pseudomode`: the adaptive step's tolerances."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if not 0.0 < self.abs_tol <= 1e-2:
-            raise ValueError(f"abs_tol must lie in (0, 1e-2], got {self.abs_tol}")
-
-
 def _system_matrix(params: SystemParams) -> np.ndarray:
     """The constant matrix M of dy/dt = M y for y = (c1, c2, b).
 
@@ -176,10 +159,20 @@ def _system_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
+# The adaptive route's (relative, absolute) tolerances, for
+# integrate_pseudomode and run --solver ode; verify runs at its own pair,
+# verification.LEAK_IDENTITY_CONFIG.
+_TOLERANCES = (1e-9, 1e-12)
+
+
 def _adaptive_run(
-    params: SystemParams, init: InitialAmplitudes, t_end: float, cfg: IntegratorConfig
+    params: SystemParams,
+    init: InitialAmplitudes,
+    t_end: float,
+    tolerances: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adaptive route from ``(c10, c20, 0)`` to ``t_end`` at ``cfg``'s tolerances.
+    """The adaptive route from ``(c10, c20, 0)`` to ``t_end`` at the
+    ``(relative, absolute)`` pair ``tolerances``.
 
     Returns ``M`` of :func:`_system_matrix` and the :func:`_dopri45` run
     ``(bounds, ys)``.
@@ -188,17 +181,17 @@ def _adaptive_run(
         raise ValueError(f"t_end must be positive, got {t_end}")
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
     M = _system_matrix(params)
-    return M, *_dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
+    return M, *_dopri45(M, y0, t_end, *tolerances)
 
 
 def integrate_pseudomode(
     params: SystemParams,
     init: InitialAmplitudes,
     t_end: float,
-    cfg: IntegratorConfig | None = None,
     times: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the three-amplitude system up to ``t_end``.
+    """Integrate the three-amplitude system up to ``t_end``, at tolerances of
+    1e-9 relative and 1e-12 absolute (``_TOLERANCES``).
 
     With ``times`` given, the solution is emitted on that grid, which must
     start at 0 and stay within ``[0, t_end]``; otherwise every accepted step
@@ -220,7 +213,7 @@ def integrate_pseudomode(
             raise ValueError("sample grid must be strictly increasing")
         if times[-1] > t_end:
             raise ValueError("sample grid extends past t_end")
-    M, t, y = _adaptive_run(params, init, t_end, cfg or IntegratorConfig())
+    M, t, y = _adaptive_run(params, init, t_end, _TOLERANCES)
     if times is not None:
         t, y = times, _dense_output(M, t, y, times)
     return Trajectory(
@@ -762,19 +755,3 @@ def leak_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """
     p_leak = 1.0 - traj.tracked_population
     return traj.t, np.maximum(p_leak, 0.0)
-
-
-def asymptotic_t_end(params: SystemParams) -> float:
-    """Horizon for steady-state studies, tied to the actual spectral gap.
-
-    Returns max(50/lam, 10/|Re s_slow|) where s_slow is the slowest decaying
-    characteristic root, ignoring any root sitting on the imaginary axis
-    (its residue never decays).
-    """
-    lam = params.lam
-    roots = char_roots(params)
-    decaying = [s.real for s in roots if s.real < -SURVIVING_POLE_TOL * lam]
-    if not decaying:
-        return 50.0 / lam
-    slow = max(decaying)
-    return max(50.0 / lam, 10.0 / abs(slow))

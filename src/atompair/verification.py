@@ -15,7 +15,6 @@ import numpy as np
 
 from .closedform import residue_coefficients
 from .dynamics import (
-    IntegratorConfig,
     Trajectory,
     _adaptive_run,
     _balance_residual,
@@ -40,10 +39,11 @@ __all__ = [
 THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
 
-# The adaptive route's tolerances for verification: they keep the
-# interpolant's balance defect well below LEAK_IDENTITY_TOL at the frequency
-# scales of interest (at most 5e-9 on the verification box, lambda 1 to 10).
-LEAK_IDENTITY_CONFIG = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+# The adaptive route's (relative, absolute) tolerances for verification:
+# they keep the interpolant's balance defect well below LEAK_IDENTITY_TOL at
+# the frequency scales of interest (at most 5e-9 on the verification box,
+# lambda 1 to 10).
+LEAK_IDENTITY_CONFIG = (1e-11, 1e-13)
 
 # Size of the shared comparison grid; the memory-kernel route's steps are
 # rounded up to a multiple of ``COMPARE_POINTS - 1`` (see sample_volterra).

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from atompair import InitialAmplitudes, SystemParams
+from atompair import InitialAmplitudes, SystemParams, Trajectory
+from atompair.dynamics import _adaptive_run, _dense_output
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -32,6 +33,16 @@ def random_params(rng: np.random.Generator) -> SystemParams:
 def largest_discrepancy(comp) -> float:
     """The largest of a solver comparison's three pairwise discrepancies."""
     return max(comp.closed_vs_ode, comp.closed_vs_volterra, comp.ode_vs_volterra)
+
+
+def adaptive_trajectory(p, init, t_end, tolerances, times=None) -> Trajectory:
+    """The adaptive route's trajectory, as integrate_pseudomode returns it, at
+    the (relative, absolute) pair ``tolerances`` instead of the route's own."""
+    M, t, y = _adaptive_run(p, init, t_end, tolerances)
+    if times is not None:
+        t, y = times, _dense_output(M, t, y, times)
+    return Trajectory(params=p, init=init, t=t, c1=y[0], c2=y[1], b=y[2],
+                      solver_tag="pseudomode_ode")
 
 
 def random_init(rng: np.random.Generator) -> InitialAmplitudes:

@@ -6,12 +6,15 @@ import pytest
 from atompair import (
     InitialAmplitudes,
     SystemParams,
+    asymptotic_t_end,
     bell_state,
+    char_roots,
     concurrence,
     concurrence_series,
     density_matrix,
     disentanglement_time,
     integrate_pseudomode,
+    residue_coefficients,
     sample_closed_form,
     steady_state_verdict,
 )
@@ -133,8 +136,6 @@ class TestVerdict:
 
     def test_verdict_matches_longtime_numerics(self, rng):
         # steady iff |c1 c2| survives at the spectral-gap horizon
-        from atompair import asymptotic_t_end, residue_coefficients
-
         cases = []
         for _ in range(6):
             cases.append(fig_params(K=0.0, R=rng.uniform(2.0, 15.0), r1=rng.uniform(0.1, 0.9)))
@@ -159,6 +160,34 @@ class TestVerdict:
         assert a.asymptotic_concurrence == pytest.approx(
             b.asymptotic_concurrence, rel=1e-12
         )
+
+
+class TestAsymptoticHorizon:
+    @pytest.mark.parametrize("K", [3e4, 1e5, 1e6])
+    def test_outlasts_the_bright_mode_at_strong_dipole(self, K):
+        # equal couplings: the pole at i K survives, and the bright mode's root
+        # near -i K decays at about R^2 lam / K^2, within about 1e-7 lam of the axis
+        p, init = equal_params(K=K), bell_state("plus")
+        bright = min(char_roots(p), key=lambda s: abs(s + 1j * K))
+        t_end = asymptotic_t_end(p)
+        assert t_end >= 10.0 / abs(bright.real)
+        c1, c2, _ = residue_coefficients(p, init).evolve(t_end)
+        verdict = steady_state_verdict(p, init)
+        assert abs(2.0 * abs(c1) * abs(c2) - verdict.asymptotic_concurrence) <= 1e-3
+
+    @pytest.mark.parametrize("d", [1e-8, 1e-10])
+    def test_couplings_equal_to_the_root_finders_resolution(self, d):
+        # classified as decaying, but the dark mode's root decays at a rate of
+        # order (r1 - r2)^2 R^2 lam / K^2: its real part is rounding, and the
+        # horizon is at least as long as that decay
+        p = SystemParams(lam=1.0, W=10.0, alpha1=INV_SQRT2 + d, alpha2=INV_SQRT2, K=1e3)
+        assert steady_state_verdict(p, bell_state("minus")).regime == "decaying"
+        assert asymptotic_t_end(p) >= 1e15
+
+    def test_decoupled_reservoir(self):
+        # W = 0: only the mode at -lam decays
+        p = SystemParams(lam=2.0, W=0.0, alpha1=1.0, alpha2=1.0, K=3.0)
+        assert asymptotic_t_end(p) == 25.0
 
 
 class TestSeries:

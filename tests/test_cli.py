@@ -16,8 +16,10 @@ from atompair.cli import (
     EXIT_OK,
     TRAJECTORY_COLUMNS,
     _CSV_CELLS,
+    _FIELDS,
     _write_sweep_csv,
     _write_table,
+    build_parser,
     init_from_config,
     main,
     params_from_config,
@@ -194,6 +196,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", {**FIG1A_K0, "W": 3.0})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "roots"])
+    def test_dimensionless_config_with_K_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                 command):
+        # K is an explicit parameter: a dimensionless config that gives it too
+        # once ran at K = 0 with exit 0
+        monkeypatch.chdir(tmp_path)
+        payload = {"R_rel": 10, "r1": SQRT3_2, "K": 5, "init": "phi_minus", "t_end": 2.0}
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "not both" in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_invalid_physics_named(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -282,6 +297,10 @@ class TestFaultyInputs:
             ("run", _VOLTERRA_OVERFLOW, ["--solver", "volterra"], "n_steps"),
             ("run", {**_RUN, "omega0": 0.0}, [], "omega0"),
             ("verify", {**_RUN, "solver": "all"}, [], "solver"),
+            # the adaptive route's tolerances are fixed: neither is a config field
+            *((command, {**_RUN, **_SWEEP, field: 1e-9}, [], field)
+              for field in ("rel_tol", "abs_tol")
+              for command in ("run", "sweep", "roots", "verify")),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -302,13 +321,17 @@ class TestFaultyInputs:
         assert "'out'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
-    def test_step_underflow_names_the_integrator_fields(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", {**_RUN, "abs_tol": 1e-300})
+    def test_step_underflow_names_t_end(self, tmp_path, capsys, monkeypatch):
+        # the route's tolerances are fixed: at an absolute tolerance of 1e-300
+        # its error norm overflows at t = 0, and the refusal names what a
+        # config can change
+        monkeypatch.setattr(dynamics, "_TOLERANCES", (1e-9, 1e-300))
+        cfg = write_config(tmp_path, "c.json", _RUN)
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        for field in ("abs_tol", "rel_tol"):
-            assert f"'{field}'" in err
+        assert "non-finite error norm" in err
+        assert "'t_end'" in err and "--solver closed" in err
         assert not out.exists()
 
     def test_non_finite_initial_amplitude(self, tmp_path, capsys):
@@ -833,7 +856,7 @@ class TestCommandFlags:
         assert main(["verify", "--config", plain]) == EXIT_OK
         usual = capsys.readouterr()
         assert usual.err == ""
-        unread = {"out": "x.csv", "svg": True, "rel_tol": 1e-3, "sample_stride": 5}
+        unread = {"out": "x.csv", "svg": True, "samples": 21, "sample_stride": 5}
         cfg = write_config(tmp_path, "c.json", {**payload, **unread})
         assert main(["verify", "--config", cfg]) == EXIT_OK
         captured = capsys.readouterr()
@@ -847,12 +870,24 @@ class TestCommandFlags:
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def test_readme_field_table_names_every_field():
-    from atompair.cli import _FIELDS
-
+def _readme_field_table() -> list[tuple[str, str]]:
+    """(field, flag) of each row of the README's config field table; the flag
+    is empty where the row names none."""
     with open(README, encoding="utf-8") as fh:
-        keys = re.findall(r"^\| `(\w+)` \|", fh.read(), flags=re.MULTILINE)
-    assert sorted(keys) == sorted(_FIELDS)
+        return re.findall(r"^\| `(\w+)` \|.*\| (?:`(--[a-z-]+)`)? ?\|$", fh.read(),
+                          flags=re.MULTILINE)
+
+
+def test_readme_field_table_names_every_field():
+    assert [field for field, _ in _readme_field_table()] == list(_FIELDS)
+
+
+def test_readme_field_table_flags_match_the_parser():
+    # the flag a command takes for a field has the field as its dest
+    commands = build_parser()._subparsers._group_actions[0].choices
+    flags = {action.dest: action.option_strings for sub in commands.values()
+             for action in sub._actions if action.dest in _FIELDS}
+    assert {field: [flag] for field, flag in _readme_field_table() if flag} == flags
 
 
 def test_readme_run_config_verifies_all_four_checks(tmp_path, capsys):

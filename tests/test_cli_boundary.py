@@ -48,8 +48,6 @@ EDGES = {
     "solver": (["closed", "ode", "volterra"], ["rk4", 3, "all"]),
     "samples": ([2, 21, 2001, 21.0], [1, 2.5]),
     "n_steps": ([1, 5, 100, 2000, 20000, 3000], [0, 2.5]),
-    "rel_tol": ([1e-9, 1e-2, 1e-300], [0.0, 0.5, "abc"]),
-    "abs_tol": ([1e-12, 1e-300], [0.0, 1.0]),
     "sample_stride": ([1, 5], [0]),
     "out": (["o.csv", "missing/o.csv", "."], ["", True]),
     "svg": ([True, False], ["no", 0]),

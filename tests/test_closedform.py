@@ -12,7 +12,6 @@ from atompair import (
     integrate_pseudomode,
     residue_coefficients,
     sample_closed_form,
-    surviving_pole,
 )
 from atompair.closedform import (
     _SEPARATED,
@@ -264,22 +263,6 @@ class TestClosedFormEvolution:
         assert c1a[1] == pytest.approx(c1s, rel=1e-14)
         assert c2a[1] == pytest.approx(c2s, rel=1e-14)
         assert ba[1] == pytest.approx(bs, rel=1e-14)
-
-
-class TestSurvivingPole:
-    def test_zero_dipole_pole_at_origin(self):
-        p = fig_params(K=0.0)
-        pole = surviving_pole(char_roots(p), p.lam)
-        assert pole is not None and abs(pole) < 1e-12
-
-    def test_equal_coupling_pole_at_iK(self):
-        p = equal_params(K=5.0)
-        pole = surviving_pole(char_roots(p), p.lam)
-        assert pole is not None and abs(pole - 5j) < 1e-9
-
-    def test_generic_case_has_no_pole(self):
-        p = fig_params(K=2.0)
-        assert surviving_pole(char_roots(p), p.lam) is None
 
 
 class TestSymmetries:

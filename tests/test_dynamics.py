@@ -11,7 +11,6 @@ import pytest
 
 from atompair import (
     InitialAmplitudes,
-    IntegratorConfig,
     SystemParams,
     Trajectory,
     asymptotic_t_end,
@@ -39,6 +38,7 @@ from atompair.verification import (
 
 from conftest import (
     INV_SQRT2,
+    adaptive_trajectory,
     equal_params,
     fig_params,
     largest_discrepancy,
@@ -105,8 +105,7 @@ class TestPseudomode:
 
     def test_decoherence_free_population(self):
         p = equal_params(K=20.0)
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-        traj = integrate_pseudomode(p, bell_state("minus"), 10.0, cfg=cfg)
+        traj = adaptive_trajectory(p, bell_state("minus"), 10.0, (1e-12, 1e-14))
         pop = traj.p1 + traj.p2
         assert np.abs(pop - 1.0).max() < 1e-9
 
@@ -178,16 +177,16 @@ class TestPseudomode:
             assert np.all(np.diff(pop) <= 1e-8)
 
 
-def _rk45_reference(p, init, t_end, cfg):
+def _rk45_reference(p, init, t_end, tols):
     """scipy's RK45 on the same system, with its dense output."""
     integrate = pytest.importorskip("scipy.integrate")
     M = _system_matrix(p)
     with warnings.catch_warnings():
-        # rel_tol below 100 eps: scipy warns and raises it to that floor
+        # a relative tolerance below 100 eps: scipy warns and raises it to that floor
         warnings.simplefilter("ignore", UserWarning)
         sol = integrate.solve_ivp(
             lambda t, y: M @ y, (0.0, t_end), [init.c10, init.c20, 0.0], method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True,
+            rtol=tols[0], atol=tols[1], dense_output=True,
         )
     assert sol.success
     return sol
@@ -197,13 +196,11 @@ def _sup_diff(traj, y):
     return max(np.abs(a - b).max() for a, b in zip((traj.c1, traj.c2, traj.b), y))
 
 
+# (relative, absolute) tolerance pairs: the route's own, verify's, and one
+# below the relative floor of 100 eps
 ADAPTIVE_CONFIGS = pytest.mark.parametrize(
-    "cfg",
-    [
-        IntegratorConfig(),
-        IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13),
-        IntegratorConfig(rel_tol=1e-15, abs_tol=1e-13),
-    ],
+    "tols",
+    [dyn._TOLERANCES, LEAK_IDENTITY_CONFIG, (1e-15, 1e-13)],
     ids=["default", "leak_check", "rtol_floor"],
 )
 
@@ -243,21 +240,21 @@ class TestAgainstScipyRK45:
     """The in-repo Dormand-Prince stepper takes the steps of scipy's RK45."""
 
     @ADAPTIVE_CONFIGS
-    def test_same_steps_and_values(self, rng, cfg):
+    def test_same_steps_and_values(self, rng, tols):
         t_end = 5.0
         grid = np.linspace(0.0, t_end, 2001)
         points = [(fig_params(K=2.0), bell_state("minus"))]
         points += [(random_params(rng), random_init(rng)) for _ in range(3)]
         for p, init in points:
-            sol = _rk45_reference(p, init, t_end, cfg)
-            steps = integrate_pseudomode(p, init, t_end, cfg=cfg)
+            sol = _rk45_reference(p, init, t_end, tols)
+            steps = adaptive_trajectory(p, init, t_end, tols)
             assert steps.t.size == sol.t.size
             assert steps.t[-1] == t_end
             # the two step sequences drift apart by rounding (by up to about
             # 1e-8 in t over thousands of steps), so compare the values at
             # these step ends through scipy's dense output
             assert _sup_diff(steps, sol.sol(steps.t)) <= 1e-12
-            on_grid = integrate_pseudomode(p, init, t_end, cfg=cfg, times=grid)
+            on_grid = adaptive_trajectory(p, init, t_end, tols, times=grid)
             assert _sup_diff(on_grid, sol.sol(grid)) <= 1e-12
 
 
@@ -432,13 +429,13 @@ class TestPolynomialStep:
     """The polynomial form of the Dormand-Prince step against the stage form."""
 
     @ADAPTIVE_CONFIGS
-    def test_matches_stage_form(self, rng, cfg):
+    def test_matches_stage_form(self, rng, tols):
         t_end = 10.0
         grid = np.linspace(0.0, t_end, 2001)
         for p, init in _dopri_points(rng):
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
+            args = (M, y0, t_end, *tols)
             t, y = _dopri45(*args)
             t_ref, _, dense_ref = dopri_stage_reference(*args)
             assert t.size == t_ref.size
@@ -632,7 +629,7 @@ class TestFourEntryStep:
     """The four-entry step of ``_dopri45`` is the general-M loop, byte for byte."""
 
     @ADAPTIVE_CONFIGS
-    def test_same_bytes_as_general_product(self, rng, cfg):
+    def test_same_bytes_as_general_product(self, rng, tols):
         t_end = 10.0
         grid = np.linspace(0.0, t_end, 2001)
         points = _dopri_points(rng) + [
@@ -643,7 +640,7 @@ class TestFourEntryStep:
         for p, init in points:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-            args = (M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
+            args = (M, y0, t_end, *tols)
             t, y = _dopri45(*args)
             t_ref, y_ref = dopri_polynomial_reference(*args, None)
             assert t.tobytes() == t_ref.tobytes()
@@ -734,7 +731,7 @@ class TestDenseOutput:
         monkeypatch.setattr(dyn, "_dense_coefficients", spy)
         monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 64)
         p, init = fig_params(K=2.0), bell_state("minus")
-        steps = integrate_pseudomode(p, init, 1.0, cfg=LEAK_IDENTITY_CONFIG).t.size - 1
+        steps = dyn._adaptive_run(p, init, 1.0, LEAK_IDENTITY_CONFIG)[1].size - 1
         assert steps > 2 * 64 and not passed
         # the grid passes only the two steps that hold t = 0 and t = 1
         integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
@@ -783,8 +780,7 @@ def balance_reference(M, bounds, ys, lam):
 
 def tight_run(M, init, t_end):
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-    cfg = LEAK_IDENTITY_CONFIG
-    return _dopri45(M, y0, t_end, cfg.rel_tol, cfg.abs_tol)
+    return _dopri45(M, y0, t_end, *LEAK_IDENTITY_CONFIG)
 
 
 # the step-heaviest corner of the verification box at lambda = 10: about
@@ -1080,8 +1076,7 @@ class TestLeak:
 
     def test_decoherence_free_case_never_leaks(self):
         p = equal_params(K=7.0)
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-        traj = integrate_pseudomode(p, bell_state("minus"), 20.0, cfg=cfg)
+        traj = adaptive_trajectory(p, bell_state("minus"), 20.0, LEAK_IDENTITY_CONFIG)
         _, p_leak = leak_series(traj)
         assert p_leak.max() < 1e-8
 
