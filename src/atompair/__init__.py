@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 from .analysis import (
     SteadyStateVerdict,
     asymptotic_t_end,
-    concurrence,
     concurrence_array,
     concurrence_series,
-    density_matrix,
     disentanglement_time,
     steady_state_verdict,
 )
@@ -32,7 +30,7 @@ from .dynamics import (
     sample_closed_form,
 )
 from .model import InitialAmplitudes, SystemParams, bell_state
-from .verification import SolverComparison, compare_solvers, leak_identity_residual
+from .verification import SolverComparison, compare_solvers
 
 __all__ = [
     "__version__",
@@ -42,7 +40,7 @@ __all__ = [
     "Trajectory", "StepUnderflowError", "StepBudgetError",
     "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
     "leak_series",
-    "SteadyStateVerdict", "density_matrix", "concurrence", "concurrence_array",
+    "SteadyStateVerdict", "concurrence_array",
     "concurrence_series", "steady_state_verdict", "asymptotic_t_end", "disentanglement_time",
-    "SolverComparison", "compare_solvers", "leak_identity_residual",
+    "SolverComparison", "compare_solvers",
 ]

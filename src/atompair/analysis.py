@@ -1,4 +1,4 @@
-"""Observables and asymptotics: density matrix, concurrence, steady-state verdicts.
+"""Observables and asymptotics: concurrence, steady-state verdicts.
 
 In the single-excitation sector the two-atom reduced state is fully
 determined by the two amplitudes (c1, c2): a rank-<=2 mixture of a pure
@@ -26,8 +26,6 @@ from .model import InitialAmplitudes, SystemParams
 __all__ = [
     "EQUAL_COUPLING_TOL",
     "SteadyStateVerdict",
-    "density_matrix",
-    "concurrence",
     "concurrence_array",
     "concurrence_series",
     "steady_state_verdict",
@@ -40,45 +38,10 @@ __all__ = [
 # classified as (slowly) decaying.
 EQUAL_COUPLING_TOL = 1e-12
 
-_POP_TOL = 1e-9
-
-
-def _check_population(c1: complex, c2: complex) -> None:
-    total = abs(c1) ** 2 + abs(c2) ** 2
-    if total > 1.0 + _POP_TOL:
-        raise ValueError(
-            f"|c1|^2 + |c2|^2 = {total!r} exceeds 1 beyond tolerance {_POP_TOL}"
-        )
-
-
-def density_matrix(c1: complex, c2: complex) -> np.ndarray:
-    """Two-atom reduced density matrix in the basis {|ee>, |eg>, |ge>, |gg>}.
-
-    The doubly excited row and column vanish identically; the middle block is
-    the projector onto the entangled branch and the |gg> weight absorbs the
-    population lost to the reservoir.
-    """
-    _check_population(c1, c2)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = abs(c1) ** 2
-    rho[2, 2] = abs(c2) ** 2
-    rho[1, 2] = c1 * np.conj(c2)
-    rho[2, 1] = np.conj(rho[1, 2])
-    rho[3, 3] = 1.0 - rho[1, 1].real - rho[2, 2].real
-    return rho
-
-
-def concurrence(c1: complex, c2: complex) -> float:
-    """Concurrence of the reduced state, C = 2 |c1| |c2| in [0, 1]."""
-    _check_population(c1, c2)
-    return 2.0 * abs(c1) * abs(c2)
-
-
 def concurrence_array(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Elementwise concurrence of amplitude arrays, C = min(2 |c1| |c2|, 1).
 
-    Unlike :func:`concurrence` it checks no population: rounding that lifts
-    a value past 1 is clipped instead.
+    It checks no population: rounding that lifts a value past 1 is clipped.
     """
     return np.minimum(2.0 * np.abs(c1) * np.abs(c2), 1.0)
 

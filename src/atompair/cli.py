@@ -5,6 +5,12 @@ values.  Parameters can be given either explicitly (lambda, W, alpha1,
 alpha2, K) or dimensionlessly as (R_rel, K_rel, r1) with lambda = 1 implied,
 matching how the regimes of interest are usually quoted.
 
+Every config is solved in units of lambda, since the dynamics depends only
+on R/lambda, K/lambda, r1 and tau = lambda t: params_from_config divides
+the rates by lambda, the horizons are lambda * t_end, and the routes get
+lam = 1.  This is the one place lambda is applied, so the roots that
+``roots`` reports are s/lambda and ``verify``'s balance is dP/dtau + 2|b|^2.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 """
 
@@ -112,6 +118,7 @@ def _rule(test, text: str, convert=lambda key, v: v):
 
 
 _boolean = _rule(lambda v: isinstance(v, bool), "be true or false")
+_nonnegative = _rule(lambda x: x >= 0.0, "be nonnegative", _finite)
 
 
 def _init(key: str, v):
@@ -158,12 +165,12 @@ _ALL = frozenset({"run", "sweep", "roots", "verify"})
 # live in params_from_config; a command that reads t_end, solver, out or init
 # has its own default for it.
 _FIELDS = {
-    "lambda": (_finite, None, _ALL),
-    "W": (_finite, None, _ALL),
+    "lambda": (_rule(lambda x: x > 0.0, "be positive", _finite), None, _ALL),
+    "W": (_nonnegative, None, _ALL),
     "alpha1": (_finite, None, _ALL),
     "alpha2": (_finite, None, _ALL),
     "K": (_finite, None, _ALL),
-    "R_rel": (_finite, None, _ALL),
+    "R_rel": (_nonnegative, None, _ALL),
     "K_rel": (_finite, None, _ALL),
     "r1": (_rule(lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]", _finite), None, _ALL),
     "init": (_init, None, _ALL),
@@ -193,6 +200,9 @@ def _required(cfg: dict, key: str):
 
 
 def params_from_config(cfg: dict) -> SystemParams:
+    """The config's parameters in units of lambda: ``lam`` is 1, an explicit
+    config's W and K are divided by its lambda, and R_rel and K_rel are taken
+    as written."""
     dimless = {"R_rel", "K_rel", "r1"} & set(cfg)
     explicit = {"W", "alpha1", "alpha2", "K"} & set(cfg)
     if dimless and explicit:
@@ -200,18 +210,22 @@ def params_from_config(cfg: dict) -> SystemParams:
             "give either dimensionless (R_rel, K_rel, r1) or explicit "
             "(W, alpha1, alpha2, K) parameters, not both"
         )
+    if dimless:
+        r1 = _required(cfg, "r1")
+        fields = ("R_rel", "K_rel")
+        values = (_required(cfg, "R_rel"), r1, math.sqrt(max(0.0, 1.0 - r1 * r1)),
+                  cfg.get("K_rel", 0.0))
+    else:
+        lam = _required(cfg, "lambda")
+        fields = ("W", "K")
+        ratios = {k: _required(cfg, k) / lam for k in fields}
+        for field, ratio in ratios.items():
+            if not math.isfinite(ratio):
+                raise ConfigError(f"field '{field}' is too large: {field} / lambda overflows")
+        values = (ratios["W"], _required(cfg, "alpha1"), _required(cfg, "alpha2"), ratios["K"])
     try:
-        if dimless:
-            lam = cfg.get("lambda", 1.0)
-            r1 = _required(cfg, "r1")
-            fields = ("R_rel", "K_rel")
-            values = (lam, _required(cfg, "R_rel") * lam, r1, math.sqrt(max(0.0, 1.0 - r1 * r1)),
-                      cfg.get("K_rel", 0.0) * lam)
-        else:
-            fields = ("W", "K")
-            values = [_required(cfg, k) for k in ("lambda", "W", "alpha1", "alpha2", "K")]
         # (lam, W, alpha1, alpha2, K), in SystemParams' order
-        params = SystemParams(*values)
+        params = SystemParams(1.0, *values)
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     _check_cubic_range(params, [params.K], *fields)
@@ -222,37 +236,42 @@ def _check_cubic_range(params: SystemParams, K, r_field: str, k_field: str) -> N
     """Refuse parameters outside the range of Cardano's formula, naming a field.
 
     ``K`` is the array of dipole strengths to check in place of ``params.K``;
-    the first one out of range is reported.  Once a cube of the cubic's
+    the first one out of range is reported, under whichever of ``r_field``
+    (for R) and ``k_field`` is the larger.  Once a cube of the cubic's
     coefficients overflows, the roots come out NaN or the complex cube root
-    raises.  Once the roots' size to the sixth power, that of Cardano's p^3
-    and q^2, underflows, the roots come out wrong; a dimensionless config's
-    only scale is then lambda.
+    raises.  In units of lambda the cubic is monic, so only a1 and a0 can;
+    its roots sum to -1, so the largest has a size of at least 1/3, and no
+    parameter is too small for the formula.
     """
     K = np.asarray(K, dtype=float)
     cubic = char_cubic(params, K)
-    coefficients = {"a2": np.full(K.shape, cubic.a2), "a1": cubic.a1, "a0": cubic.a0}
-    with np.errstate(over="ignore", under="ignore"):
+    coefficients = {"a1": cubic.a1, "a0": cubic.a0}
+    with np.errstate(over="ignore"):
         sizes = {name: np.abs(c) for name, c in coefficients.items()}
         overflows = {name: ~np.isfinite(v * v * v) for name, v in sizes.items()}
-        cube = np.maximum.reduce([sizes["a2"] ** 3, sizes["a1"] ** 1.5, sizes["a0"]])  # the roots' size, cubed
-        underflows = cube * cube < sys.float_info.min
-    bad = np.logical_or.reduce([*overflows.values(), underflows])
+    bad = overflows["a1"] | overflows["a0"]
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    inputs = {r_field: params.R, k_field: float(K[i]), "lambda": params.lam}
+    inputs = {r_field: params.R, k_field: float(K[i])}
     largest = max(inputs, key=lambda k: abs(inputs[k]))
-    for name, over in overflows.items():
-        if over[i]:
-            raise ConfigError(
-                f"field '{largest}' is too large: the characteristic cubic's coefficient "
-                f"{name} = {coefficients[name][i]} overflows when cubed"
-            )
-    field = "lambda" if r_field == "R_rel" else largest
+    name = "a1" if overflows["a1"][i] else "a0"
     raise ConfigError(
-        f"field '{field}' is too small: the characteristic cubic's roots are of the "
-        f"order of {cube[i] ** (1 / 3):.3e}, and their sixth power underflows"
+        f"field '{largest}' is too large: the characteristic cubic's coefficient "
+        f"{name} = {coefficients[name][i]} overflows when cubed"
     )
+
+
+def _horizon(cfg: dict, t_end: float) -> float:
+    """The horizon ``t_end`` in units of 1/lambda, lambda * t_end; refused,
+    naming the field, unless it is a finite normal number."""
+    tau = cfg.get("lambda", 1.0) * t_end
+    if not sys.float_info.min <= tau < math.inf:
+        raise ConfigError(
+            f"field 't_end' = {t_end!r} gives lambda * t_end = {tau!r}, "
+            f"which is not a finite normal number"
+        )
+    return tau
 
 
 def init_from_config(cfg: dict, default: str | None = None) -> InitialAmplitudes:
@@ -349,8 +368,11 @@ def _run_trajectory(
     solver: str,
     cfg: dict,
 ) -> Trajectory:
+    """The trajectory over the config's ``t_end``, which a refusal quotes; the
+    routes run to lambda * t_end, in units of 1/lambda as ``params``' rates are."""
     samples = cfg["samples"]
-    grid = np.linspace(0.0, t_end, samples)
+    tau_end = _horizon(cfg, t_end)
+    grid = np.linspace(0.0, tau_end, samples)
     if solver == "closed":
         with np.errstate(all="ignore"):
             traj = sample_closed_form(params, init, grid)
@@ -358,29 +380,30 @@ def _run_trajectory(
         return traj
     if solver == "ode":
         try:
-            return integrate_pseudomode(params, init, t_end, times=grid)
+            return integrate_pseudomode(params, init, tau_end, times=grid)
         except StepUnderflowError as exc:
             raise ConfigError(
-                f"the adaptive route cannot reach field 't_end' ({exc}): lower it, "
-                f"or use --solver closed"
+                f"the adaptive route cannot reach field 't_end' ({exc}, in units of 1/lambda): "
+                f"lower it, or use --solver closed"
             ) from exc
         except StepBudgetError as exc:
             raise _too_many_steps(exc, ", or use --solver closed") from exc
     # the memory-kernel route, the one left
     n_steps = cfg["n_steps"]
     try:
-        return sample_volterra(params, init, t_end, n_steps, samples)
+        return sample_volterra(params, init, tau_end, n_steps, samples)
     except ValueError as exc:
         raise _steps_out_of_range(n_steps, exc) from exc
     except PopulationGrowthError as exc:
         raise _too_coarse(n_steps, t_end, exc) from exc
 
 
-def _check_closed_form(field: str, t_max: float, *amplitudes: np.ndarray) -> None:
-    """Raise :class:`ConfigError` naming ``field`` unless every closed-form amplitude is finite."""
+def _check_closed_form(field: str, reach: float, *amplitudes: np.ndarray) -> None:
+    """Raise :class:`ConfigError` naming ``field``, which reaches ``reach``,
+    unless every closed-form amplitude is finite."""
     if not all(np.isfinite(a).all() for a in amplitudes):
         raise ConfigError(
-            f"field '{field}' reaches t = {t_max:g}, where the closed form is not finite "
+            f"field '{field}' reaches {reach:g}, where the closed form is not finite "
             f"for these parameters: shorten it"
         )
 
@@ -404,7 +427,8 @@ def _steps_out_of_range(n_steps: int, exc: ValueError) -> ConfigError:
 def _too_many_steps(exc: StepBudgetError, alternative: str = "") -> ConfigError:
     """The refusal of an adaptive run that used up its step budget short of
     ``t_end``; ``alternative`` follows the advice to lower it."""
-    return ConfigError(f"field 't_end' asks for too many steps ({exc}): lower it{alternative}")
+    return ConfigError(f"field 't_end' asks for too many steps ({exc}, in units of 1/lambda): "
+                       f"lower it{alternative}")
 
 
 def _chart_path(cfg: dict, out: str) -> str | None:
@@ -445,7 +469,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"wrote {len(traj)} samples to {out} (solver: {traj.solver_tag})")
     if svg_path:
         tau, conc = concurrence_series(traj)
-        tau = params.lam * tau
         _, p_leak = leak_series(traj)
         _write_chart(
             svg_path,
@@ -481,33 +504,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "K_values" in cfg and "K_rel_values" in cfg:
         raise ConfigError("give 'K_values' or 'K_rel_values', not both")
     if "K_values" in cfg:
-        axis = "K_values"
-        k_values = cfg[axis]
+        axis, lam = "K_values", cfg.get("lambda", 1.0)
     elif "K_rel_values" in cfg:
-        axis = "K_rel_values"
-        k_values = [_finite(axis, v * base.lam) for v in cfg[axis]]
+        axis, lam = "K_rel_values", 1.0
     else:
         raise ConfigError("missing required field 'K_values' (or 'K_rel_values')")
-    K = np.asarray(k_values)
+    k_values = cfg[axis]
+    with np.errstate(over="ignore"):
+        K = np.asarray(k_values) / lam
     _check_cubic_range(base, K, "R_rel" if "R_rel" in cfg else "W", axis)
     out = cfg.get("out", "sweep.csv")
     svg_path = _chart_path(cfg, out)
 
     # one concurrence row per dipole strength, from the closed form
-    times = tau / base.lam
-    block = max(1, _SWEEP_CELLS // times.size)
-    z = np.empty((K.size, times.size))
+    block = max(1, _SWEEP_CELLS // tau.size)
+    z = np.empty((K.size, tau.size))
     for start in range(0, K.size, block):
         with np.errstate(all="ignore"):
-            c1, c2, _ = evolve_over_K(base, init, K[start:start + block], times)
-        _check_closed_form("tau_grid", times[-1], c1, c2)
+            c1, c2, _ = evolve_over_K(base, init, K[start:start + block], tau)
+        _check_closed_form("tau_grid", tau[-1], c1, c2)
         z[start:start + block] = concurrence_array(c1, c2)
 
     _write_sweep_csv(out, tau, k_values, z)
     print(f"wrote {tau.size} x {len(k_values)} sweep to {out}")
     if svg_path:
         _write_chart(
-            svg_path, svgplot.heatmap, tau, K, z,
+            svg_path, svgplot.heatmap, tau, k_values, z,
             title="concurrence vs dipole strength",
             xlabel="tau = lam * t", ylabel="K",
         )
@@ -579,7 +601,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         comp = compare_solvers(
-            params, init, t_end=t_end, n_steps=n_steps, _kernel_sign=kernel_sign
+            params, init, t_end=_horizon(cfg, t_end), n_steps=n_steps, _kernel_sign=kernel_sign
         )
     except StepBudgetError as exc:
         raise _too_many_steps(exc) from exc

@@ -32,7 +32,6 @@ __all__ = [
     "PopulationGrowthError",
     "SolverComparison",
     "compare_solvers",
-    "leak_identity_residual",
     "sample_volterra",
 ]
 
@@ -147,19 +146,3 @@ def compare_solvers(
         balance=_balance_residual(M, bounds, ys, params.lam),
     )
 
-
-def leak_identity_residual(
-    params: SystemParams,
-    init: InitialAmplitudes,
-    t_end: float = 10.0,
-) -> float:
-    """Worst-case residual of the population balance along dense ODE output.
-
-    The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
-    dP/dt = -2 lam |b|^2 exactly.  The check runs the adaptive route with
-    ``LEAK_IDENTITY_CONFIG`` to ``t_end`` and returns the largest defect
-    P' + 2 lam |b|^2 of its interpolant, the one :func:`integrate_pseudomode`
-    samples, at 16 midpoints of each step (:func:`_balance_residual`); a NaN
-    anywhere makes the result NaN.
-    """
-    return _balance_residual(*_adaptive_run(params, init, t_end, LEAK_IDENTITY_CONFIG), params.lam)

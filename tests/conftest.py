@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from atompair import InitialAmplitudes, SystemParams, Trajectory
-from atompair.dynamics import _adaptive_run, _dense_output
+from atompair.dynamics import _adaptive_run, _balance_residual, _dense_output
+from atompair.verification import LEAK_IDENTITY_CONFIG
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -43,6 +44,12 @@ def adaptive_trajectory(p, init, t_end, tolerances, times=None) -> Trajectory:
         t, y = times, _dense_output(M, t, y, times)
     return Trajectory(params=p, init=init, t=t, c1=y[0], c2=y[1], b=y[2],
                       solver_tag="pseudomode_ode")
+
+
+def balance_residual(p, init, t_end) -> float:
+    """The population-balance residual that ``verify`` reads: the largest
+    defect of the adaptive route's interpolant, run at LEAK_IDENTITY_CONFIG."""
+    return _balance_residual(*_adaptive_run(p, init, t_end, LEAK_IDENTITY_CONFIG), p.lam)
 
 
 def random_init(rng: np.random.Generator) -> InitialAmplitudes:

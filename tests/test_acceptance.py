@@ -27,11 +27,12 @@ from atompair import (
     steady_state_verdict,
 )
 from atompair.cli import TRAJECTORY_COLUMNS
-from atompair.verification import LEAK_IDENTITY_CONFIG, compare_solvers, leak_identity_residual
+from atompair.verification import LEAK_IDENTITY_CONFIG, compare_solvers
 
 from conftest import (
     SQRT3_2,
     adaptive_trajectory,
+    balance_residual,
     equal_params,
     fig_params,
     largest_discrepancy,
@@ -162,7 +163,7 @@ def test_criterion_1_three_solver_equivalence():
 def test_criterion_2_leak_rate_identity():
     worst = 0.0
     for p, init in fig_sets():
-        resid = leak_identity_residual(p, init, t_end=10.0)
+        resid = balance_residual(p, init, 10.0)
         assert resid <= LEAK_TOL
         worst = max(worst, resid)
     print(f"\nPASS criterion 2: population-balance residual <= {LEAK_TOL:.0e} "

@@ -9,9 +9,8 @@ from atompair import (
     asymptotic_t_end,
     bell_state,
     char_roots,
-    concurrence,
+    concurrence_array,
     concurrence_series,
-    density_matrix,
     disentanglement_time,
     integrate_pseudomode,
     residue_coefficients,
@@ -24,70 +23,25 @@ from conftest import INV_SQRT2, SQRT3_2, equal_params, fig_params, random_init, 
 DARK_PLATEAU = (3.0 + 2.0 * math.sqrt(3.0)) / 8.0  # 0.8080127..., r1 = sqrt(3)/2 case
 
 
-class TestDensityMatrix:
-    def test_single_excited_atom(self):
-        rho = density_matrix(1.0, 0.0)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 1] = 1.0
-        assert np.allclose(rho, expected, atol=1e-15)
-
-    def test_bell_minus_projector(self):
-        rho = density_matrix(INV_SQRT2, -INV_SQRT2)
-        block = rho[1:3, 1:3]
-        assert np.allclose(
-            block, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12
-        )
-        assert abs(rho[3, 3]) < 1e-12
-
-    def test_partial_decay_entries(self):
-        rho = density_matrix(0.6, 0.3j)
-        assert rho[3, 3] == pytest.approx(0.55, abs=1e-12)
-        assert rho[1, 2] == pytest.approx(-0.18j, abs=1e-12)
-
-    def test_structure(self, rng):
-        for _ in range(20):
-            c = random_init(rng)
-            scale = rng.uniform(0.1, 1.0)
-            c1, c2 = scale * c.c10, scale * c.c20
-            rho = density_matrix(c1, c2)
-            assert np.allclose(rho, rho.conj().T, atol=1e-14)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(rho[0, :]).max() == 0.0
-            assert np.abs(rho[:, 0]).max() == 0.0
-            evals = np.sort(np.linalg.eigvalsh(rho))
-            assert evals[0] > -1e-12
-            pop = abs(c1) ** 2 + abs(c2) ** 2
-            expected = np.sort([0.0, 0.0, pop, 1.0 - pop])
-            assert np.abs(evals - expected).max() < 1e-10
-
-    def test_rejects_unphysical_population(self):
-        with pytest.raises(ValueError, match="exceeds 1"):
-            density_matrix(1.0, 0.5)
-
-
 class TestConcurrence:
     def test_examples(self):
-        assert concurrence(INV_SQRT2, INV_SQRT2) == pytest.approx(1.0, abs=1e-12)
-        assert concurrence(1.0, 0.0) == 0.0
-        assert concurrence(0.6, 0.3j) == pytest.approx(0.36, abs=1e-12)
+        assert concurrence_array(INV_SQRT2, INV_SQRT2) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_array(1.0, 0.0) == 0.0
+        assert concurrence_array(0.6, 0.3j) == pytest.approx(0.36, abs=1e-12)
 
     def test_range_and_zeroterms(self, rng):
         for _ in range(30):
             c = random_init(rng)
             scale = rng.uniform(0.0, 1.0)
-            val = concurrence(scale * c.c10, scale * c.c20)
+            val = concurrence_array(scale * c.c10, scale * c.c20)
             assert 0.0 <= val <= 1.0
-        assert concurrence(0.0, 0.9) == 0.0
-
-    def test_rejects_unphysical_population(self):
-        with pytest.raises(ValueError):
-            concurrence(0.9, 0.9)
+        assert concurrence_array(0.0, 0.9) == 0.0
 
     def test_phase_invariance(self, rng):
         c = random_init(rng)
         ph = np.exp(0.37j)
-        assert concurrence(c.c10, c.c20) == pytest.approx(
-            concurrence(ph * c.c10, ph * c.c20), rel=1e-14
+        assert concurrence_array(c.c10, c.c20) == pytest.approx(
+            concurrence_array(ph * c.c10, ph * c.c20), rel=1e-14
         )
 
 

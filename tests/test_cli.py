@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -25,7 +27,7 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
-from atompair import char_roots, dynamics, verification
+from atompair import SystemParams, char_roots, concurrence_array, dynamics, verification
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
@@ -146,7 +148,7 @@ class TestCsvBytes:
         # rows of twelve columns; a block of rows takes a fixed amount
         header = [f"c{j}" for j in range(12)]
         peaks = []
-        for rows in (20_001, 200_001):
+        for rows in (2_001, 20_001):
             cols = [rng.uniform(-1.0, 1.0, rows) for _ in header]
             tracemalloc.start()
             try:
@@ -217,7 +219,7 @@ class TestConfigErrors:
              "init": "phi_minus", "t_end": 1.0},
         )
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
-        assert "lam" in capsys.readouterr().err
+        assert "'lambda'" in capsys.readouterr().err
 
     def test_bad_init_pair(self, tmp_path):
         cfg = write_config(
@@ -233,13 +235,14 @@ _SWEEP = {
 }
 
 
-# tau up to 1 is t up to 1e300: the closed form's exponentials overflow to NaN
-_NAN_CLOSED_FORM = {"lambda": 1e-300, "W": 1.0, "alpha1": 0.8, "alpha2": 0.6, "K": 1.0,
-                    "init": "phi_minus", "K_values": [0.0, 1.0], "tau_grid": [0.0, 1.0, 3]}
-# the memory-kernel step t_end / 20000 = 5e295 is far too long for W = 1: its
-# amplitudes overflow
-_VOLTERRA_OVERFLOW = {"lambda": 1e-300, "W": 1, "alpha1": 0.8, "alpha2": 0.6, "K": 1,
-                      "init": "phi_minus", "t_end": 1e300}
+# equal couplings keep an undamped pole at i K_rel: at tau = 1e308 its phase
+# overflows, and the closed form's amplitudes are NaN
+_NAN_CLOSED_FORM = {"R_rel": 10.0, "K_rel": 10.0, "r1": 0.7071067811865476, "init": "phi_minus",
+                    "K_rel_values": [0.0, 10.0], "tau_grid": [0.0, 1e308, 3]}
+# the memory-kernel step t_end / 20000 = 5e295 is far too long for R_rel = 10:
+# its amplitudes overflow
+_VOLTERRA_OVERFLOW = {"R_rel": 10.0, "K_rel": 2.0, "r1": 0.8, "init": "phi_minus",
+                      "t_end": 1e300}
 
 
 class TestFaultyInputs:
@@ -291,7 +294,7 @@ class TestFaultyInputs:
             ("run", {**_RUN, "t_end": 1e-320}, [], "t_end"),
             ("sweep", _NAN_CLOSED_FORM, [], "tau_grid"),
             ("sweep", _NAN_CLOSED_FORM, ["--svg"], "tau_grid"),
-            ("run", {**_NAN_CLOSED_FORM, "t_end": 1e300, "samples": 3},
+            ("run", {**_NAN_CLOSED_FORM, "t_end": 1e308, "samples": 3},
              ["--solver", "closed"], "t_end"),
             ("verify", _VOLTERRA_OVERFLOW, [], "n_steps"),
             ("run", _VOLTERRA_OVERFLOW, ["--solver", "volterra"], "n_steps"),
@@ -301,6 +304,8 @@ class TestFaultyInputs:
             *((command, {**_RUN, **_SWEEP, field: 1e-9}, [], field)
               for field in ("rel_tol", "abs_tol")
               for command in ("run", "sweep", "roots", "verify")),
+            # a negative R_rel is refused as itself, not as the W it once became
+            ("run", {"R_rel": -1, "r1": 0.5, "init": "phi_minus", "t_end": 2.0}, [], "R_rel"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -453,33 +458,83 @@ class TestStepBudget:
 
 
 class TestRateScale:
-    """A tiny lambda either exits 2 naming it or reproduces lambda = 1 in tau units."""
+    """A config is solved in units of lambda, so any normal lambda reproduces lambda = 1."""
+
+    _COMMANDS = ("run", "sweep", "roots", "verify")
+    _EXPONENTS = (10, 50, 52, 53, 58, 80, 108, 110, 160, 200, 250, 300)
 
     @staticmethod
     def _run(tmp_path, command, lam):
+        """``command`` at ``lam`` over tau up to 10: its exit code, CSV rows and stdout."""
         payload = {
             "lambda": lam, "R_rel": 10.0, "K_rel": 2.0, "r1": SQRT3_2, "init": "phi_minus",
             "t_end": 10.0 / lam, "samples": 41, "solver": "closed",
             "K_rel_values": [0.0, 2.0, 7.0], "tau_grid": [0.0, 10.0, 41],
         }
-        name = f"{command}_{lam:g}"
-        out = tmp_path / f"{name}.csv"
-        code = main([command, "--config", write_config(tmp_path, f"{name}.json", payload),
-                     "--out", str(out)])
-        return code, out
+        out = tmp_path / f"{command}_{lam:g}.csv"
+        # verify writes no file, so it takes no --out
+        out_flag = [] if command == "verify" else ["--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", write_config(tmp_path, "c.json", payload), *out_flag])
+        rows = read_csv(out)[1] if out.exists() else None
+        return code, rows, stdout.getvalue()
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("lambda_1")
+        return {c: self._run(tmp_path, c, 1.0) for c in self._COMMANDS}
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("k", _EXPONENTS)
+    def test_tiny_lambda(self, tmp_path, reference, command, k):
+        self._assert_matches(tmp_path, reference, command, 10.0 ** -k)
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("k", _EXPONENTS)
+    def test_huge_lambda(self, tmp_path, reference, command, k):
+        self._assert_matches(tmp_path, reference, command, 10.0 ** k)
+
+    def _assert_matches(self, tmp_path, reference, command, lam):
+        code, rows, stdout = self._run(tmp_path, command, lam)
+        ref_code, ref_rows, ref_stdout = reference[command]
+        assert code == ref_code == EXIT_OK
+        if command in ("run", "sweep"):
+            assert np.abs(rows - ref_rows).max() <= 1e-12
+        else:
+            # the roots, their CSV, the verdict and every check's line
+            assert stdout == ref_stdout
+            if command == "roots":
+                assert rows.tolist() == ref_rows.tolist()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("k", [10, 50, 52, 53, 58, 80, 108, 110, 160, 200, 250, 300])
-    def test_tiny_lambda(self, tmp_path, capsys, command, k):
-        code, out = self._run(tmp_path, command, 10.0 ** -k)
-        if code == EXIT_CONFIG:
-            assert "'lambda'" in capsys.readouterr().err
-            assert not out.exists()
+    def test_scaling_matches_the_unscaled_closed_form(self, tmp_path, command):
+        # every route gets the same scaled parameters, so their agreement
+        # cannot catch a mistake in the scaling: compare with the closed form
+        # of the unscaled parameters at t = tau / lambda
+        lam = 2.5
+        payload = {
+            "lambda": lam, "W": 20.0, "alpha1": SQRT3_2, "alpha2": 0.5, "K": 5.0,
+            "init": "phi_minus", "t_end": 4.0, "samples": 41, "solver": "closed",
+            "K_values": [5.0, -12.5], "tau_grid": [0.0, 10.0, 41],
+        }
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        tau = rows[:, 0]
+        assert np.abs(tau - np.linspace(0.0, 10.0, 41)).max() <= 1e-12
+        unscaled = {k: payload[k] for k in ("W", "alpha1", "alpha2", "K")}
+        if command == "run":
+            traj = sample_closed_form(SystemParams(lam, **unscaled), bell_state("minus"), tau / lam)
+            got = rows[:, 1:7:2] + 1j * rows[:, 2:7:2]
+            assert np.abs(got - np.array([traj.c1, traj.c2, traj.b]).T).max() <= 1e-12
             return
-        assert code == EXIT_OK
-        ref_code, ref = self._run(tmp_path, command, 1.0)
-        assert ref_code == EXIT_OK
-        assert np.abs(read_csv(out)[1][:, 1:] - read_csv(ref)[1][:, 1:]).max() <= 1e-12
+        assert header == ["tau", "K=5", "K=-12.5"]
+        for j, K in enumerate(payload["K_values"], start=1):
+            traj = sample_closed_form(SystemParams(lam, **{**unscaled, "K": K}),
+                                      bell_state("minus"), tau / lam)
+            assert np.abs(rows[:, j] - concurrence_array(traj.c1, traj.c2)).max() <= 1e-12
 
 
 class TestRun:

@@ -33,12 +33,12 @@ from atompair.verification import (
     LEAK_IDENTITY_CONFIG,
     LEAK_IDENTITY_TOL,
     compare_solvers,
-    leak_identity_residual,
 )
 
 from conftest import (
     INV_SQRT2,
     adaptive_trajectory,
+    balance_residual,
     equal_params,
     fig_params,
     largest_discrepancy,
@@ -738,7 +738,7 @@ class TestDenseOutput:
         assert [a.size for a in passed] == [2]
         # the balance check passes every step once, a block at a time
         passed.clear()
-        leak_identity_residual(p, init, t_end=1.0)
+        balance_residual(p, init, 1.0)
         assert [a.size for a in passed[:-1]] == [64] * (len(passed) - 1)
         assert np.concatenate(passed).tolist() == list(range(steps))
         # the comparison samples its grid from the same run, then checks
@@ -807,9 +807,9 @@ class TestLeakResidual:
         # defect's polynomial coefficients; blocks of another size give the
         # same float, and the interpolant and its derivative evaluated on
         # every step at once agree to rounding of the rate scale
-        resid = leak_identity_residual(p, init, t_end=t_end)
+        resid = balance_residual(p, init, t_end)
         monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 7)
-        assert leak_identity_residual(p, init, t_end=t_end) == resid
+        assert balance_residual(p, init, t_end) == resid
         M = _system_matrix(p)
         expected = balance_reference(M, *tight_run(M, init, t_end), p.lam)
         assert abs(resid - expected) <= 1e-12 * np.abs(M).max()
@@ -1093,7 +1093,7 @@ class TestLeak:
         assert np.all(np.diff(p_leak) >= -1e-8)
 
     def test_leak_rate_identity(self):
-        resid = leak_identity_residual(fig_params(K=2.0), bell_state("minus"), t_end=5.0)
+        resid = balance_residual(fig_params(K=2.0), bell_state("minus"), 5.0)
         assert resid < 1e-6
 
 
