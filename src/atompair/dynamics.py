@@ -4,24 +4,25 @@ Two independent routes produce trajectories:
 
 * :func:`integrate_pseudomode` integrates the local-in-time three-amplitude
   system (the memory of the Lorentzian reservoir is carried by one auxiliary
-  mode ``b``) with the adaptive Dormand-Prince 5(4) pair.  On this linear
-  system a Dormand-Prince step and its dense output are polynomials in
-  ``hM``, so the route steps by powers of ``hM`` with no stages
-  (:func:`_dopri45`), each power a product with the four distinct entries
-  of ``hM``: M is
-  symmetric, with zeros where the atoms would couple to themselves.
-  :func:`_dopri45` returns the accepted steps only; one function,
-  :func:`_dense_coefficients`, forms Shampine's interpolant on them, both
-  for a sample grid (:func:`_dense_output`) and for the population-balance
-  check of :mod:`atompair.verification` (:func:`_balance_residual`), which
-  finds the interpolant's defect exactly, as a polynomial on each step.
-  One function, :func:`_adaptive_run`, runs the stepper for both
-  :func:`integrate_pseudomode` and :mod:`atompair.verification`, each at
-  its own fixed pair of tolerances: ``_TOLERANCES`` (1e-9 relative, 1e-12
-  absolute) here, and the tighter ``LEAK_IDENTITY_CONFIG`` for the
-  checks.  The route takes no other settings.  It stops with
-  :class:`StepBudgetError` once it has tried ``_MAX_STEPS`` steps short of
-  ``t_end``.
+  mode ``b``) with the adaptive Dormand-Prince 8(5,3) pair (DOP853).  On
+  this linear system a step is a polynomial in ``hM``, so the route steps
+  by powers of ``hM`` with no stages (:func:`_dop853`), each power a
+  product with the four distinct entries of ``hM``: M is symmetric, with
+  zeros where the atoms would couple to themselves.  The same polynomial
+  at a fraction x of the step is a step of length ``x h``, and it is the
+  dense output: no interpolant of its own, and at ``x = 1`` the accepted
+  state bit for bit.  :func:`_dop853` returns the accepted steps only; one
+  function, :func:`_dense_coefficients`, forms the step polynomials on
+  them, both for a sample grid (:func:`_dense_output`) and for the
+  population-balance check of :mod:`atompair.verification`
+  (:func:`_balance_residual`), which evaluates the polynomials and their
+  derivatives on every step.  One function, :func:`_adaptive_run`, runs
+  the stepper for both :func:`integrate_pseudomode` and
+  :mod:`atompair.verification`, each at its own fixed pair of tolerances:
+  ``_TOLERANCES`` (1e-9 relative, 1e-12 absolute) here, and the tighter
+  ``LEAK_IDENTITY_CONFIG`` for the checks.  The route takes no other
+  settings.  It stops with :class:`StepBudgetError` once it has tried
+  ``_MAX_STEPS`` steps short of ``t_end``.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -67,10 +68,13 @@ class StepUnderflowError(Exception):
 
 # The most steps one run of integrate_pseudomode may take or try.  A run that
 # would need more takes long enough, and holds enough memory, to be a
-# mistake; the closed form reaches any horizon at once.
-_MAX_STEPS = 1_000_000
+# mistake; the closed form reaches any horizon at once.  Far past the
+# transient the step is bounded by stability, where an eighth-order step
+# reaches about twice as far as a 5(4) step and costs about twice as much:
+# half the 5(4) pair's 1,000,000 steps reach as far, in about as long.
+_MAX_STEPS = 500_000
 # The most steps one run of integrate_volterra may take, for the same reason.
-_MAX_VOLTERRA_STEPS = _MAX_STEPS
+_MAX_VOLTERRA_STEPS = 1_000_000
 
 
 class StepBudgetError(Exception):
@@ -174,14 +178,14 @@ def _adaptive_run(
     """The adaptive route from ``(c10, c20, 0)`` to ``t_end`` at the
     ``(relative, absolute)`` pair ``tolerances``.
 
-    Returns ``M`` of :func:`_system_matrix` and the :func:`_dopri45` run
+    Returns ``M`` of :func:`_system_matrix` and the :func:`_dop853` run
     ``(bounds, ys)``.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
     M = _system_matrix(params)
-    return M, *_dopri45(M, y0, t_end, *tolerances)
+    return M, *_dop853(M, y0, t_end, *tolerances)
 
 
 def integrate_pseudomode(
@@ -221,34 +225,39 @@ def integrate_pseudomode(
     )
 
 
-# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) on
-# the linear system dy/dt = M y, where every stage is a polynomial in hM
-# applied to y.  With z_j = (hM)^j y:
-# * the fifth-order solution is z0 + z1 + z2/2 + z3/6 + z4/24 + z5/120 +
-#   z6/600, the method's stability function (Hairer & Wanner, Solving ODEs
-#   II, IV.2);
-# * the 5(4) error estimate, whose seventh stage is the derivative at the
-#   step's end, is _ERR5 z5 + _ERR6 z6 + _ERR7 z7;
-# * Shampine's quartic dense output (Math. Comp. 46, 1986) at
-#   x = (t - t_old) / h is z0 + sum_m x^m sum_j _DENSE[j - 1, m - 1] z_j.
-# These are exact reductions of the Butcher tableau and Shampine's
-# coefficients.
-_ERR5, _ERR6, _ERR7 = 97 / 120000, -13 / 40000, 1 / 24000
-_DENSE = np.array([  # rows z1..z7, columns x^1..x^4
-    [1, 0, 0, 0],
-    [0, 1 / 2, 0, 0],
-    [0, 0, 1 / 6, 0],
-    [0, 0, 0, 1 / 24],
-    [0, 5112093 / 587608460, -90725539 / 3525650760, 22358351 / 881412690],
-    [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
-    [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
-])
+# Dormand-Prince 8(5,3) (DOP853: Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5, with the tableau of scipy's DOP853) on the linear system
+# dy/dt = M y, where every stage is a polynomial in hM applied to y.  With
+# z_j = (hM)^j y:
+# * the eighth-order solution is sum_j _W[j] z_j, j = 0..12, the method's
+#   stability function, whose weights are 1/j! up to j = 8;
+# * the fifth- and third-order error estimates are
+#   sum_j _E5[j - 6] z_j, j = 6..12, and sum_j _E3[j - 4] z_j, j = 4..12;
+#   the order conditions make their lower powers vanish;
+# * a step of length x h, 0 < x <= 1, from the same state is
+#   sum_j _W[j] x^j z_j, so the step's own polynomial is its dense output.
+# The test suite derives every weight from scipy's tableau.
+_W = (
+    1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720, 1 / 5040, 1 / 40320,
+    2.691692200169089e-06, 2.3413451082097797e-07, 1.4947364854591547e-08,
+    3.613324578128244e-10,
+)
+_E5 = (
+    -1.3495284686584028e-05, 1.9334654632476543e-08, 2.4255722835738154e-07,
+    -3.986199671840262e-08, -2.4840232758051445e-08, -5.179991027569356e-09,
+    -1.806662289064122e-10,
+)
+_E3 = (
+    0.004202279202279447, 0.001912849733362611, 0.000461866321484016,
+    9.203663915338102e-05, 1.4960035021054388e-05, 1.978399101375278e-06,
+    1.6968469610868993e-07, 8.82069232633511e-09, 1.8306229103919417e-10,
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # Sample times the dense output evaluates at once, so that its working
-# arrays stay in cache.  On the README reference case's 1089 steps, 200,001
-# times took 10-20 ms in blocks of 1024 to 16384, 8192 the least, and 20 ms
-# in one block; 1,000,001 times took 56 ms at 8192 and 126 ms in one block
-# (2-CPU x86-64 machine, numpy 2.4).
+# arrays stay in cache.  On the README reference case's 185 steps, 200,001
+# times took 25-39 ms in blocks of 1024 to 16384, 8192 the least, and
+# 100 ms in one block; 1,000,001 times took 158 ms at 8192 and 579 ms in
+# one block (2-CPU x86-64 machine, numpy 2.4).
 _DENSE_BLOCK = 8192
 
 
@@ -269,38 +278,41 @@ def _rms(x1: complex, x2: complex, x3: complex, s1: float, s2: float, s3: float)
     )
 
 
-def _dopri45(
+def _dop853(
     M: np.ndarray,
     y0: np.ndarray,
     t_end: float,
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive Dormand-Prince 5(4) for dy/dt = M y on [0, t_end].
+    """Adaptive Dormand-Prince 8(5,3) for dy/dt = M y on [0, t_end].
 
-    The step-size controller is that of ``scipy.integrate.RK45``, so the
+    The step-size controller is that of ``scipy.integrate.DOP853``, so the
     accepted steps are the same up to the rounding of the error estimate:
-    Hairer-Norsett-Wanner (II.4) initial step, RMS error norm scaled by
-    ``atol + max(|y|, |y_new|) rtol`` with ``rtol >= 100 eps``, safety 0.9,
-    step factors clamped to [0.2, 10] with exponent -1/5 and no growth right
-    after a rejection, ``min_step`` of ten ulps of t, and the last step
-    clipped to ``t_end``.
+    Hairer-Norsett-Wanner (II.4) initial step for an estimator of order 7;
+    the error norm ``|e5|^2 / sqrt(3 (|e5|^2 + 0.01 |e3|^2))`` of the fifth-
+    and third-order estimates, each scaled by ``atol + max(|y|, |y_new|)
+    rtol`` with ``rtol >= 100 eps``; safety 0.9, step factors clamped to
+    [0.2, 10] with exponent -1/8 and no growth right after a rejection,
+    ``min_step`` of ten ulps of t, and the last step clipped to ``t_end``.
 
     ``M`` must have the shape of :func:`_system_matrix`: symmetric, with
     zeros at ``(0, 0)`` and ``(1, 1)``.  It then has four distinct entries,
     ``-iK``, ``-iW alpha1``, ``-iW alpha2`` and ``-lam``, and a trial step
     scales only those four by h.  It forms ``z_j = (hM)^j y`` for
-    ``j = 1..7`` one product at a time on Python complex scalars, with seven
-    complex multiplies per product where a general 3x3 matrix takes nine:
-    the dropped terms are the exact zeros of the diagonal, and the terms
-    kept are summed in the general product's order, so the steps and states
-    are those of the general product bit for bit.  The z_j are weighed with
-    the fixed constants above; there are no stages.  Scaling by h keeps
-    ``|z_j|`` within about ``3.3^7 |y|``, where powers of M alone would
-    overflow near ``|M| = 1e44``.  ``|y|`` is carried over from the trial
-    that accepted y.  Each accepted step keeps only its start and its state
-    there; :func:`_dense_coefficients` forms the z_j again after the loop,
-    for the steps its caller asks for, all at once.
+    ``j = 1..12`` one product at a time on Python complex scalars, with
+    seven complex multiplies per product where a general 3x3 matrix takes
+    nine: the dropped terms are the exact zeros of the diagonal, and the
+    terms kept are summed in the general product's order, so the steps and
+    states are those of the general product bit for bit.  Each z_j is
+    weighed into the solution and the two estimates with the fixed
+    constants above as it is formed, in order of j; there are no stages.
+    Scaling by h keeps ``|z_j|`` within ``(h |M|)^j |y|``, with ``h |M|``
+    of order one on the steps the controller tries, where powers of M alone
+    would overflow near ``|M| = 1e25``.  ``|y|`` is carried over from the trial that accepted
+    y.  Each accepted step keeps only its start and its state there;
+    :func:`_dense_coefficients` forms the z_j again after the loop, for the
+    steps its caller asks for, all at once.
 
     Returns ``(t, y)``: the accepted step ends, ``t[0] = 0`` and
     ``t[-1] = t_end``, and the states there, ``y`` of shape ``(3, t.size)``.
@@ -341,9 +353,12 @@ def _dopri45(
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, t_end)
 
+    (_, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12) = _W
+    f6, f7, f8, f9, f10, f11, f12 = _E5
+    t4, t5, t6, t7, t8, t9, t10, t11, t12 = _E3
     sqrt, isfinite, ulp = math.sqrt, math.isfinite, math.ulp
     t = 0.0
     tried = 0
@@ -369,47 +384,60 @@ def _dopri45(
             h = t_new - t
             h_abs = h
             nk, nw1, nw2, nl = h * mk, h * mw1, h * mw2, h * ml
-            # z_j = (hM)^j y = (a_j, b_j, c_j)
-            a1 = nk * y2 + nw1 * y3
-            b1 = nk * y1 + nw2 * y3
-            c1 = nw1 * y1 + nw2 * y2 + nl * y3
-            a2 = nk * b1 + nw1 * c1
-            b2 = nk * a1 + nw2 * c1
-            c2 = nw1 * a1 + nw2 * b1 + nl * c1
-            a3 = nk * b2 + nw1 * c2
-            b3 = nk * a2 + nw2 * c2
-            c3 = nw1 * a2 + nw2 * b2 + nl * c2
-            a4 = nk * b3 + nw1 * c3
-            b4 = nk * a3 + nw2 * c3
-            c4 = nw1 * a3 + nw2 * b3 + nl * c3
-            a5 = nk * b4 + nw1 * c4
-            b5 = nk * a4 + nw2 * c4
-            c5 = nw1 * a4 + nw2 * b4 + nl * c4
-            a6 = nk * b5 + nw1 * c5
-            b6 = nk * a5 + nw2 * c5
-            c6 = nw1 * a5 + nw2 * b5 + nl * c5
-            a7 = nk * b6 + nw1 * c6
-            b7 = nk * a6 + nw2 * c6
-            c7 = nw1 * a6 + nw2 * b6 + nl * c6
-            n1 = y1 + a1 + a2 * 0.5 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
-            n2 = y2 + b1 + b2 * 0.5 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
-            n3 = y3 + c1 + c2 * 0.5 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
+            # z_j = (hM)^j y = (a, b, c) for j = 1..12, each weighed as it
+            # is formed: into the solution n, from j = 4 into the
+            # third-order estimate g and from j = 6 into the fifth-order
+            # estimate e.  Unrolled: a loop over j costs about 8 % more.
+            a, b, c = nk * y2 + nw1 * y3, nk * y1 + nw2 * y3, nw1 * y1 + nw2 * y2 + nl * y3
+            n1, n2, n3 = y1 + w1 * a, y2 + w1 * b, y3 + w1 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w2 * a, n2 + w2 * b, n3 + w2 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w3 * a, n2 + w3 * b, n3 + w3 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w4 * a, n2 + w4 * b, n3 + w4 * c
+            g1, g2, g3 = t4 * a, t4 * b, t4 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w5 * a, n2 + w5 * b, n3 + w5 * c
+            g1, g2, g3 = g1 + t5 * a, g2 + t5 * b, g3 + t5 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w6 * a, n2 + w6 * b, n3 + w6 * c
+            g1, g2, g3 = g1 + t6 * a, g2 + t6 * b, g3 + t6 * c
+            e1, e2, e3 = f6 * a, f6 * b, f6 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w7 * a, n2 + w7 * b, n3 + w7 * c
+            g1, g2, g3 = g1 + t7 * a, g2 + t7 * b, g3 + t7 * c
+            e1, e2, e3 = e1 + f7 * a, e2 + f7 * b, e3 + f7 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w8 * a, n2 + w8 * b, n3 + w8 * c
+            g1, g2, g3 = g1 + t8 * a, g2 + t8 * b, g3 + t8 * c
+            e1, e2, e3 = e1 + f8 * a, e2 + f8 * b, e3 + f8 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w9 * a, n2 + w9 * b, n3 + w9 * c
+            g1, g2, g3 = g1 + t9 * a, g2 + t9 * b, g3 + t9 * c
+            e1, e2, e3 = e1 + f9 * a, e2 + f9 * b, e3 + f9 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w10 * a, n2 + w10 * b, n3 + w10 * c
+            g1, g2, g3 = g1 + t10 * a, g2 + t10 * b, g3 + t10 * c
+            e1, e2, e3 = e1 + f10 * a, e2 + f10 * b, e3 + f10 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w11 * a, n2 + w11 * b, n3 + w11 * c
+            g1, g2, g3 = g1 + t11 * a, g2 + t11 * b, g3 + t11 * c
+            e1, e2, e3 = e1 + f11 * a, e2 + f11 * b, e3 + f11 * c
+            a, b, c = nk * b + nw1 * c, nk * a + nw2 * c, nw1 * a + nw2 * b + nl * c
+            n1, n2, n3 = n1 + w12 * a, n2 + w12 * b, n3 + w12 * c
+            g1, g2, g3 = g1 + t12 * a, g2 + t12 * b, g3 + t12 * c
+            e1, e2, e3 = e1 + f12 * a, e2 + f12 * b, e3 + f12 * c
             an1, an2, an3 = abs(n1), abs(n2), abs(n3)
-            # _rms of the error estimate, scaled by atol + max(|y|, |y_new|) rtol
             s1 = atol + (an1 if an1 > ay1 else ay1) * rtol
             s2 = atol + (an2 if an2 > ay2 else ay2) * rtol
             s3 = atol + (an3 if an3 > ay3 else ay3) * rtol
-            e1 = (_ERR5 * a5 + _ERR6 * a6 + _ERR7 * a7) / s1
-            e2 = (_ERR5 * b5 + _ERR6 * b6 + _ERR7 * b7) / s2
-            e3 = (_ERR5 * c5 + _ERR6 * c6 + _ERR7 * c7) / s3
-            error_norm = sqrt(
-                (
-                    e1.real * e1.real + e1.imag * e1.imag
-                    + e2.real * e2.real + e2.imag * e2.imag
-                    + e3.real * e3.real + e3.imag * e3.imag
-                )
-                / 3.0
-            )
+            # the squared norms of the scaled estimates
+            r1, r2, r3 = abs(e1) / s1, abs(e2) / s2, abs(e3) / s3
+            q1, q2, q3 = abs(g1) / s1, abs(g2) / s2, abs(g3) / s3
+            e = r1 * r1 + r2 * r2 + r3 * r3
+            g = q1 * q1 + q2 * q2 + q3 * q3
+            error_norm = e / sqrt(3.0 * (e + 0.01 * g)) if e or g else 0.0
             # a non-finite state makes the norm non-finite too
             if not isfinite(error_norm):
                 raise StepUnderflowError(f"non-finite error norm {error_norm} at t = {t!r}")
@@ -417,14 +445,14 @@ def _dopri45(
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = _SAFETY * error_norm ** -0.2
+                    factor = _SAFETY * error_norm ** -0.125
                     if factor > _MAX_FACTOR:
                         factor = _MAX_FACTOR
                 if rejected and factor > 1.0:
                     factor = 1.0
                 h_abs *= factor
                 break
-            factor = _SAFETY * error_norm ** -0.2
+            factor = _SAFETY * error_norm ** -0.125
             h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
         starts.append(t)
@@ -436,30 +464,50 @@ def _dopri45(
 
 
 def _dense_coefficients(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, steps: np.ndarray):
-    """Shampine's interpolant on the steps ``steps`` of the :func:`_dopri45` run ``(bounds, ys)``.
+    """The polynomials of the steps ``steps`` of the :func:`_dop853` run ``(bounds, ys)``.
 
     Step n spans ``bounds[n]..bounds[n + 1]`` from ``ys[:, n]``.  Returns
-    each step's length, and the coefficients of ``x^0..x^4``, x the
-    fraction of the step elapsed, shape ``(5, 3, steps.size)``: the state,
-    then the z_j = (hM)^j y of all the steps at once, weighed by ``_DENSE``.
+    each step's length, and the coefficients ``_W[j] z_j`` of ``x^j``,
+    ``j = 0..12``, x the fraction of the step elapsed, shape
+    ``(13, 3, steps.size)``, for all the steps at once.  The z_j are formed
+    in real arithmetic that repeats the stepper's complex products and sums
+    term for term, so each coefficient is the value the stepper weighed.
     """
     length = bounds[steps + 1] - bounds[steps]
-    coef = np.zeros((5, 3, steps.size), dtype=complex)
+    (_, mk, mw1), (_, _, mw2), (_, _, ml) = M.tolist()
+    # the stepper's z_j+1 = (nk b + nw1 c, nk a + nw2 c, (nw1 a + nw2 b) + nl c)
+    # for z_j = (a, b, c): the entries of hM that take (b, a, a), those that
+    # take (c, c, b), and nl, each as real and imaginary parts
+    entries = np.array([[mk, mk, mw1], [mw1, mw2, mw2]])
+    hr, hi = entries.real[..., None] * length, entries.imag[..., None] * length
+    lr, li = ml.real * length, ml.imag * length
+    coef = np.empty((len(_W), 3, steps.size), dtype=complex)
     coef[0] = z = ys[:, steps]
-    for weights in _DENSE:
-        z = length * np.einsum("ik,kn->in", M, z)
-        coef[1:] += weights[:, None, None] * z
+    re, im = z.real, z.imag
+    for j in range(1, len(_W)):
+        pr, pi = re[[1, 0, 0]], im[[1, 0, 0]]
+        qr, qi = re[[2, 2, 1]], im[[2, 2, 1]]
+        new_re = (hr[0] * pr - hi[0] * pi) + (hr[1] * qr - hi[1] * qi)
+        new_im = (hr[0] * pi + hi[0] * pr) + (hr[1] * qi + hi[1] * qr)
+        new_re[2] += lr * re[2] - li * im[2]
+        new_im[2] += lr * im[2] + li * re[2]
+        re, im = new_re, new_im
+        coef.real[j] = _W[j] * re
+        coef.imag[j] = _W[j] * im
     return length, coef
 
 
 def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.ndarray):
-    """The states, shape ``(3, times.size)``, of the :func:`_dopri45` run
-    ``(bounds, ys)`` of ``M`` at sorted ``times``, from Shampine's interpolant.
+    """The states, shape ``(3, times.size)``, of the :func:`_dop853` run
+    ``(bounds, ys)`` of ``M`` at sorted ``times``, from each step's polynomial.
 
-    The coefficients are formed only for the steps that hold a time; a time
-    equal to a step's end belongs to that step, and its value is
-    ``sum_m coef[m] x^m`` in Horner form.  The times go ``_DENSE_BLOCK`` at
-    a time, each block's steps found by counting the times each step holds.
+    A time ``x`` of the way through a step is a step of length ``x h`` from
+    its start, ``sum_j coef[j] x^j``, summed in order of j as the stepper
+    sums the step; the coefficients are formed only for the steps that hold
+    a time.  A time equal to a step's end belongs to that step, and its
+    value, at ``x = 1``, is the state the stepper accepted there.  The times
+    go ``_DENSE_BLOCK`` at a time, each block's steps found by counting the
+    times each step holds.
     """
     steps = np.flatnonzero(np.diff(np.searchsorted(times, bounds[1:], side="right"), prepend=0))
     start, end = bounds[steps], bounds[steps + 1]
@@ -471,50 +519,50 @@ def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.n
         held = np.searchsorted(block, end[first : last + 1], side="right")
         k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
         x = (block - start[k]) / length[k]
-        c = coef.take(k, axis=-1)
-        acc = c[-1]
-        for m in range(c.shape[0] - 2, -1, -1):
-            acc *= x
-            acc += c[m]
+        acc = coef[0].take(k, axis=-1)
+        power = x.copy()
+        for c in coef[1:]:
+            acc += power * c.take(k, axis=-1)
+            power *= x
         y[:, lo : lo + _DENSE_BLOCK] = acc
     return y
 
 
 # The balance check's nodes on each step, x = (j + 1/2) / _BALANCE_NODES,
-# and the steps it takes at once: below 1 MB of arrays, 0.8 kB a step.
+# and the steps it takes at once: below 1 MB of arrays, about 2.8 kB a step.
 _BALANCE_NODES = 16
-_BALANCE_BLOCK = 1024
+_BALANCE_BLOCK = 256
 
 
 def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, lam: float) -> float:
-    """The largest population-balance defect of the :func:`_dopri45` run ``(bounds, ys)`` of ``M``.
+    """The largest population-balance defect of the :func:`_dop853` run ``(bounds, ys)`` of ``M``.
 
     The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
-    dP/dt = -2 lam |b|^2 exactly.  On each step Shampine's interpolant
-    ``sum_m c_m x^m`` is a quartic, so P and |b|^2 are real polynomials of
-    degree 8, with coefficients ``sum_{i + j = d} Re(conj(c_i) . c_j)``, and
-    so is the defect ``r(x) = P'(x) / h + 2 lam |b(x)|^2``.  The largest
-    ``|r|`` at ``_BALANCE_NODES`` midpoints of each step is returned; a NaN
-    anywhere makes it NaN.  The steps go ``_BALANCE_BLOCK`` at a time.
+    dP/dt = -2 lam |b|^2 exactly.  On each step the state is the step's
+    polynomial ``y(x) = sum_j c_j x^j`` of :func:`_dense_coefficients`, x
+    the fraction of the step elapsed, and ``dy/dt = y'(x) / h``.  Both are
+    evaluated by Horner at ``_BALANCE_NODES`` midpoints of each step, and
+    the largest ``|dP/dt + 2 lam |b|^2|``, with
+    ``dP/dt = 2 Re(conj(y) . y'(x)) / h``, is returned; a NaN anywhere makes
+    it NaN.  The steps go ``_BALANCE_BLOCK`` at a time.
     """
     x = (np.arange(_BALANCE_NODES) + 0.5) / _BALANCE_NODES
 
     def defect(steps: np.ndarray) -> float:
         length, coef = _dense_coefficients(M, bounds, ys, steps)
-        re, im = coef.real, coef.imag
-        # coefficients of x^0..x^8 of each |y_k|^2
-        sq = np.zeros((9, 3, steps.size))
-        for i in range(5):
-            for j in range(5):
-                sq[i + j] += re[i] * re[j] + im[i] * im[j]
-        # r = P'(x) / h + 2 lam |b|^2
-        r = 2.0 * lam * sq[:, 2]
-        r[:-1] += np.arange(1.0, 9.0)[:, None] * sq[1:].sum(axis=1) / length
-        acc = np.zeros((steps.size, x.size))
-        for d in range(8, -1, -1):
-            acc *= x
-            acc += r[d][:, None]
-        return np.abs(acc).max()
+        top = coef.shape[0] - 1
+        y = coef[top][..., None] * np.ones_like(x)
+        dy = top * y
+        for j in range(top - 1, -1, -1):
+            y *= x
+            y += coef[j][..., None]
+            if j:
+                dy *= x
+                dy += j * coef[j][..., None]
+        dpop = sum(v.real * d.real + v.imag * d.imag for v, d in zip(y, dy))
+        b = y[2]
+        r = 2.0 * dpop / length[:, None] + 2.0 * lam * (b.real * b.real + b.imag * b.imag)
+        return np.abs(r).max()
 
     n = bounds.size - 1
     blocks = (np.arange(lo, min(lo + _BALANCE_BLOCK, n)) for lo in range(0, n, _BALANCE_BLOCK))

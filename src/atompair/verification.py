@@ -39,9 +39,9 @@ THREE_SOLVER_TOL = 1e-5
 LEAK_IDENTITY_TOL = 1e-6
 
 # The adaptive route's (relative, absolute) tolerances for verification:
-# they keep the interpolant's balance defect well below LEAK_IDENTITY_TOL at
-# the frequency scales of interest (at most 5e-9 on the verification box,
-# lambda 1 to 10).
+# they keep the step polynomials' balance defect well below
+# LEAK_IDENTITY_TOL at the frequency scales of interest (at most 4e-10 on
+# the verification box, lambda 1 to 10).
 LEAK_IDENTITY_CONFIG = (1e-11, 1e-13)
 
 # Size of the shared comparison grid; the memory-kernel route's steps are

@@ -48,7 +48,7 @@ def adaptive_trajectory(p, init, t_end, tolerances, times=None) -> Trajectory:
 
 def balance_residual(p, init, t_end) -> float:
     """The population-balance residual that ``verify`` reads: the largest
-    defect of the adaptive route's interpolant, run at LEAK_IDENTITY_CONFIG."""
+    defect of the adaptive route's step polynomials, run at LEAK_IDENTITY_CONFIG."""
     return _balance_residual(*_adaptive_run(p, init, t_end, LEAK_IDENTITY_CONFIG), p.lam)
 
 

@@ -426,7 +426,8 @@ class TestStepBudget:
     """A run that would take more than _MAX_STEPS steps exits 2 naming the field."""
 
     def test_adaptive_budget_names_t_end(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+        # run takes 47 steps to t_end = 2 at its tolerances, verify 79
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
         cfg = write_config(tmp_path, "c.json", _RUN)
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "ode"]) == EXIT_CONFIG

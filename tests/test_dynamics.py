@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import math
 import time
@@ -25,7 +26,7 @@ import atompair.verification as verification
 from atompair.dynamics import (
     StepBudgetError,
     StepUnderflowError,
-    _dopri45,
+    _dop853,
     _rms,
     _system_matrix,
 )
@@ -118,7 +119,7 @@ class TestPseudomode:
         init = bell_state("plus")
         traj2 = integrate_pseudomode(p, init, 5.0)
         y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-        bounds, ys = _dopri45(_system_matrix(p), y0, 5.0, 1e-9, 1e-12)
+        bounds, ys = _dop853(_system_matrix(p), y0, 5.0, 1e-9, 1e-12)
         assert np.array_equal(traj2.t, bounds) and traj2.t[-1] == 5.0
         assert np.array_equal(np.array([traj2.c1, traj2.c2, traj2.b]), ys)
 
@@ -139,13 +140,13 @@ class TestPseudomode:
 
     def test_keeps_only_step_ends_without_grid(self):
         # the route keeps each accepted step's start and state, not the
-        # powers z_j = (hM)^j y it steps with; the stage form that kept its
-        # seven stages held about 1.4 KB per step
+        # powers z_j = (hM)^j y it steps with; the stage form of the 5(4)
+        # pair, which kept its seven stages, held about 1.4 KB per step
         p, init = fig_params(K=2.0), bell_state("minus")
         integrate_pseudomode(p, init, 1.0)
         tracemalloc.start()
         try:
-            traj = integrate_pseudomode(p, init, 10.0)
+            traj = integrate_pseudomode(p, init, 200.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -157,15 +158,15 @@ class TestPseudomode:
         # dense output forms the coefficients only for the steps that hold a
         # sample time, after the loop
         p, init = fig_params(K=2.0), bell_state("minus")
-        grid = np.linspace(0.0, 10.0, 11)
+        grid = np.linspace(0.0, 200.0, 11)
         integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
         tracemalloc.start()
         try:
-            integrate_pseudomode(p, init, 10.0, times=grid)
+            integrate_pseudomode(p, init, 200.0, times=grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        steps = integrate_pseudomode(p, init, 10.0).t.size - 1
+        steps = integrate_pseudomode(p, init, 200.0).t.size - 1
         assert 800 < steps < 1400
         assert peak / steps < 500
 
@@ -177,15 +178,15 @@ class TestPseudomode:
             assert np.all(np.diff(pop) <= 1e-8)
 
 
-def _rk45_reference(p, init, t_end, tols):
-    """scipy's RK45 on the same system, with its dense output."""
+def _dop853_reference(p, init, t_end, tols):
+    """scipy's DOP853 on the same system, with its dense output."""
     integrate = pytest.importorskip("scipy.integrate")
     M = _system_matrix(p)
     with warnings.catch_warnings():
         # a relative tolerance below 100 eps: scipy warns and raises it to that floor
         warnings.simplefilter("ignore", UserWarning)
         sol = integrate.solve_ivp(
-            lambda t, y: M @ y, (0.0, t_end), [init.c10, init.c20, 0.0], method="RK45",
+            lambda t, y: M @ y, (0.0, t_end), [init.c10, init.c20, 0.0], method="DOP853",
             rtol=tols[0], atol=tols[1], dense_output=True,
         )
     assert sol.success
@@ -236,8 +237,8 @@ class TestStepBudget:
             integrate_pseudomode(p, init, 10.0)
 
 
-class TestAgainstScipyRK45:
-    """The in-repo Dormand-Prince stepper takes the steps of scipy's RK45."""
+class TestAgainstScipyDOP853:
+    """The in-repo Dormand-Prince stepper takes the steps of scipy's DOP853."""
 
     @ADAPTIVE_CONFIGS
     def test_same_steps_and_values(self, rng, tols):
@@ -246,175 +247,103 @@ class TestAgainstScipyRK45:
         points = [(fig_params(K=2.0), bell_state("minus"))]
         points += [(random_params(rng), random_init(rng)) for _ in range(3)]
         for p, init in points:
-            sol = _rk45_reference(p, init, t_end, tols)
+            sol = _dop853_reference(p, init, t_end, tols)
             steps = adaptive_trajectory(p, init, t_end, tols)
             assert steps.t.size == sol.t.size
             assert steps.t[-1] == t_end
-            # the two step sequences drift apart by rounding (by up to about
-            # 1e-8 in t over thousands of steps), so compare the values at
-            # these step ends through scipy's dense output
+            # the two step sequences drift apart by rounding, so compare the
+            # values at these step ends through scipy's dense output, which
+            # is exact at its own step ends
             assert _sup_diff(steps, sol.sol(steps.t)) <= 1e-12
+            # between the step ends, scipy's degree-7 interpolant is less
+            # accurate than the step polynomial: on the grid, the dense
+            # output is no farther from the closed form than scipy's
             on_grid = adaptive_trajectory(p, init, t_end, tols, times=grid)
-            assert _sup_diff(on_grid, sol.sol(grid)) <= 1e-12
+            exact = residue_coefficients(p, init).evolve(grid)
+            scipy_error = max(np.abs(a - b).max() for a, b in zip(sol.sol(grid), exact))
+            assert _sup_diff(on_grid, exact) <= scipy_error + 1e-12
 
 
-# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
-# 1980) as scipy's RK45 states it: stage coefficients, fifth-order weights,
-# 5(4) error weights over the seven stages (the seventh is the derivative at
-# the step's end), and Shampine's dense-output matrix (Math. Comp. 46, 1986),
-# whose column m weighs x^(m + 1).
-DP_A = [
-    [],
-    [F(1, 5)],
-    [F(3, 40), F(9, 40)],
-    [F(44, 45), F(-56, 15), F(32, 9)],
-    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
-    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
-]
-DP_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
-DP_E = [
-    F(-71, 57600), F(0), F(71, 16695), F(-71, 1920), F(17253, 339200), F(-22, 525),
-    F(1, 40),
-]
-DP_P = [
-    [F(1), F(-8048581381, 2820520608), F(8663915743, 2820520608),
-     F(-12715105075, 11282082432)],
-    [F(0), F(0), F(0), F(0)],
-    [F(0), F(131558114200, 32700410799), F(-68118460800, 10900136933),
-     F(87487479700, 32700410799)],
-    [F(0), F(-1754552775, 470086768), F(14199869525, 1410260304),
-     F(-10690763975, 1880347072)],
-    [F(0), F(127303824393, 49829197408), F(-318862633887, 49829197408),
-     F(701980252875, 199316789632)],
-    [F(0), F(-282668133, 205662961), F(2019193451, 616988883),
-     F(-1453857185, 822651844)],
-    [F(0), F(40617522, 29380423), F(-110615467, 29380423), F(69997945, 29380423)],
-]
+def _tableau():
+    """scipy's DOP853 tableau: the twelve stages' coefficients, the
+    eighth-order weights, and the fifth- and third-order error weights."""
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    return dop853.A[:12, :12], dop853.B, dop853.E5[:12], dop853.E3[:12]
 
 
-def dopri_stage_reference(M, y0, t_end, rtol, atol):
-    """The seven-stage Dormand-Prince loop with FSAL, kept as the reference for the
-    polynomial form of ``_dopri45``.
+def dop853_stage_step(M, y, h):
+    """One twelve-stage DOP853 step of length ``h`` from ``y``, of shape
+    ``(3, ...)`` with ``h`` broadcasting over the trailing axes: the change
+    of the state and the fifth- and third-order error estimates."""
+    A, B, E5, E3 = _tableau()
+    K = np.zeros((12, *y.shape), dtype=complex)
+    for s in range(12):
+        K[s] = np.einsum("ij,j...->i...", M, y + h * np.tensordot(A[s, :s], K[:s], axes=1))
+    return tuple(h * np.tensordot(w, K, axes=1) for w in (B, E5, E3))
+
+
+def dop853_stage_reference(M, y0, t_end, rtol, atol):
+    """The twelve-stage DOP853 loop on scipy's tableau, kept as the reference
+    for the polynomial form of ``_dop853``.
 
     Returns ``(t, y, dense)``: the accepted step ends, the states there, and
-    Shampine's dense output as a function of sorted times in ``[0, t_end]``.
+    the dense output as a function of sorted times in ``[0, t_end]``: from
+    the start of the step that holds each time, one stage-form step of the
+    length that reaches it.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
-
-    def f(a, b, c):
-        return (
-            m00 * a + m01 * b + m02 * c,
-            m10 * a + m11 * b + m12 * c,
-            m20 * a + m21 * b + m22 * c,
-        )
-
     rtol = max(rtol, 100.0 * np.finfo(float).eps)
-    y = tuple(y0.tolist())
-    k1 = f(*y)
-
-    scale = [atol + abs(v) * rtol for v in y]
+    y = y0.astype(complex)
+    k1 = M @ y
+    scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(*y, *scale), _rms(*k1, *scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    probe = f(*(v + h0 * k for v, k in zip(y, k1)))
-    d2 = _rms(*(p - k for p, k in zip(probe, k1)), *scale) / h0
+    d2 = _rms(*(M @ (y + h0 * k1) - k1), *scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100.0 * h0, h1, t_end)
 
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
-        [float(a) for a in row] for row in DP_A[1:]
-    )
-    b1, _, b3, b4, b5, b6 = (float(b) for b in DP_B)
-    e1, _, e3, e4, e5, e6, e7 = (float(e) for e in DP_E)
     t = 0.0
     starts = []
-    steps = []  # per accepted step: y at its start, then the seven stages
+    states = []
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
-        if h_abs < min_step:
-            h_abs = min_step
-        y1, y2, y3 = y
-        p1, p2, p3 = k1
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             assert h_abs >= min_step
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            k2 = f(y1 + h * (a21 * p1), y2 + h * (a21 * p2), y3 + h * (a21 * p3))
-            q1, q2, q3 = k2
-            k3 = f(
-                y1 + h * (a31 * p1 + a32 * q1),
-                y2 + h * (a31 * p2 + a32 * q2),
-                y3 + h * (a31 * p3 + a32 * q3),
-            )
-            r1, r2, r3 = k3
-            k4 = f(
-                y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
-                y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
-                y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
-            )
-            s1, s2, s3 = k4
-            k5 = f(
-                y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
-                y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
-                y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
-            )
-            u1, u2, u3 = k5
-            k6 = f(
-                y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1),
-                y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2),
-                y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3),
-            )
-            v1, v2, v3 = k6
-            y_new = (
-                y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1),
-                y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2),
-                y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3),
-            )
-            k7 = f(*y_new)
-            w1, w2, w3 = k7
-            n1, n2, n3 = y_new
-            error_norm = _rms(
-                h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1),
-                h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2),
-                h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3),
-                atol + max(abs(y1), abs(n1)) * rtol,
-                atol + max(abs(y2), abs(n2)) * rtol,
-                atol + max(abs(y3), abs(n3)) * rtol,
-            )
+            dy, err5, err3 = dop853_stage_step(M, y, h)
+            y_new = y + dy
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.sum(np.abs(err5 / scale) ** 2)
+            e3 = np.sum(np.abs(err3 / scale) ** 2)
+            error_norm = e5 / math.sqrt(3 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
             assert math.isfinite(error_norm)
             if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = 10.0
-                else:
-                    factor = min(10.0, 0.9 * error_norm ** -0.2)
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** (-1 / 8))
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
             rejected = True
         starts.append(t)
-        steps.append((*y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
-        t, y, k1 = t_new, y_new, k7
+        states.append(y)
+        t, y = t_new, y_new
 
     bounds = np.array(starts + [t_end])
-    data = np.array(steps, dtype=complex).reshape(-1, 8, 3)
-    hQ = np.einsum("nsc,sk->ckn", data[:, 1:], np.array(DP_P, dtype=float)) * np.diff(bounds)
+    ys = np.array(states + [y]).T
 
     def dense(times):
         idx = np.searchsorted(bounds[1:], times, side="left")
-        x = (times - bounds[idx]) / np.diff(bounds)[idx]
-        acc = hQ[:, 3, idx]
-        for j in (2, 1, 0):
-            acc = acc * x + hQ[:, j, idx]
-        return acc * x + data[idx, 0].T
+        dy, _, _ = dop853_stage_step(M, ys[:, idx], times - bounds[idx])
+        return ys[:, idx] + dy
 
-    ys = np.concatenate([data[:, 0], [y]]).T
     return bounds, ys, dense
 
 
@@ -423,6 +352,28 @@ def _dopri_points(rng):
     points += [(random_params(rng), random_init(rng)) for _ in range(3)]
     points.append((equal_params(K=20.0, R=20.0), bell_state("minus")))
     return points
+
+
+def _derived_weights():
+    """The weights of z_j = (hM)^j y, j = 0..13, in the solution and the two
+    error estimates, derived exactly from scipy's float tableau: each stage,
+    times h, is a polynomial in z = hM applied to y."""
+    A, *weights = _tableau()
+    A = [[F(float(a)) for a in row] for row in A]
+    B, E5, E3 = ([F(float(w)) for w in ws] for ws in weights)
+
+    def times_z(poly):
+        return [F(0)] + poly[:-1]
+
+    def combine(weights, polys):
+        return [sum((w * q[j] for w, q in zip(weights, polys)), F(0)) for j in range(14)]
+
+    one = [F(1)] + [F(0)] * 13
+    hK = []
+    for s, row in enumerate(A):
+        hK.append(times_z([a + b for a, b in zip(one, combine(row[:s], hK))]))
+    solution = [a + b for a, b in zip(one, combine(B, hK))]
+    return solution, combine(E5, hK), combine(E3, hK)
 
 
 class TestPolynomialStep:
@@ -436,8 +387,8 @@ class TestPolynomialStep:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
             args = (M, y0, t_end, *tols)
-            t, y = _dopri45(*args)
-            t_ref, _, dense_ref = dopri_stage_reference(*args)
+            t, y = _dop853(*args)
+            t_ref, _, dense_ref = dop853_stage_reference(*args)
             assert t.size == t_ref.size
             assert t[-1] == t_end
             # the step ends drift apart by rounding, so read the reference
@@ -447,30 +398,22 @@ class TestPolynomialStep:
             assert np.abs(on_grid - dense_ref(grid)).max() <= 1e-12
 
     def test_constants_reduce_the_tableau(self):
-        # each stage K_s, times h, is a polynomial in z = hM applied to y;
-        # represent it by its coefficients of z^0..z^7
-        def times_z(poly):
-            return [F(0)] + poly[:-1]
-
-        def combine(weights, polys):
-            return [sum((w * q[j] for w, q in zip(weights, polys)), F(0)) for j in range(8)]
-
-        one = [F(1)] + [F(0)] * 7
-        hK = []
-        for row in DP_A:
-            hK.append(times_z([a + b for a, b in zip(one, combine(row, hK))]))
-        y_new = [a + b for a, b in zip(one, combine(DP_B, hK))]
-        hK.append(times_z(y_new))  # the seventh stage: the derivative at the step's end
-        err = combine(DP_E, hK)
-        dense = [[sum((hK[s][j] * DP_P[s][m] for s in range(7)), F(0)) for m in range(4)]
-                 for j in range(8)]
-
-        stability = [F(1, math.factorial(j)) for j in range(6)] + [F(1, 600), F(0)]
-        assert y_new == stability
-        assert err == [F(0)] * 5 + [F(97, 120000), F(-13, 40000), F(1, 24000)]
-        assert (dyn._ERR5, dyn._ERR6, dyn._ERR7) == tuple(float(e) for e in err[5:])
-        assert dense[0] == [F(0)] * 4  # the state is the constant term
-        assert dyn._DENSE.tolist() == [[float(c) for c in row] for row in dense[1:]]
+        solution, err5, err3 = _derived_weights()
+        # a polynomial of degree 12: the thirteenth stage, the derivative at
+        # the step's end, carries no weight
+        assert solution[13] == err5[13] == err3[13] == 0
+        # eighth order: the stability function is exp up to z^8, to the
+        # rounding of scipy's tableau, and the constants are 1/j! exactly
+        for j in range(9):
+            exact = F(1, math.factorial(j))
+            assert abs(solution[j] - exact) <= 1e-14 * exact
+            assert dyn._W[j] == 1.0 / math.factorial(j)
+        # the estimates' lower powers vanish, to the same rounding
+        assert all(abs(e) < 1e-15 for e in err5[:6] + err3[:4])
+        # the other weights are the derived ones, rounded once
+        assert dyn._W[9:] == tuple(float(w) for w in solution[9:13])
+        assert dyn._E5 == tuple(float(e) for e in err5[6:13])
+        assert dyn._E3 == tuple(float(e) for e in err3[4:13])
 
     def test_one_step_is_the_stability_polynomial(self):
         # with loose tolerances the first step covers a short horizon at
@@ -481,12 +424,23 @@ class TestPolynomialStep:
         h = 1e-3
         assert 0.3 <= np.abs(h * M[M != 0]).min() and np.abs(h * M).max() <= 0.5
         y0 = np.array([1.0, 0.5j, -0.25], dtype=complex)
-        t, y = _dopri45(M, y0, h, 1e-2, 1e-2)
+        t, y = _dop853(M, y0, h, 1e-2, 1e-2)
         assert t.tolist() == [0.0, h]
         z = h * M
-        powers = [np.linalg.matrix_power(z, j) for j in range(7)]
-        stability = sum(powers[j] / math.factorial(j) for j in range(6)) + powers[6] / 600
+        stability = sum(w * np.linalg.matrix_power(z, j) for j, w in enumerate(dyn._W))
         assert np.abs(y[:, 1] - stability @ y0).max() <= 1e-15
+
+    @ADAPTIVE_CONFIGS
+    def test_dense_output_at_step_ends_is_the_accepted_state(self, rng, tols):
+        # the dense output sums the step's polynomial in the stepper's order,
+        # so at x = 1 it is the state the stepper accepted, bit for bit
+        # (adding 0.0 makes the signs of zeros agree)
+        for p, init in _dopri_points(rng) + [(SINGLE_ATOM, InitialAmplitudes(1.0, 0.0))]:
+            M = _system_matrix(p)
+            y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
+            t, y = _dop853(M, y0, 10.0, *tols)
+            out = dyn._dense_output(M, t, y, t)
+            assert (out + 0.0).tobytes() == (y + 0.0).tobytes()
 
     @pytest.mark.parametrize("case", ["diagonal", "asymmetric", "self_coupling", "2x2"])
     def test_refuses_other_shapes(self, case):
@@ -501,26 +455,38 @@ class TestPolynomialStep:
             M = M[:2, :2]
         y0 = np.ones(M.shape[0], dtype=complex)
         with pytest.raises(ValueError, match="symmetric"):
-            _dopri45(M, y0, 1.0, 1e-9, 1e-12)
+            _dop853(M, y0, 1.0, 1e-9, 1e-12)
 
 
-def dopri_polynomial_reference(M, y0, t_end, rtol, atol, times):
-    """The polynomial Dormand-Prince loop on a general 3x3 M, nine products per power,
-    kept as the byte-for-byte reference for the four-entry step of ``_dopri45``.
+def general_product(M, h):
+    """``v -> (hM) v`` on Python complex scalars, the nine products of a
+    general 3x3 matrix summed in row order."""
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = ([h * m for m in row] for row in M.tolist())
 
-    Returns ``(t, y)`` as ``_dopri45`` does with ``times`` None; on ``times``
+    def product(a, b, c):
+        return (
+            n00 * a + n01 * b + n02 * c,
+            n10 * a + n11 * b + n12 * c,
+            n20 * a + n21 * b + n22 * c,
+        )
+
+    return product
+
+
+def _squared_norm(v, scale):
+    r1, r2, r3 = (abs(x) / s for x, s in zip(v, scale))
+    return r1 * r1 + r2 * r2 + r3 * r3
+
+
+def dop853_polynomial_reference(M, y0, t_end, rtol, atol, times):
+    """The polynomial DOP853 loop on a general 3x3 M, nine products per power,
+    kept as the byte-for-byte reference for the four-entry step of ``_dop853``.
+
+    Returns ``(t, y)`` as ``_dop853`` does with ``times`` None; on ``times``
     the dense output forms every step's coefficients and evaluates them
     unblocked.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M.tolist()
-
-    def f(a, b, c):
-        return (
-            m00 * a + m01 * b + m02 * c,
-            m10 * a + m11 * b + m12 * c,
-            m20 * a + m21 * b + m22 * c,
-        )
-
+    f = general_product(M, 1.0)
     rtol = max(rtol, 100.0 * np.finfo(float).eps)
     y = tuple(y0.tolist())
     k1 = f(*y)
@@ -534,7 +500,7 @@ def dopri_polynomial_reference(M, y0, t_end, rtol, atol, times):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100.0 * h0, h1, t_end)
 
     t = 0.0
@@ -544,63 +510,43 @@ def dopri_polynomial_reference(M, y0, t_end, rtol, atol, times):
         min_step = 10.0 * math.ulp(t)
         if h_abs < min_step:
             h_abs = min_step
-        y1, y2, y3 = y
         rejected = False
         while True:
             assert h_abs >= min_step
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            n00, n01, n02 = h * m00, h * m01, h * m02
-            n10, n11, n12 = h * m10, h * m11, h * m12
-            n20, n21, n22 = h * m20, h * m21, h * m22
-            a1 = n00 * y1 + n01 * y2 + n02 * y3
-            b1 = n10 * y1 + n11 * y2 + n12 * y3
-            c1 = n20 * y1 + n21 * y2 + n22 * y3
-            a2 = n00 * a1 + n01 * b1 + n02 * c1
-            b2 = n10 * a1 + n11 * b1 + n12 * c1
-            c2 = n20 * a1 + n21 * b1 + n22 * c1
-            a3 = n00 * a2 + n01 * b2 + n02 * c2
-            b3 = n10 * a2 + n11 * b2 + n12 * c2
-            c3 = n20 * a2 + n21 * b2 + n22 * c2
-            a4 = n00 * a3 + n01 * b3 + n02 * c3
-            b4 = n10 * a3 + n11 * b3 + n12 * c3
-            c4 = n20 * a3 + n21 * b3 + n22 * c3
-            a5 = n00 * a4 + n01 * b4 + n02 * c4
-            b5 = n10 * a4 + n11 * b4 + n12 * c4
-            c5 = n20 * a4 + n21 * b4 + n22 * c4
-            a6 = n00 * a5 + n01 * b5 + n02 * c5
-            b6 = n10 * a5 + n11 * b5 + n12 * c5
-            c6 = n20 * a5 + n21 * b5 + n22 * c5
-            a7 = n00 * a6 + n01 * b6 + n02 * c6
-            b7 = n10 * a6 + n11 * b6 + n12 * c6
-            c7 = n20 * a6 + n21 * b6 + n22 * c6
-            n1 = y1 + a1 + a2 / 2 + a3 / 6 + a4 / 24 + a5 / 120 + a6 / 600
-            n2 = y2 + b1 + b2 / 2 + b3 / 6 + b4 / 24 + b5 / 120 + b6 / 600
-            n3 = y3 + c1 + c2 / 2 + c3 / 6 + c4 / 24 + c5 / 120 + c6 / 600
-            error_norm = _rms(
-                97 / 120000 * a5 + -13 / 40000 * a6 + 1 / 24000 * a7,
-                97 / 120000 * b5 + -13 / 40000 * b6 + 1 / 24000 * b7,
-                97 / 120000 * c5 + -13 / 40000 * c6 + 1 / 24000 * c7,
-                atol + max(abs(y1), abs(n1)) * rtol,
-                atol + max(abs(y2), abs(n2)) * rtol,
-                atol + max(abs(y3), abs(n3)) * rtol,
-            )
+            product = general_product(M, h)
+            z = y
+            new = list(y)
+            err5 = [0.0] * 3
+            err3 = [0.0] * 3
+            for j in range(1, 13):
+                z = product(*z)
+                for k in range(3):
+                    new[k] += dyn._W[j] * z[k]
+                    if j >= 4:
+                        err3[k] += dyn._E3[j - 4] * z[k]
+                    if j >= 6:
+                        err5[k] += dyn._E5[j - 6] * z[k]
+            s = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, new)]
+            e5, e3 = _squared_norm(err5, s), _squared_norm(err3, s)
+            error_norm = e5 / math.sqrt(3.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
             assert math.isfinite(error_norm)
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = 10.0
                 else:
-                    factor = min(10.0, 0.9 * error_norm ** -0.2)
+                    factor = min(10.0, 0.9 * error_norm ** -0.125)
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
         starts.append(t)
         states.append(y)
-        t, y = t_new, (n1, n2, n3)
+        t, y = t_new, tuple(new)
 
     bounds = np.array(starts + [t_end])
     ys = np.array(states + [y], dtype=complex).T
@@ -610,13 +556,19 @@ def dopri_polynomial_reference(M, y0, t_end, rtol, atol, times):
 
 
 def dense_coefficients(M, bounds, ys):
-    """Shampine's coefficients of every step, shape ``(5, 3, steps)``, formed directly."""
-    coef = np.zeros((5, *ys[:, :-1].shape), dtype=complex)
-    coef[0] = z = ys[:, :-1]
-    for row in dyn._DENSE:
-        z = np.diff(bounds) * np.einsum("ik,kn->in", M, z)
-        coef[1:] += row[:, None, None] * z
-    return coef
+    """Every step's coefficients ``_W[j] z_j``, shape ``(13, 3, steps)``,
+    formed one step at a time on Python complex scalars with the general
+    product."""
+    coef = []
+    for h, y in zip(np.diff(bounds).tolist(), ys[:, :-1].T.tolist()):
+        product = general_product(M, h)
+        z = tuple(y)
+        step = [z]
+        for w in dyn._W[1:]:
+            z = product(*z)
+            step.append([w * v for v in z])
+        coef.append(step)
+    return np.array(coef, dtype=complex).transpose(1, 2, 0)
 
 
 # K = 0 and R = lam/2: a double root at -lam/2; atom 2 uncoupled with K = 0:
@@ -626,7 +578,7 @@ SINGLE_ATOM = fig_params(K=0.0, r1=1.0)
 
 
 class TestFourEntryStep:
-    """The four-entry step of ``_dopri45`` is the general-M loop, byte for byte."""
+    """The four-entry step of ``_dop853`` is the general-M loop, byte for byte."""
 
     @ADAPTIVE_CONFIGS
     def test_same_bytes_as_general_product(self, rng, tols):
@@ -641,25 +593,28 @@ class TestFourEntryStep:
             M = _system_matrix(p)
             y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
             args = (M, y0, t_end, *tols)
-            t, y = _dopri45(*args)
-            t_ref, y_ref = dopri_polynomial_reference(*args, None)
+            t, y = _dop853(*args)
+            t_ref, y_ref = dop853_polynomial_reference(*args, None)
             assert t.tobytes() == t_ref.tobytes()
             assert y.tobytes() == y_ref.tobytes()
             on_grid = dyn._dense_output(M, t, y, grid)
-            _, on_grid_ref = dopri_polynomial_reference(*args, grid)
+            _, on_grid_ref = dop853_polynomial_reference(*args, grid)
             assert on_grid.tobytes() == on_grid_ref.tobytes()
         # with atom 2 uncoupled and no dipole, c2 never leaves zero
         assert not y[1].any() and not on_grid[1].any()
 
 
 def dense_unblocked_reference(bounds, coef, times):
-    """Every time at once: binary search for its step, then Horner in x."""
+    """Every time at once: binary search for its step, then the step's
+    polynomial summed in order of the powers of x."""
     idx = np.searchsorted(bounds[1:], times, side="left")
     step = np.diff(bounds)
     x = (times - bounds[idx]) / step[idx]
-    acc = coef[-1][:, idx]
-    for m in range(coef.shape[0] - 2, -1, -1):
-        acc = acc * x + coef[m][:, idx]
+    acc = coef[0][:, idx]
+    power = x
+    for c in coef[1:]:
+        acc = acc + power * c[:, idx]
+        power = power * x
     return acc
 
 
@@ -693,13 +648,14 @@ class TestDenseOutput:
         out = dyn._dense_output(M, bounds, ys, times)
         ref = dense_unblocked_reference(bounds, coef, times)
         assert out.tobytes() == ref.tobytes()
-        # a step end is x = 1 of the step it closes: Horner sums from the top
+        # a step end is x = 1 of the step it closes: the coefficients summed
+        # from the state up, as the stepper sums the step
         ends = np.searchsorted(times, bounds[1:])
-        assert np.array_equal(out[:, ends], (((coef[4] + coef[3]) + coef[2]) + coef[1]) + coef[0])
+        assert np.array_equal(out[:, ends], functools.reduce(np.add, coef))
 
     def test_forms_coefficients_for_the_steps_passed_only(self, rng):
-        # every step's coefficients would take 5 x 3 x 16 B = 240 B a step,
-        # 4.8 MB here; finding the steps that hold a time counts the times
+        # every step's coefficients would take 13 x 3 x 16 B = 624 B a step,
+        # 12.5 MB here; finding the steps that hold a time counts the times
         # up to each step's end, 8 B a step for each of three arrays
         n = 20_000
         bounds = np.linspace(0.0, 10.0, n + 1)
@@ -729,17 +685,17 @@ class TestDenseOutput:
             return real(*args)
 
         monkeypatch.setattr(dyn, "_dense_coefficients", spy)
-        monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 64)
+        monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 16)
         p, init = fig_params(K=2.0), bell_state("minus")
         steps = dyn._adaptive_run(p, init, 1.0, LEAK_IDENTITY_CONFIG)[1].size - 1
-        assert steps > 2 * 64 and not passed
+        assert steps > 2 * 16 and not passed
         # the grid passes only the two steps that hold t = 0 and t = 1
         integrate_pseudomode(p, init, 1.0, times=np.array([0.0, 1.0]))
         assert [a.size for a in passed] == [2]
         # the balance check passes every step once, a block at a time
         passed.clear()
         balance_residual(p, init, 1.0)
-        assert [a.size for a in passed[:-1]] == [64] * (len(passed) - 1)
+        assert [a.size for a in passed[:-1]] == [16] * (len(passed) - 1)
         assert np.concatenate(passed).tolist() == list(range(steps))
         # the comparison samples its grid from the same run, then checks
         # the balance on it
@@ -764,11 +720,12 @@ class TestDenseOutput:
 
 def balance_reference(M, bounds, ys, lam):
     """The balance defect P' + 2 lam |b|^2 at the check's nodes, from the
-    interpolant and its derivative, each evaluated by Horner on every step at once."""
+    step polynomials and their derivatives, each evaluated by Horner on every
+    step at once."""
     coef = dense_coefficients(M, bounds, ys)
     x = (np.arange(dyn._BALANCE_NODES) + 0.5) / dyn._BALANCE_NODES
     y = coef[-1][..., None]
-    dy = 4.0 * coef[-1][..., None]
+    dy = (coef.shape[0] - 1) * coef[-1][..., None]
     for m in range(coef.shape[0] - 2, -1, -1):
         y = y * x + coef[m][..., None]
         if m:
@@ -780,11 +737,11 @@ def balance_reference(M, bounds, ys, lam):
 
 def tight_run(M, init, t_end):
     y0 = np.array([init.c10, init.c20, 0.0], dtype=complex)
-    return _dopri45(M, y0, t_end, *LEAK_IDENTITY_CONFIG)
+    return _dop853(M, y0, t_end, *LEAK_IDENTITY_CONFIG)
 
 
 # the step-heaviest corner of the verification box at lambda = 10: about
-# 80,000 steps at LEAK_IDENTITY_CONFIG to t_end = 10
+# 8,400 steps at LEAK_IDENTITY_CONFIG to t_end = 10
 HEAVY_CORNER = (fig_params(K=-200.0, R=200.0, r1=0.6, lam=10.0),
                 InitialAmplitudes(0.6 + 0.3j, -0.2 + 0.714142842854285j))
 
@@ -803,10 +760,10 @@ class TestLeakResidual:
         ids=["reference", "double_root", "triple_root", "single_atom", "one_pair", "cli_grid"],
     )
     def test_same_float_as_full_populations(self, monkeypatch, p, init, t_end):
-        # the residual walks the steps a block at a time and forms the
-        # defect's polynomial coefficients; blocks of another size give the
-        # same float, and the interpolant and its derivative evaluated on
-        # every step at once agree to rounding of the rate scale
+        # the residual walks the steps a block at a time and evaluates each
+        # step's polynomial and its derivative; blocks of another size give
+        # the same float, and the polynomials formed on Python scalars and
+        # evaluated on every step at once agree to rounding of the rate scale
         resid = balance_residual(p, init, t_end)
         monkeypatch.setattr(dyn, "_BALANCE_BLOCK", 7)
         assert balance_residual(p, init, t_end) == resid
@@ -834,12 +791,13 @@ class TestLeakResidual:
         assert resid >= 1e3 * LEAK_IDENTITY_TOL
 
     def test_memory_does_not_grow_with_the_steps(self):
-        # the coefficients of every step would take 5 x 3 x 16 B = 240 B a
-        # step, 19 MB here; a block of them stays below 1 MB
+        # the coefficients of every step would take 13 x 3 x 16 B = 624 B a
+        # step, 5.2 MB here, and their values and derivatives at the nodes
+        # 1.5 kB a step more; a block of them stays below 1 MB
         p, init = HEAVY_CORNER
         M = _system_matrix(p)
         bounds, ys = tight_run(M, init, 10.0)
-        assert bounds.size > 70_000
+        assert bounds.size > 8_000
         tracemalloc.start()
         try:
             resid = dyn._balance_residual(M, bounds, ys, p.lam)
