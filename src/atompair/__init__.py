@@ -22,7 +22,6 @@ from .closedform import (
 )
 from .dynamics import (
     StepBudgetError,
-    StepUnderflowError,
     Trajectory,
     integrate_pseudomode,
     integrate_volterra,
@@ -37,7 +36,7 @@ __all__ = [
     "SystemParams", "InitialAmplitudes", "bell_state",
     "CharacteristicCubic", "ResidueSolution",
     "char_roots", "residue_coefficients",
-    "Trajectory", "StepUnderflowError", "StepBudgetError",
+    "Trajectory", "StepBudgetError",
     "integrate_pseudomode", "integrate_volterra", "sample_closed_form",
     "leak_series",
     "SteadyStateVerdict", "concurrence_array",

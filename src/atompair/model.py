@@ -128,10 +128,6 @@ class InitialAmplitudes:
         scale = 1.0 / math.sqrt(_norm_sq(c10, c20))
         return cls(c10 * scale, c20 * scale)
 
-    @property
-    def norm_sq(self) -> float:
-        return _norm_sq(self.c10, self.c20)
-
 
 def _norm_sq(c10: complex, c20: complex) -> float:
     """``|c10|^2 + |c20|^2``; ValueError unless it is finite and nonzero."""

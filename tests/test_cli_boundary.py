@@ -1,4 +1,4 @@
-"""Property test of the CLI input boundary.
+"""Property tests of the CLI input boundary.
 
 Any config built from the known fields, with values drawn from per-field edge
 lists, run through any subcommand, either succeeds (exit 0), fails a
@@ -6,6 +6,10 @@ verification check (exit 1, ``verify`` only) or exits 2; it never raises,
 writes only inside its own directory, and an exit-0 CSV holds no NaN.  The
 edge lists keep every case's work bounded: t_end <= 10, samples <= 2001 and
 n_steps <= 20000.
+
+Any parameters, initial state and horizon the CLI accepts, at either of the
+adaptive route's tolerance pairs, either give a finite run of that route or
+use up its step budget, cut to ``ADAPTIVE_BUDGET`` steps to bound the work.
 """
 
 import builtins
@@ -15,14 +19,21 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st  # noqa: E402
 
-from atompair.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, _FIELDS, main  # noqa: E402
+from atompair import dynamics  # noqa: E402
+from atompair.cli import (  # noqa: E402
+    EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, _FIELDS, ConfigError, _horizon, init_from_config,
+    main, params_from_config,
+)
+from atompair.dynamics import StepBudgetError, _adaptive_run  # noqa: E402
+from atompair.verification import LEAK_IDENTITY_CONFIG  # noqa: E402
 
-from conftest import SQRT3_2  # noqa: E402
+from conftest import INV_SQRT2, SQRT3_2  # noqa: E402
 
 BAD = [None, "x", True, [], {}, math.nan, -math.inf]
 
@@ -141,3 +152,61 @@ def test_every_config_exits_cleanly(tmp_path, write_spy, argv, cfg):
     if code == EXIT_OK:
         for csv in Path(work).glob("**/*.csv"):
             assert "nan" not in csv.read_text().lower()
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# rates of order one, and from 1e-300 up past the cubic-range check's
+# refusal near 1e51; horizons of order one, and from 1e-300 to 1e300
+rates = st.one_of(st.just(0.0), _powers_of_ten(-3.0, 3.0), _powers_of_ten(-300.0, 60.0))
+signed = st.builds(lambda x, sign: sign * x, rates, st.sampled_from([1.0, -1.0]))
+amplitude = st.lists(signed, min_size=2, max_size=2)
+adaptive_configs = st.builds(
+    lambda params, init, t_end: {**params, "init": init, "renormalize": True, "t_end": t_end},
+    st.one_of(
+        st.fixed_dictionaries({
+            "R_rel": rates, "K_rel": signed,
+            "r1": st.one_of(st.sampled_from([0.0, 1.0, INV_SQRT2]), st.floats(0.0, 1.0)),
+        }),
+        st.fixed_dictionaries({"lambda": rates.filter(bool), "W": rates, "alpha1": rates,
+                               "alpha2": rates, "K": signed}),
+    ),
+    st.one_of(st.sampled_from(["phi_plus", "phi_minus"]),
+              st.fixed_dictionaries({"c10": amplitude, "c20": amplitude})),
+    st.one_of(_powers_of_ten(-3.0, 4.0), _powers_of_ten(-300.0, 300.0)),
+)
+ADAPTIVE_BUDGET = 2000
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cfg=adaptive_configs,
+       tolerances=st.sampled_from([dynamics._TOLERANCES, LEAK_IDENTITY_CONFIG]))
+# a step whose fifth-order estimate is zero and whose third-order one is
+# subnormal, where the error norm once divided zero by zero
+@example(cfg={"R_rel": 0.0, "K_rel": -3.678922008877585e-64, "r1": 0.42638917557228273,
+              "init": "phi_minus", "t_end": 6.483479610274663e157},
+         tolerances=LEAK_IDENTITY_CONFIG)
+def test_adaptive_route_finishes_or_uses_up_its_budget(monkeypatch, cfg, tolerances):
+    # the step budget is the route's one refusal: no input the CLI passes
+    # on makes a non-finite state or a step that does not advance
+    try:
+        params, init = params_from_config(cfg), init_from_config(cfg)
+        tau = _horizon(cfg, cfg["t_end"])
+    except ConfigError:
+        reject()
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", ADAPTIVE_BUDGET)
+    try:
+        _, bounds, ys = _adaptive_run(params, init, tau, tolerances)
+    except StepBudgetError:
+        return
+    assert bounds[0] == 0.0 and bounds[-1] == tau
+    assert np.all(np.diff(bounds) > 0.0)
+    assert np.isfinite(bounds).all() and np.isfinite(ys).all()

@@ -25,7 +25,6 @@ import atompair.dynamics as dyn
 import atompair.verification as verification
 from atompair.dynamics import (
     StepBudgetError,
-    StepUnderflowError,
     _dop853,
     _rms,
     _system_matrix,
@@ -128,7 +127,7 @@ class TestPseudomode:
         # take about 1e200 steps
         p = SystemParams(lam=1.0, W=1e200, alpha1=0.8, alpha2=0.6, K=0.0)
         start = time.perf_counter()
-        with pytest.raises(StepUnderflowError, match="non-finite"):
+        with pytest.raises(ValueError, match="rates are too large for the adaptive route"):
             integrate_pseudomode(p, InitialAmplitudes(1.0, 0.0), 1.0)
         assert time.perf_counter() - start < 1.0
 
@@ -140,8 +139,7 @@ class TestPseudomode:
 
     def test_keeps_only_step_ends_without_grid(self):
         # the route keeps each accepted step's start and state, not the
-        # powers z_j = (hM)^j y it steps with; the stage form of the 5(4)
-        # pair, which kept its seven stages, held about 1.4 KB per step
+        # powers z_j = (hM)^j y it steps with
         p, init = fig_params(K=2.0), bell_state("minus")
         integrate_pseudomode(p, init, 1.0)
         tracemalloc.start()
@@ -264,11 +262,64 @@ class TestAgainstScipyDOP853:
             assert _sup_diff(on_grid, exact) <= scipy_error + 1e-12
 
 
+# scipy's DOP853 tableau (scipy.integrate._ivp.dop853_coefficients), each
+# float written exactly: the rows of A[:12, :12] below its diagonal, where
+# the rest is zero, the eighth-order weights B, and the fifth- and
+# third-order error weights E5[:12] and E3[:12]
+DOP853_A_ROWS = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+        20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+        -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+        27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+        0.6433927460157636,
+    ),
+)
+DOP853_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+)
+DOP853_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+)
+DOP853_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+)
+
+
 def _tableau():
-    """scipy's DOP853 tableau: the twelve stages' coefficients, the
+    """The DOP853 tableau as arrays: the twelve stages' coefficients, the
     eighth-order weights, and the fifth- and third-order error weights."""
-    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    return dop853.A[:12, :12], dop853.B, dop853.E5[:12], dop853.E3[:12]
+    A = np.zeros((12, 12))
+    for s, row in enumerate(DOP853_A_ROWS):
+        A[s, :s] = row
+    return A, np.array(DOP853_B), np.array(DOP853_E5), np.array(DOP853_E3)
 
 
 def dop853_stage_step(M, y, h):
@@ -414,6 +465,12 @@ class TestPolynomialStep:
         assert dyn._W[9:] == tuple(float(w) for w in solution[9:13])
         assert dyn._E5 == tuple(float(e) for e in err5[6:13])
         assert dyn._E3 == tuple(float(e) for e in err3[4:13])
+
+    def test_tableau_is_scipys(self):
+        dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        scipy_tableau = dop853.A[:12, :12], dop853.B, dop853.E5[:12], dop853.E3[:12]
+        for ours, theirs in zip(_tableau(), scipy_tableau, strict=True):
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_one_step_is_the_stability_polynomial(self):
         # with loose tolerances the first step covers a short horizon at

@@ -91,8 +91,8 @@ class TestInitialStates:
         assert plus.c10 == pytest.approx(s, abs=1e-8)
         assert plus.c20 == pytest.approx(s, abs=1e-8)
         # unit norm to the last representable digit
-        assert abs(plus.norm_sq - 1.0) <= 1e-15
-        assert abs(minus.norm_sq - 1.0) <= 1e-15
+        for state in (plus, minus):
+            assert abs(abs(state.c10) ** 2 + abs(state.c20) ** 2 - 1.0) <= 1e-15
         # each is a checked value: rebuilding it from its amplitudes passes
         assert InitialAmplitudes(plus.c10, plus.c20) == plus
         assert InitialAmplitudes(minus.c10, minus.c20) == minus
