@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -313,48 +314,236 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Write the canonical trajectory table; tau is lam * t."""
-    lam = traj.params.lam
-    tau = lam * traj.t
-    _, p_leak = leak_series(traj)
-    _, conc = concurrence_series(traj)
-    clip = lambda a: np.clip(a, 0.0, 1.0)
-    cols = [
-        tau,
-        traj.c1.real, traj.c1.imag,
-        traj.c2.real, traj.c2.imag,
-        traj.b.real, traj.b.imag,
-        clip(traj.p1), clip(traj.p2), clip(traj.pb), p_leak, conc,
-    ]
-    _write_table(path, TRAJECTORY_COLUMNS, cols)
+    """Write the canonical trajectory table; tau is lam * t.
+
+    The derived columns are formed a block of rows at a time, so only the
+    trajectory's own arrays span every sample.
+    """
+
+    def rows(s: slice) -> np.ndarray:
+        c1, c2, b = traj.c1[s], traj.c2[s], traj.b[s]
+        p1, p2, pb = np.abs(c1) ** 2, np.abs(c2) ** 2, np.abs(b) ** 2
+        # the leak and the concurrence as leak_series and concurrence_series form them
+        p_leak = np.maximum(1.0 - (p1 + p2 + pb), 0.0)
+        return np.column_stack((
+            traj.params.lam * traj.t[s],
+            c1.real, c1.imag, c2.real, c2.imag, b.real, b.imag,
+            *np.clip((p1, p2, pb), 0.0, 1.0), p_leak, concurrence_array(c1, c2),
+        ))
+
+    _write_table(path, TRAJECTORY_COLUMNS, len(traj), rows)
 
 
 def _write_sweep_csv(path: str, tau: np.ndarray, k_values, columns) -> None:
     # the K columns go in as one (tau, K) block, so a block of rows is one slice
-    _write_table(path, ["tau"] + [f"K={_fmt(k)}" for k in k_values], [tau, np.transpose(columns)])
+    by_tau = np.transpose(columns)
+    _write_table(path, ["tau"] + [f"K={_fmt(k)}" for k in k_values], len(tau),
+                 lambda s: np.column_stack((tau[s], by_tau[s])))
 
 
-# CSV rows are turned into Python floats and text in blocks of about this
-# many cells, so that no list spanning the whole table is ever held.
+# CSV rows are formed and formatted in blocks of about this many cells, so
+# that no array or text spanning the whole table is ever held.  _csv_text's
+# buffers take about 300 bytes a cell; 8,192 cells a block formatted the
+# figure's sweep no faster and doubled the writer's peak, to 2.4 MB.
 _CSV_CELLS = 1 << 12
 
 
-def _write_table(path: str, header, cols) -> None:
-    """Write ``cols`` as CSV columns under ``header``, every cell formatted like :func:`_fmt`.
+def _write_table(path: str, header, n_rows: int, rows) -> None:
+    """Write ``n_rows`` CSV rows under ``header``, every cell formatted like :func:`_fmt`.
 
-    Each entry of ``cols`` is one column or a 2-D block of columns, as
-    :func:`numpy.column_stack` takes them, with one row per table row.
+    ``rows(s)`` returns the float rows of the slice ``s``, one column per
+    header entry; it is asked for about ``_CSV_CELLS`` cells at a time.
     """
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     block = max(1, _CSV_CELLS // len(header))
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(cols[0]), block):
-                rows = np.column_stack([c[start:start + block] for c in cols]).tolist()
-                fh.writelines(row % tuple(r) for r in rows)
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for start in range(0, n_rows, block):
+                fh.write(_csv_text(rows(slice(start, start + block))))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+# _csv_text's fast path takes +-0 and a finite |x| in [_FAST_MIN, _FAST_MAX),
+# whose decimal exponent E = floor(log10 |x|) lies in [_E_MIN, -_E_MIN]:
+# there the double-double power of ten 10^(16 - E) and its split parts are
+# finite and normal.  Every other cell goes through '%.17g' itself.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_E_MIN = -281
+# a scaled cell whose fraction lies within this of one half is rounded by
+# '%.17g' itself; the fast path's error is below 1e-14
+_TIE_BAND = 1e-6
+# Veltkamp's constant 2^27 + 1, which splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+# Each cell is laid out in a row of _CSV_WIDTH bytes.  Its first 8 bytes end
+# with the first digit, right after the sign and any "0.000", or with the
+# first digit and a point; the other sixteen digits follow four to a 4-byte
+# word, then the exponent and the separator.
+_CSV_WIDTH = 32
+
+
+@functools.cache
+def _decimal_tables() -> dict:
+    """The fast path's tables, most of them per decimal exponent E from _E_MIN
+    to -_E_MIN.
+
+    ``p_hi`` + ``p_lo`` is 10^(16 - E) to about 2^-106 relative, from exact
+    integer arithmetic, and ``p_hi_1`` + ``p_hi_2`` is ``p_hi`` split for
+    Dekker's product.  ``int_digits`` counts the digits before the point: 1
+    in the exponent form, 0 when the text starts "0.".  ``first`` is the
+    column of the first digit, ``start`` that of a positive cell's first
+    byte, and ``suffix`` the exponent, "e+XX" or "e-XXX", with ``suffix_len``
+    its length, 0 where there is none.  ``prefix[form + 60 * sign + first
+    digit]`` is a row's first 8 bytes; ``digits[q]`` is q < 10^4 as four
+    ASCII digits, and ``zeros4[q]`` counts q's trailing zeros, 4 for 0.
+    ``spans[start * _CSV_WIDTH + end]`` selects the columns start..end of a row.
+    """
+    E = np.arange(_E_MIN, 1 - _E_MIN)
+    p_hi, p_lo = np.empty(E.size), np.empty(E.size)
+    for j, e in enumerate(E.tolist()):
+        n = 16 - e
+        # num / den, the power of ten as a fraction of integers
+        num, den = (10 ** n, 1) if n >= 0 else (1, 10 ** -n)
+        p_hi[j] = num / den
+        hi_num, hi_den = p_hi[j].as_integer_ratio()
+        p_lo[j] = (num * hi_den - hi_num * den) / (den * hi_den)
+    c = _SPLIT * p_hi
+    p_hi_1 = c - (c - p_hi)
+    exp_form = (E < -4) | (E > 16)
+    int_digits = np.where(exp_form, 1, np.maximum(E + 1, 0))
+    zeros = np.where(exp_form, 0, np.maximum(-E, 0))  # "0." and zeros - 1 more
+    # a row's first 8 bytes, per prefix form: 0 the first digit alone, 1-4 so
+    # many zeros before it, 5 the first digit and a point
+    form = np.where(int_digits == 1, 5, zeros)
+    first = np.where(form == 5, 6, 7)
+    prefix = np.zeros((2, 6, 10, 8), np.uint8)
+    for sign in range(2):
+        for f in range(6):
+            text = "-" * sign + ("0." + "0" * (f - 1) if 0 < f < 5 else "")
+            at = 6 if f == 5 else 7
+            prefix[sign, f, :, at - len(text):at] = list(text.encode())
+            prefix[sign, f, :, at] = np.arange(10) + ord("0")
+    prefix[:, 5, :, 7] = ord(".")
+    suffix = np.array([list(f"e{e:+03d}".ljust(5).encode()) for e in E.tolist()], np.uint8)
+    q = np.arange(10 ** 4)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    cols = np.arange(_CSV_WIDTH)
+    spans = (cols >= cols[:, None, None]) & (cols <= cols[:, None])
+    return {
+        "p_hi": p_hi, "p_hi_1": p_hi_1, "p_hi_2": p_hi - p_hi_1, "p_lo": p_lo,
+        "int_digits": int_digits,
+        "first": first,
+        "start": first - np.where(zeros > 0, zeros + 1, 0),
+        "form": 10 * form,
+        "suffix": suffix,
+        "suffix_len": np.where(exp_form, 4 + (np.abs(E) >= 100), 0),
+        "prefix": prefix.view("<u8").ravel(),
+        "digits": digits.astype(np.uint8).view("<u4").ravel(),
+        "zeros4": (q % 10 == 0).astype(np.intp) + (q % 100 == 0) + (q % 1000 == 0) + (q == 0),
+        "spans": spans.reshape(_CSV_WIDTH ** 2, _CSV_WIDTH),
+    }
+
+
+def _csv_text(block: np.ndarray) -> np.ndarray:
+    """The CSV text of the float rows ``block`` as a uint8 array: each cell
+    as ``'%.17g' % cell`` writes it, cells joined by commas, rows ended by
+    newlines.
+
+    A cell with a finite, moderate |x| takes the 17-digit integer
+    round(|x| * 10^(16 - E)) from Dekker's exact product with a double-double
+    power of ten (Numer. Math. 18, 1971), correct to 1e-14, and is laid out
+    from those digits.  The cells the product cannot settle go through
+    ``'%.17g'`` itself: a scaled fraction within _TIE_BAND of one half (so
+    exact ties too), an exponent guess that misses, inf, nan, and nonzero
+    magnitudes outside [_FAST_MIN, _FAST_MAX).
+    """
+    t = _decimal_tables()
+    block = np.asarray(block, dtype=float)
+    n_cols = block.shape[1]
+    a = block.ravel()
+    x = np.abs(a)
+    fast = (x >= _FAST_MIN) & (x < _FAST_MAX)
+    x[~fast] = 1.0
+    e = (np.floor(np.log10(x)) - _E_MIN).astype(np.intp)  # E - _E_MIN
+    # y = x * 10^(16 - E) as hi + lo, with Dekker's error-free product
+    p = t["p_hi"].take(e)
+    hi = x * p
+    c = _SPLIT * x
+    x1 = c - (c - x)
+    x2 = x - x1
+    p1, p2 = t["p_hi_1"].take(e), t["p_hi_2"].take(e)
+    lo = (((x1 * p1 - hi) + x1 * p2 + x2 * p1) + x2 * p2) + x * t["p_lo"].take(e)
+    # hi is an integer once y >= 2^53; then digits = floor(y) + (frac > 1/2)
+    floor_lo = np.floor(lo)
+    frac = lo - floor_lo
+    digits = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    ok = fast & (np.abs(frac - 0.5) >= _TIE_BAND) & (digits >= 10 ** 16)
+    digits += frac > 0.5
+    # E guessed one low reaches 10^17, and one high stays below 10^16
+    ok &= digits < 10 ** 17
+    # +-0 is the digits 0 with E = 0, written "0"
+    zero = a == 0.0
+    digits[zero] = 0
+    ok |= zero
+    slow = np.flatnonzero(~ok)
+    digits[slow] = 10 ** 16
+
+    # the 17 digits as a first digit and four groups of four
+    first = digits // 10 ** 16
+    rest = digits - first * 10 ** 16
+    groups = []
+    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
+        g = rest // scale
+        rest -= g * scale
+        groups.append(g)
+    groups.append(rest)
+    kept = 17 - t["zeros4"].take(groups[3])  # digits up to the last nonzero one
+    bare = np.flatnonzero(groups[3] == 0)
+    if bare.size:
+        trailing = np.full(bare.size, 4)
+        going = np.ones(bare.size, bool)
+        for g in groups[2::-1]:
+            gb = g[bare]
+            trailing += going * t["zeros4"].take(gb)
+            going &= gb == 0
+        kept[bare] = 17 - trailing
+
+    negative = np.signbit(a)
+    text = np.empty((a.size, _CSV_WIDTH), np.uint8)
+    text.view("<u8")[:, 0] = t["prefix"].take(t["form"].take(e) + 60 * negative + first)
+    words = text.view("<u4")
+    for j, g in enumerate(groups):
+        words[:, 2 + j] = t["digits"].take(g)
+    int_digits = t["int_digits"].take(e)
+    # from 10 up, a point inside the digits: those after it move one column right
+    pointed = np.flatnonzero((int_digits > 1) & (int_digits < 17))
+    if pointed.size:
+        at = int_digits[pointed, None]
+        cols = np.arange(1, 18)
+        stay = text[pointed, 8:25]
+        moved = text[pointed, 7:24]
+        text[pointed, 8:25] = np.where(cols < at, stay, np.where(cols == at, ord("."), moved))
+    end = t["first"].take(e) + np.maximum(kept, int_digits) + (
+        (kept > int_digits) & (int_digits > 0))
+    row_start = np.arange(0, a.size * _CSV_WIDTH, _CSV_WIDTH)
+    flat = text.reshape(-1)
+    suffix_len = t["suffix_len"].take(e)
+    with_exp = np.flatnonzero(suffix_len > 0)
+    with_exp = with_exp[ok[with_exp]]
+    if with_exp.size:
+        at = row_start[with_exp] + end[with_exp]
+        flat[at[:, None] + np.arange(5)] = t["suffix"].take(e[with_exp], axis=0)
+    end += suffix_len
+    start = t["start"].take(e) - negative
+    if slow.size:
+        # a 24-byte text, at most, from column 6
+        cells = ["%.17g" % v for v in a[slow].tolist()]
+        text[slow, 6:30] = np.array(cells, dtype="S24").view(np.uint8).reshape(-1, 24)
+        start[slow] = 6
+        end[slow] = [6 + len(cell) for cell in cells]
+    flat[row_start + end] = ord(",")
+    flat[row_start[n_cols - 1::n_cols] + end[n_cols - 1::n_cols]] = ord("\n")
+    return text[t["spans"].take(start * _CSV_WIDTH + end, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +763,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
             f"{verdict.asymptotic_concurrence:.6f})"
         )
     if "out" in cfg:
-        _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), [
-            [s.real for s in roots],
-            [s.imag for s in roots],
-            [abs(cubic(s)) for s in roots],
-        ])
+        table = np.array([[s.real, s.imag, abs(cubic(s))] for s in roots])
+        _write_table(cfg["out"], ("re_s", "im_s", "abs_D"), len(roots), table.__getitem__)
     return EXIT_OK
 
 

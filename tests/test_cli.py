@@ -19,6 +19,7 @@ from atompair.cli import (
     TRAJECTORY_COLUMNS,
     _CSV_CELLS,
     _FIELDS,
+    _csv_text,
     _write_sweep_csv,
     _write_table,
     build_parser,
@@ -106,7 +107,49 @@ def write_sweep_csv_reference(path, tau, k_values, columns):
             fh.write(",".join([_fmt_reference(tv)] + [_fmt_reference(col[i]) for col in columns]) + "\n")
 
 
+def csv_text_reference(block):
+    """The CSV text of a float block, cell by cell with '%.17g'."""
+    return "".join(",".join(_fmt_reference(v) for v in row) + "\n" for row in block.tolist()).encode()
+
+
+def _csv_edge_values():
+    """Doubles at every edge of the vectorised '%.17g', positive and negative."""
+    values = [
+        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,  # subnormals, least normal
+        1e-300, 1e300, 1.7976931348623157e308,
+        # the fast path's magnitude bounds, each side
+        1e-280, math.nextafter(1e-280, 0.0), 1e280, math.nextafter(1e280, 0.0),
+        # exact ties, |x| * 10^(16 - E) an odd multiple of 1/2: half to even
+        # rounds 2.5 down and 7.5 up
+        1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375, 3 * 2.0 ** -24, 5 * 2.0 ** -24,
+        # '%.17g' switches to the exponent form below E = -4 and from E = 17
+        1e-5, 1e-4, 1.2345e-5, 1.2345e-4, 1e16, 1e17, 1.2345e16, 1.2345e17,
+        # two- and three-digit exponents
+        1e99, 1e100, 1e-99, 1e-100, 9.9999999999999999e99, 1.5e-100,
+        # 17 significant digits, and trailing zeros inside them
+        1.0, 0.5, 10.0, 100.5, 123456.789, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e15 + 1.0,
+    ]
+    # powers of ten and every value's neighbours, where log10 can misjudge E
+    values += [10.0 ** k for k in range(-300, 300)]
+    values += [math.nextafter(v, d) for v in values for d in (0.0, math.inf)]
+    values = np.array(values)
+    return np.concatenate([values, -values, [math.inf, -math.inf, math.nan]])
+
+
 class TestCsvBytes:
+    @pytest.mark.parametrize("n_columns", [1, 7])
+    def test_csv_text_matches_format_at_the_edges(self, n_columns):
+        values = _csv_edge_values()
+        values = np.concatenate([values, np.full(-values.size % n_columns, 0.25)])
+        block = values.reshape(-1, n_columns)
+        assert _csv_text(block).tobytes() == csv_text_reference(block)
+
+    def test_csv_text_matches_format_on_raw_bits(self, rng):
+        # doubles from uniform 64-bit patterns: every exponent, NaNs included
+        bits = rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64, endpoint=False)
+        block = bits.view(np.float64).reshape(-1, 12)
+        assert _csv_text(block).tobytes() == csv_text_reference(block)
+
     def test_trajectory_csv_matches_per_cell_writer(self, tmp_path, rng):
         grid = np.linspace(0.0, 4.0, 41)
         trajs = [
@@ -152,7 +195,8 @@ class TestCsvBytes:
             cols = [rng.uniform(-1.0, 1.0, rows) for _ in header]
             tracemalloc.start()
             try:
-                _write_table(os.devnull, header, cols)
+                _write_table(os.devnull, header, rows,
+                             lambda s: np.column_stack([c[s] for c in cols]))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -10,6 +10,9 @@ n_steps <= 20000.
 Any parameters, initial state and horizon the CLI accepts, at either of the
 adaptive route's tolerance pairs, either give a finite run of that route or
 use up its step budget, cut to ``ADAPTIVE_BUDGET`` steps to bound the work.
+
+Any block of doubles, drawn from raw 64-bit patterns, is written by the CSV
+formatter as ``'%.17g'`` writes each cell.
 """
 
 import builtins
@@ -27,8 +30,8 @@ from hypothesis import HealthCheck, example, given, reject, settings, strategies
 
 from atompair import dynamics  # noqa: E402
 from atompair.cli import (  # noqa: E402
-    EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, _FIELDS, ConfigError, _horizon, init_from_config,
-    main, params_from_config,
+    EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, _FIELDS, ConfigError, _csv_text, _horizon,
+    init_from_config, main, params_from_config,
 )
 from atompair.dynamics import StepBudgetError, _adaptive_run  # noqa: E402
 from atompair.verification import LEAK_IDENTITY_CONFIG  # noqa: E402
@@ -210,3 +213,18 @@ def test_adaptive_route_finishes_or_uses_up_its_budget(monkeypatch, cfg, toleran
     assert bounds[0] == 0.0 and bounds[-1] == tau
     assert np.all(np.diff(bounds) > 0.0)
     assert np.isfinite(bounds).all() and np.isfinite(ys).all()
+
+
+# a double's 64 bits from its sign, its biased exponent and its 52-bit
+# significand, so that every exponent is drawn, not only the extreme ones
+raw_doubles = st.builds(lambda sign, exponent, significand: sign << 63 | exponent << 52 | significand,
+                        st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(raw_doubles, min_size=1, max_size=48), n_columns=st.integers(1, 4))
+def test_csv_text_matches_format_on_any_double(bits, n_columns):
+    bits += [0] * (-len(bits) % n_columns)
+    block = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, n_columns)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+    assert _csv_text(block).tobytes() == expected.encode()

@@ -105,6 +105,31 @@ def test_heatmap_bytes_match_thinned_on_both_axes(tmp_path):
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
+def test_heatmap_bytes_match_when_row_strings_change_length_in_a_block(tmp_path):
+    # gaps alternating 1 and 1.15 give heights either side of 10 px, and the
+    # tops pass from 100.x to 99.x px inside one block of _HEATMAP_ROWS rows
+    y = np.concatenate([[0.0], np.cumsum(np.tile([1.0, 1.15], 20))])
+    x, _, z = _grid(9, y.size, seed=15)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svg = (tmp_path / "new.svg").read_text()
+    assert svg.encode() == (tmp_path / "ref.svg").read_bytes()
+    # one (top, height) per row, in drawn order, from each row's first cell
+    rows = re.findall(r'<rect x="70.0" y="([0-9.]+)" width="[0-9.]+" height="([0-9.]+)"', svg)
+    assert len(rows) == y.size
+    blocks = [rows[k:k + svgplot._HEATMAP_ROWS] for k in range(0, len(rows), svgplot._HEATMAP_ROWS)]
+    assert any({len(top) for top, _ in b} == {4, 5} for b in blocks)
+    assert all({len(height) for _, height in b} == {3, 4} for b in blocks[:-1])
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 6), (6, 1), (1, 1)])
+def test_heatmap_bytes_match_on_a_single_column_or_row(tmp_path, nx, ny):
+    x, y, z = _grid(nx, ny, seed=16 + nx)
+    heatmap_reference(tmp_path / "ref.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    svgplot.heatmap(tmp_path / "new.svg", x, y, z, title="t", xlabel="tau", ylabel="K")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
 def test_heatmap_memory_does_not_span_the_grid(tmp_path):
     # the figure's grid; holding every row string and whole-grid colour
     # arrays took about 11 MB
