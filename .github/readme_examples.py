@@ -1,8 +1,9 @@
-"""Run the README's CLI examples as documented.
+"""Run the README's CLI examples and its library quick start as documented.
 
 Its run and sweep JSON blocks are written to run.json and sweep.json in the
 working directory, then the four commands of its sh block run there, roots
 on the run config: each must exit 0, and verify must pass all four checks.
+Then its python block, the library quick start, runs and must exit 0.
 
     mkdir readme-examples && cd readme-examples && python ../.github/readme_examples.py
 """
@@ -35,3 +36,7 @@ for line in commands:
     if argv[1] == "verify":
         passed = [ln for ln in proc.stdout.splitlines() if ln.startswith("[PASS] ")]
         assert len(passed) == 4, proc.stdout
+(quick_start,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+proc = subprocess.run([sys.executable, "-c", quick_start], capture_output=True, text=True, env=env)
+print(f"library quick start -> exit {proc.returncode}")
+assert proc.returncode == 0, (proc.stdout, proc.stderr)

@@ -11,6 +11,9 @@ place, :func:`_steady_regime`: the pole on the imaginary axis is known in
 closed form (i K at equal couplings, 0 at K = 0, none otherwise).  Both
 :func:`steady_state_verdict` and the horizon :func:`asymptotic_t_end` read
 it; no tolerance on the roots' real parts decides it.
+
+Rates, roots and times are in units of the reservoir half-width lambda
+(see :mod:`atompair.model`).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def steady_state_verdict(
 
     A steady verdict's pole is cross-checked against the nearest numerical
     root (at large |K| a bright-mode root may count as on the axis too); one
-    farther than 1e-6 (lam + R + |K|) raises RuntimeError.  Near-equal
+    farther than 1e-6 (1 + R + |K|) raises RuntimeError.  Near-equal
     couplings (between EQUAL_COUPLING_TOL and the root finder's resolution)
     decay too slowly for the root check to see, and are deliberately
     classified as decaying.
@@ -131,7 +134,7 @@ def steady_state_verdict(
 
     if pole is not None:
         found = min(char_roots(params), key=lambda s: abs(s - pole))
-        if abs(found - pole) > 1e-6 * (params.lam + params.R + abs(params.K)):
+        if abs(found - pole) > 1e-6 * (1.0 + params.R + abs(params.K)):
             raise RuntimeError(
                 f"analytic steady pole {pole} not confirmed by the root finder "
                 f"(nearest root {found})"
@@ -147,25 +150,24 @@ def steady_state_verdict(
 def asymptotic_t_end(params: SystemParams) -> float:
     """Horizon for steady-state studies, tied to the actual spectral gap.
 
-    Returns max(50/lam, 10/|Re s_slow|), where s_slow is the slowest
+    Returns max(50, 10/|Re s_slow|), where s_slow is the slowest
     decaying characteristic root once the root nearest the analytic pole of
     :func:`_steady_regime` is dropped (its residue never decays).  Only that
     one root is dropped: at equal couplings and large |K| the bright mode's
-    root decays at about R^2 lam / K^2, far inside any fixed tolerance of
+    root decays at about R^2 / K^2, far inside any fixed tolerance of
     the axis, and the horizon has to outlast it.  With no reservoir coupling
-    (W == 0) only the mode at -lam decays, and the horizon is 50/lam.  A
+    (W == 0) only the mode at -1 decays, and the horizon is 50.  A
     slowest root that the root finder sees as not decaying at all (couplings
     unequal by less than its resolution) gives inf.
     """
-    lam = params.lam
     if params.R == 0.0:
-        return 50.0 / lam
+        return 50.0
     roots = list(char_roots(params))
     _, pole = _steady_regime(params)
     if pole is not None:
         roots.remove(min(roots, key=lambda s: abs(s - pole)))
     slow = max(s.real for s in roots)
-    return max(50.0 / lam, 10.0 / -slow) if slow < 0.0 else math.inf
+    return max(50.0, 10.0 / -slow) if slow < 0.0 else math.inf
 
 
 def disentanglement_time(
@@ -178,7 +180,7 @@ def disentanglement_time(
     ``series`` is a (times, values) pair as returned by
     :func:`concurrence_series`.  A crossing only counts if every sample in
     the following ``window`` of time stays below the threshold, which
-    debounces the oscillatory dips of the early dynamics; pass 1/lam for the
+    debounces the oscillatory dips of the early dynamics; pass 1 for the
     window to tie the debounce to the reservoir correlation time.  Returns
     None when no debounced crossing exists within the sampled range (the
     series must extend at least ``window`` past a candidate crossing for it

@@ -6,9 +6,10 @@ alpha2, K) or dimensionlessly as (R_rel, K_rel, r1) with lambda = 1 implied,
 matching how the regimes of interest are usually quoted.
 
 Every config is solved in units of lambda, since the dynamics depends only
-on R/lambda, K/lambda, r1 and tau = lambda t: params_from_config divides
-the rates by lambda, the horizons are lambda * t_end, and the routes get
-lam = 1.  This is the one place lambda is applied, so the roots that
+on R/lambda, K/lambda, r1 and tau = lambda t, and the library works in those
+units (see :mod:`atompair.model`): params_from_config divides the rates by
+lambda, the horizons are lambda * t_end, and a sweep's K_values are divided
+by lambda.  This is the one module that reads lambda, so the roots that
 ``roots`` reports are s/lambda and ``verify``'s balance is dP/dtau + 2|b|^2
 over the fastest rate in units of lambda.
 
@@ -44,7 +45,7 @@ from .verification import (
     compare_solvers,
     sample_volterra,
 )
-from . import svgplot
+from . import dynamics, svgplot
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,9 +202,8 @@ def _required(cfg: dict, key: str):
 
 
 def params_from_config(cfg: dict) -> SystemParams:
-    """The config's parameters in units of lambda: ``lam`` is 1, an explicit
-    config's W and K are divided by its lambda, and R_rel and K_rel are taken
-    as written."""
+    """The config's parameters in units of lambda: an explicit config's W and
+    K are divided by its lambda, and R_rel and K_rel are taken as written."""
     dimless = {"R_rel", "K_rel", "r1"} & set(cfg)
     explicit = {"W", "alpha1", "alpha2", "K"} & set(cfg)
     if dimless and explicit:
@@ -225,8 +225,8 @@ def params_from_config(cfg: dict) -> SystemParams:
                 raise ConfigError(f"field '{field}' is too large: {field} / lambda overflows")
         values = (ratios["W"], _required(cfg, "alpha1"), _required(cfg, "alpha2"), ratios["K"])
     try:
-        # (lam, W, alpha1, alpha2, K), in SystemParams' order
-        params = SystemParams(1.0, *values)
+        # (W, alpha1, alpha2, K), in SystemParams' order
+        params = SystemParams(*values)
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     _check_cubic_range(params, [params.K], *fields)
@@ -314,7 +314,7 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Write the canonical trajectory table; tau is lam * t.
+    """Write the canonical trajectory table; its times are already tau, in units of 1/lambda.
 
     The derived columns are formed a block of rows at a time, so only the
     trajectory's own arrays span every sample.
@@ -326,7 +326,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         # the leak and the concurrence as leak_series and concurrence_series form them
         p_leak = np.maximum(1.0 - (p1 + p2 + pb), 0.0)
         return np.column_stack((
-            traj.params.lam * traj.t[s],
+            traj.t[s],
             c1.real, c1.imag, c2.real, c2.imag, b.real, b.imag,
             *np.clip((p1, p2, pb), 0.0, 1.0), p_leak, concurrence_array(c1, c2),
         ))
@@ -572,7 +572,10 @@ def _run_trajectory(
             return integrate_pseudomode(params, init, tau_end, times=grid)
         except StepBudgetError as exc:
             raise _too_many_steps(exc, ", or use --solver closed") from exc
-    # the memory-kernel route, the one left
+    # the memory-kernel route, the one left, takes a step per sample interval at least
+    if samples - 1 > dynamics._MAX_VOLTERRA_STEPS:
+        raise ConfigError(f"field 'samples' = {samples} asks the memory-kernel route for more "
+                          f"than its {dynamics._MAX_VOLTERRA_STEPS} steps, one per interval")
     n_steps = cfg["n_steps"]
     try:
         return sample_volterra(params, init, tau_end, n_steps, samples)
@@ -734,14 +737,14 @@ def cmd_roots(args: argparse.Namespace) -> int:
     e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
     e3 = roots[0] * roots[1] * roots[2]
     print(
-        f"characteristic cubic: s^3 + {cubic.a2:g} s^2 + {cubic.a1:g} s + "
+        f"characteristic cubic: s^3 + 1 s^2 + {cubic.a1:g} s + "
         f"({cubic.a0.real:g}{cubic.a0.imag:+g}i)"
     )
     for i, s in enumerate(roots, start=1):
         print(f"  s_{i} = {s.real:+.12e} {s.imag:+.12e}i   |D(s)| = {abs(cubic(s)):.3e}")
     print(
         "Vieta residuals: "
-        f"|e1 + a2| = {abs(e1 + cubic.a2):.3e}, "
+        f"|e1 + a2| = {abs(e1 + 1.0):.3e}, "
         f"|e2 - a1| = {abs(e2 - cubic.a1):.3e}, "
         f"|e3 + a0| = {abs(e3 + cubic.a0):.3e}"
     )

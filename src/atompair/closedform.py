@@ -1,9 +1,10 @@
 """Closed-form evolution via Laplace poles and residues.
 
 Eliminating the reservoir turns the amplitude equations into a 3x3 linear
-Laplace system whose common denominator is the monic cubic
+Laplace system.  In units of lambda (see :mod:`atompair.model`) its
+common denominator is the monic cubic
 
-    D(s) = s^2 (s + lam) + R^2 s + K^2 (s + lam) - 2i K R^2 r1 r2,
+    D(s) = s^2 (s + 1) + R^2 s + K^2 (s + 1) - 2i K R^2 r1 r2,
 
 so every amplitude is a sum of three exponentials, one per root of D.  This
 module finds the roots (complex Cardano, Newton, deflation) and writes each
@@ -50,26 +51,28 @@ _SEPARATED = 1e-3
 # after 18 terms is below 1e-17 of the sum.
 _TAYLOR_TERMS = 18
 
+# Times that ResidueSolution.evolve evaluates at once.
+_EVOLVE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class CharacteristicCubic:
-    """Monic cubic s^3 + a2 s^2 + a1 s + a0 whose roots are the Laplace poles.
+    """Monic cubic s^3 + s^2 + a1 s + a0 whose roots are the Laplace poles.
 
-    ``a2 = lam`` and ``a1 = R^2 + K^2`` are real; ``a0`` picks up the
-    imaginary part ``-2 K R^2 r1 r2`` and is genuinely complex whenever both
+    In units of lambda the s^2 coefficient is 1.  ``a1 = R^2 + K^2`` is
+    real; ``a0 = K^2 - 2i K R^2 r1 r2`` is genuinely complex whenever both
     the dipole coupling and both atom couplings are nonzero.  Over an array
     of K, ``a1`` and ``a0`` are arrays and the cubic evaluates elementwise.
     """
 
-    a2: float
     a1: float | np.ndarray
     a0: complex | np.ndarray
 
     def __call__(self, s):
-        return ((s + self.a2) * s + self.a1) * s + self.a0
+        return ((s + 1.0) * s + self.a1) * s + self.a0
 
     def derivative(self, s):
-        return (3.0 * s + 2.0 * self.a2) * s + self.a1
+        return (3.0 * s + 2.0) * s + self.a1
 
 
 def char_cubic(params: SystemParams, K=None) -> CharacteristicCubic:
@@ -84,19 +87,19 @@ def char_cubic(params: SystemParams, K=None) -> CharacteristicCubic:
         a1 = R2 + k * k
         # set by parts, as complex(x, y) would, to keep the sign of a zero
         # imaginary part: Cardano's square root branches on it
-        a0 = (k * k * params.lam).astype(complex)
+        a0 = (k * k).astype(complex)
         a0.imag = -2.0 * k * R2 * params.r1 * params.r2
     if K is None:
-        return CharacteristicCubic(a2=params.lam, a1=float(a1[0]), a0=complex(a0[0]))
-    return CharacteristicCubic(a2=params.lam, a1=a1, a0=a0)
+        return CharacteristicCubic(a1=float(a1[0]), a0=complex(a0[0]))
+    return CharacteristicCubic(a1=a1, a0=a0)
 
 
-def _cardano(a2: float, a1: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    """Roots of the monic cubics by Cardano's formula in complex arithmetic, shape (n, 3)."""
-    third = 1.0 / 3.0
-    shift = a2 * third
-    p = a1 - a2 * a2 * third
-    q = a0 + a2 * (2.0 * a2 * a2 - 9.0 * a1) / 27.0
+def _cardano(a1: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """Roots of the cubics s^3 + s^2 + a1 s + a0 by Cardano's formula in
+    complex arithmetic, shape (n, 3)."""
+    third = 1.0 / 3.0  # also the shift from the depressed cubic
+    p = a1 - third
+    q = a0 + (2.0 - 9.0 * a1) / 27.0
     disc = np.sqrt(0.25 * q * q + p * p * p / 27.0)
     # Choose the cube whose magnitude is larger to avoid cancellation in
     # -q/2 +- disc; the product of the two candidates is -(p/3)^3, so the
@@ -108,9 +111,9 @@ def _cardano(a2: float, a1: np.ndarray, a0: np.ndarray) -> np.ndarray:
     roots = np.empty((u.size, 3), dtype=complex)
     for k in range(3):
         # z = u - p/(3u) solves the depressed cubic for each cube-root branch
-        roots[:, k] = u - p / (3.0 * u) - shift
+        roots[:, k] = u - p / (3.0 * u) - third
         u = u * omega
-    roots[(p == 0.0) & (q == 0)] = -shift
+    roots[(p == 0.0) & (q == 0)] = -third
     return roots
 
 
@@ -123,9 +126,9 @@ def _cubic_roots(cubic: CharacteristicCubic) -> np.ndarray:
     root that moves the two roots of a cluster independently and breaks the
     Vieta sums, which the Newton form of the residue sum relies on.
     """
-    a2, a1, a0 = cubic.a2, cubic.a1, cubic.a0
+    a1, a0 = cubic.a1, cubic.a0
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = _cardano(a2, a1, a0)
+        raw = _cardano(a1, a0)
     gaps = np.abs(raw[:, :, None] - raw[:, None, :])
     gaps[:, range(3), range(3)] = np.inf
     isolation = gaps.min(axis=2)
@@ -143,7 +146,7 @@ def _cubic_roots(cubic: CharacteristicCubic) -> np.ndarray:
         active &= np.abs(step) > 1e-16 * np.maximum(1.0, np.abs(r))
 
     # deflate: D(s) = (s - r)(s^2 + p s + q)
-    p = a2 + r
+    p = 1.0 + r
     q = a1 + r * p
     disc = np.sqrt(p * p - 4.0 * q)
     lo = -0.5 * (p - disc)
@@ -276,9 +279,16 @@ class ResidueSolution:
             object.__setattr__(self, name, arr)
 
     def evolve(self, t):
-        """Evaluate (c1, c2, b) at scalar or array ``t >= 0``."""
+        """Evaluate (c1, c2, b) at scalar or array ``t >= 0``, ``_EVOLVE_BLOCK``
+        times at a time, so that only the result grows with ``t.size``; the
+        form of the divided differences is chosen per root set, not per time."""
         t = np.asarray(t, dtype=float)
-        c1, c2, b = _amplitudes(self.nodes[None], self.newton[None], t.reshape(-1))[:, 0]
+        flat = t.reshape(-1)
+        out = np.empty((3, flat.size), dtype=complex)
+        for lo in range(0, flat.size, _EVOLVE_BLOCK):
+            block = slice(lo, lo + _EVOLVE_BLOCK)
+            out[:, block] = _amplitudes(self.nodes[None], self.newton[None], flat[block])[:, 0]
+        c1, c2, b = out
         if t.ndim == 0:
             return complex(c1[0]), complex(c2[0]), complex(b[0])
         return c1.reshape(t.shape), c2.reshape(t.shape), b.reshape(t.shape)
@@ -291,21 +301,21 @@ def _newton_form(
 
     The numerators of the three transformed amplitudes are
 
-        N_c1(s) = c10 [s (s + lam) + R^2 r2^2] - c20 [i K (s + lam) + R^2 r1 r2]
+        N_c1(s) = c10 [s (s + 1) + R^2 r2^2] - c20 [i K (s + 1) + R^2 r1 r2]
         N_c2(s) = the same with indices 1 and 2 exchanged
         N_b(s)  = -i R [(r1 c10 + r2 c20) s - i K (r1 c20 + r2 c10)]
     """
     K = np.asarray(K, dtype=float)
     roots = _cubic_roots(char_cubic(params, K))
-    lam, R = params.lam, params.R
+    R = params.R
     r1, r2 = params.r1, params.r2
     R2 = R * R
     c10, c20 = init.c10, init.c20
-    cross = 1j * K * lam + R2 * r1 * r2
+    cross = 1j * K + R2 * r1 * r2
     # (n2, n1, n0) of each numerator
     quadratics = (
-        (c10, c10 * lam - 1j * K * c20, c10 * R2 * r2 * r2 - c20 * cross),
-        (c20, c20 * lam - 1j * K * c10, c20 * R2 * r1 * r1 - c10 * cross),
+        (c10, c10 - 1j * K * c20, c10 * R2 * r2 * r2 - c20 * cross),
+        (c20, c20 - 1j * K * c10, c20 * R2 * r1 * r1 - c10 * cross),
         (0.0, -1j * R * (r1 * c10 + r2 * c20), -R * K * (r1 * c20 + r2 * c10)),
     )
     # (a, c) the widest pair; the first of equally wide pairs

@@ -1,6 +1,8 @@
 """Time-domain solvers for the coupled atom-pair / reservoir-mode amplitudes.
 
-Two independent routes produce trajectories:
+Rates are in units of the reservoir half-width lambda and times in units of
+1/lambda, tau = lambda t (see :mod:`atompair.model`), so the reservoir
+mode decays at rate 1.  Two independent routes produce trajectories:
 
 * :func:`integrate_pseudomode` integrates the local-in-time three-amplitude
   system (the memory of the Lorentzian reservoir is carried by one auxiliary
@@ -26,7 +28,7 @@ Two independent routes produce trajectories:
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
-  ``W^2 exp(-lam (t - t1))`` convolved against the stored amplitude history.
+  ``W^2 exp(-(t - t1))`` convolved against the stored amplitude history.
   It exists to cross-check the other solvers, so it shares no discretization
   with the pseudomode route.  Its predictor-corrector is a linear
   recurrence with constant coefficients: each step multiplies a state
@@ -76,11 +78,10 @@ class StepBudgetError(Exception):
 class Trajectory:
     """A solved time series with its provenance.
 
-    Samples are strictly increasing in time and start at
-    ``(0, c10, c20, 0)``.  The arrays are read-only.
+    Samples are strictly increasing in time, in units of 1/lambda, and start
+    at ``(0, c10, c20, 0)``.  The arrays are read-only.
     """
 
-    params: SystemParams
     init: InitialAmplitudes
     t: np.ndarray
     c1: np.ndarray
@@ -140,15 +141,15 @@ def _system_matrix(params: SystemParams) -> np.ndarray:
 
         dc1/dt = -i W alpha1 b - i K c2
         dc2/dt = -i W alpha2 b - i K c1
-        db/dt  = -lam b - i W (alpha1 c1 + alpha2 c2)
+        db/dt  = -b - i W (alpha1 c1 + alpha2 c2)
     """
-    W, K, lam = params.W, params.K, params.lam
+    W, K = params.W, params.K
     a1, a2 = params.alpha1, params.alpha2
     return np.array(
         [
             [0.0, -1j * K, -1j * W * a1],
             [-1j * K, 0.0, -1j * W * a2],
-            [-1j * W * a1, -1j * W * a2, -lam],
+            [-1j * W * a1, -1j * W * a2, -1.0],
         ],
         dtype=complex,
     )
@@ -211,9 +212,7 @@ def integrate_pseudomode(
     M, t, y = _adaptive_run(params, init, t_end, _TOLERANCES)
     if times is not None:
         t, y = times, _dense_output(M, t, y, times)
-    return Trajectory(
-        params=params, init=init, t=t, c1=y[0], c2=y[1], b=y[2], solver_tag="pseudomode_ode"
-    )
+    return Trajectory(init=init, t=t, c1=y[0], c2=y[1], b=y[2], solver_tag="pseudomode_ode")
 
 
 # Dormand-Prince 8(5,3) (DOP853: Hairer, Norsett & Wanner, Solving ODEs I,
@@ -290,7 +289,7 @@ def _dop853(
 
     ``M`` must have the shape of :func:`_system_matrix`: symmetric, with
     zeros at ``(0, 0)`` and ``(1, 1)``.  It then has four distinct entries,
-    ``-iK``, ``-iW alpha1``, ``-iW alpha2`` and ``-lam``, and a trial step
+    ``-iK``, ``-iW alpha1``, ``-iW alpha2`` and ``-1``, and a trial step
     scales only those four by h.  It forms ``z_j = (hM)^j y`` for
     ``j = 1..12`` one product at a time on Python complex scalars, with
     seven complex multiplies per product where a general 3x3 matrix takes
@@ -305,8 +304,8 @@ def _dop853(
     and its state there; :func:`_dense_coefficients` forms the z_j again
     after the loop, for the steps its caller asks for, all at once.
 
-    So the step budget is the run's one refusal.  In units of lambda, the
-    CLI's cubic-range check bounds M's entries; the controller keeps an
+    So the step budget is the run's one refusal.  The CLI's cubic-range
+    check bounds M's entries; the controller keeps an
     accepted ``h |M|`` of order one, and a trial step is at most ten times
     an accepted one, so ``|z_12| <= (h |M|)^12 |y|`` and the error norm
     stay finite.  A step that cannot shrink below ten ulps of t is tried
@@ -530,15 +529,15 @@ _BALANCE_NODES = 16
 _BALANCE_BLOCK = 256
 
 
-def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, lam: float) -> float:
+def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray) -> float:
     """The largest population-balance defect of the :func:`_dop853` run ``(bounds, ys)`` of ``M``.
 
     The tracked population P = |c1|^2 + |c2|^2 + |b|^2 obeys
-    dP/dt = -2 lam |b|^2 exactly.  On each step the state is the step's
+    dP/dt = -2 |b|^2 exactly.  On each step the state is the step's
     polynomial ``y(x) = sum_j c_j x^j`` of :func:`_dense_coefficients`, x
     the fraction of the step elapsed, and ``dy/dt = y'(x) / h``.  Both are
     evaluated by Horner at ``_BALANCE_NODES`` midpoints of each step, and
-    the largest ``|dP/dt + 2 lam |b|^2|``, with
+    the largest ``|dP/dt + 2 |b|^2|``, with
     ``dP/dt = 2 Re(conj(y) . y'(x)) / h``, is returned; a NaN anywhere makes
     it NaN.  The steps go ``_BALANCE_BLOCK`` at a time.
     """
@@ -557,7 +556,7 @@ def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, lam: fl
                 dy += j * coef[j][..., None]
         dpop = sum(v.real * d.real + v.imag * d.imag for v, d in zip(y, dy))
         b = y[2]
-        r = 2.0 * dpop / length[:, None] + 2.0 * lam * (b.real * b.real + b.imag * b.imag)
+        r = 2.0 * dpop / length[:, None] + 2.0 * (b.real * b.real + b.imag * b.imag)
         return np.abs(r).max()
 
     n = bounds.size - 1
@@ -611,7 +610,7 @@ def integrate_volterra(
 ) -> Trajectory:
     """Integrate the memory-kernel form of the amplitude equations.
 
-    The convolution integral I(t) = int_0^t exp(-lam (t - t1)) u(t1) dt1 with
+    The convolution integral I(t) = int_0^t exp(-(t - t1)) u(t1) dt1 with
     u = alpha1 c1 + alpha2 c2 is evaluated from the stored history by
     composite Simpson quadrature (a 3/8 panel closes odd prefixes), with the
     kernel's exponential factored out exactly so each step costs O(1).  The
@@ -643,11 +642,11 @@ def integrate_volterra(
         raise ValueError(f"t_end must be positive, got {t_end}")
     if not 100 <= n_steps <= _MAX_VOLTERRA_STEPS:
         raise ValueError(f"n_steps must lie in [100, {_MAX_VOLTERRA_STEPS}], got {n_steps}")
-    lam, K, W = params.lam, params.K, params.W
+    K, W = params.K, params.W
     a1, a2 = params.alpha1, params.alpha2
     W2 = _kernel_sign * W * W
     h = t_end / n_steps
-    e1 = math.exp(-lam * h)
+    e1 = math.exp(-h)
     e2 = e1 * e1
     e3 = e2 * e1
 
@@ -663,7 +662,7 @@ def integrate_volterra(
     # cubics) give one-interval, Simpson, and 3/8 weights; the resulting
     # collocation equations are linear in the six unknown amplitudes, so
     # probe the affine map once per basis vector and solve directly.
-    g_row = [np.exp(lam * h * (np.arange(4.0) - k)) for k in range(4)]
+    g_row = [np.exp(h * (np.arange(4.0) - k)) for k in range(4)]
     w1 = h * np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
     w2 = h * np.array([1.0, 4.0, 1.0, 0.0]) / 3.0
     w3 = 3.0 * h * np.array([1.0, 3.0, 3.0, 1.0]) / 8.0
@@ -762,15 +761,7 @@ def integrate_volterra(
 
     t = np.linspace(0.0, t_end, n_steps + 1)
     b = -1j * W * _kernel_sign * conv
-    return Trajectory(
-        params=params,
-        init=init,
-        t=t,
-        c1=c1,
-        c2=c2,
-        b=b,
-        solver_tag="volterra",
-    )
+    return Trajectory(init=init, t=t, c1=c1, c2=c2, b=b, solver_tag="volterra")
 
 
 def sample_closed_form(
@@ -778,17 +769,8 @@ def sample_closed_form(
 ) -> Trajectory:
     """Evaluate the closed-form solution on ``times`` and wrap it as a trajectory."""
     times = np.asarray(times, dtype=float)
-    sol = residue_coefficients(params, init)
-    c1, c2, b = sol.evolve(times)
-    return Trajectory(
-        params=params,
-        init=sol.init,
-        t=times,
-        c1=c1,
-        c2=c2,
-        b=b,
-        solver_tag="closed_form",
-    )
+    c1, c2, b = residue_coefficients(params, init).evolve(times)
+    return Trajectory(init=init, t=times, c1=c1, c2=c2, b=b, solver_tag="closed_form")
 
 
 def leak_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,16 @@
 """Physical parameters, with their coupling measures, and canonical initial states.
 
 Two two-level atoms share a common reservoir with a Lorentzian spectral
-density of half-width ``lam`` and coupling scale ``W``; the atoms couple to
+density of half-width lambda and coupling scale ``W``; the atoms couple to
 it with relative strengths ``alpha1`` and ``alpha2`` and exchange excitation
 directly through a dipole-dipole term of strength ``K``.  Everything
 downstream (closed-form solution, integrators, observables) is driven by the
 values collected here, and the coupling measures ``R``, ``r1`` and ``r2``
 are properties of :class:`SystemParams`.
+
+The dynamics depends only on W/lambda, K/lambda and tau = lambda t, so
+lambda is the library's unit: rates are in units of lambda and times in
+units of 1/lambda; the caller (the CLI) divides a physical lambda out.
 
 Each type checks its invariants when it is built, so code that receives one
 checks nothing again: an :class:`InitialAmplitudes` has unit norm, and
@@ -19,7 +23,7 @@ between threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 __all__ = [
     "NORM_TOL",
@@ -34,41 +38,40 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical inputs, all in units of frequency except the dimensionless alphas.
+    """Physical inputs, the rates in units of the reservoir half-width lambda.
 
     Attributes
     ----------
-    lam : float
-        Reservoir half-width (inverse correlation time).  Must be positive.
     W : float
-        Coupling scale of the Lorentzian spectral density.  Nonnegative.
+        Coupling scale of the Lorentzian spectral density, W/lambda.
+        Nonnegative.
     alpha1, alpha2 : float
         Dimensionless relative couplings of atoms 1 and 2.  Nonnegative and
         not both zero; a sign on either can always be absorbed into the phase
         of the corresponding initial amplitude.
     K : float
-        Dipole-dipole exchange strength.  Either sign is allowed, since the
-        underlying geometry can produce both.
+        Dipole-dipole exchange strength, K/lambda.  Either sign is allowed,
+        since the underlying geometry can produce both.
 
     The amplitude equations are written in the frame rotating at the common
     atomic transition frequency, so that frequency is not an input.  The
-    dynamics depends on the inputs only through ``K / lam``, ``R / lam``,
-    ``r1`` and the dimensionless time ``lam * t``.
+    keyword ``lam``, which callers written for a general half-width pass,
+    is accepted only at the unit itself, 1.
     """
 
-    lam: float
     W: float
     alpha1: float
     alpha2: float
     K: float
+    lam: InitVar[float] = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "W", "alpha1", "alpha2", "K"):
+    def __post_init__(self, lam: float) -> None:
+        if lam != 1.0:
+            raise ValueError(f"rates are in units of lambda, so lam must be 1, got {lam}")
+        for name in ("W", "alpha1", "alpha2", "K"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
         if self.W < 0.0:
             raise ValueError(f"W must be nonnegative, got {self.W}")
         if self.alpha1 < 0.0 or self.alpha2 < 0.0:

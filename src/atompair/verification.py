@@ -3,7 +3,8 @@
 The three solution routes (residue closed form, adaptive ODE, direct memory
 kernel) share no numerics, so their mutual agreement is the strongest
 correctness evidence the package can produce.  All three run on every
-parameter set, repeated characteristic roots included.  This module packages
+parameter set, repeated characteristic roots included.  Rates and times are
+in units of the reservoir half-width lambda (see :mod:`atompair.model`).  This module packages
 those comparisons for both the test suite and the ``verify`` CLI command.
 """
 
@@ -48,7 +49,7 @@ LEAK_IDENTITY_CONFIG = (1e-11, 1e-13)
 # rounded up to a multiple of ``COMPARE_POINTS - 1`` (see sample_volterra).
 COMPARE_POINTS = 2001
 
-# dP/dt = -2 lam |b|^2 <= 0 for the tracked population P, so a memory-kernel
+# dP/dt = -2 |b|^2 <= 0 for the tracked population P, so a memory-kernel
 # run whose P exceeds 1 + POPULATION_GROWTH_TOL took steps that outran the
 # fastest rate.
 POPULATION_GROWTH_TOL = 1e-6
@@ -97,10 +98,8 @@ def sample_volterra(
         if not peak <= 1.0 + POPULATION_GROWTH_TOL:
             raise PopulationGrowthError(peak, len(traj) - 1)
     idx = slice(None, None, stride)
-    return Trajectory(
-        params=params, init=traj.init, t=traj.t[idx], c1=traj.c1[idx], c2=traj.c2[idx],
-        b=traj.b[idx], solver_tag="volterra",
-    )
+    return Trajectory(init=traj.init, t=traj.t[idx], c1=traj.c1[idx], c2=traj.c2[idx],
+                      b=traj.b[idx], solver_tag="volterra")
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def compare_solvers(
     :class:`PopulationGrowthError` before the adaptive route starts.  The
     adaptive route then runs once, at ``LEAK_IDENTITY_CONFIG``; the grid is
     sampled from its dense output, and the population balance is checked on
-    every one of its steps.  The balance defect ``dP/dt + 2 lam |b|^2``
+    every one of its steps.  The balance defect ``dP/dt + 2 |b|^2``
     grows in proportion to the fastest rate, so it is reported divided by
     the largest entry of ``|M|``: the defect per unit time of that rate.
     """
@@ -146,6 +145,6 @@ def compare_solvers(
         closed_vs_ode=sup(closed, ode),
         closed_vs_volterra=sup(closed, vol),
         ode_vs_volterra=sup(ode, vol),
-        balance=_balance_residual(M, bounds, ys, params.lam) / np.abs(M).max(),
+        balance=_balance_residual(M, bounds, ys) / np.abs(M).max(),
     )
 

@@ -54,12 +54,12 @@ FIG_K_VALUES = (0.0, 2.0, 7.0, 20.0)
 
 
 def double_root_set() -> SystemParams:
-    # K = 0 with R = lam/2 collapses the decaying pair into a double root
+    # K = 0 with R = 1/2 collapses the decaying pair into a double root
     return fig_params(K=0.0, R=0.5, r1=0.6)
 
 
 def triple_root_set() -> SystemParams:
-    # r2 = 0, K = lam/sqrt(27), R = sqrt(8/27) lam: D(s) = (s + lam/3)^3
+    # r2 = 0, K = 1/sqrt(27), R = sqrt(8/27): D(s) = (s + 1/3)^3
     return fig_params(K=1.0 / math.sqrt(27.0), R=math.sqrt(8.0 / 27.0), r1=1.0)
 
 
@@ -97,12 +97,15 @@ def criterion3_grid():
 
 
 def criterion4_draws():
+    """(R, K, r1) in units of lambda: R/lambda and K/lambda are quotients of
+    a rate and a half-width drawn in [0.2, 5]."""
     rng = np.random.default_rng(404)
-    return [
+    draws = [
         (rng.uniform(0.2, 5.0), rng.uniform(0.5, 20.0), rng.uniform(-20.0, 20.0),
          rng.uniform(0.05, 0.95))
         for _ in range(20)
     ]
+    return [(R / lam, K / lam, r1) for lam, R, K, r1 in draws]
 
 
 def criterion5_cases():
@@ -130,9 +133,9 @@ def all_root_solved_params():
     seen += [p for p, _ in criterion1_sets()]
     seen += [p for p, _ in fig_sets()]
     seen += [p for p, _, _ in criterion3_grid()]
-    for lam, R, K, r1 in criterion4_draws():
-        seen.append(fig_params(K=0.0, R=R, r1=r1, lam=lam))
-        seen.append(equal_params(K=K, R=R, lam=lam))
+    for R, K, r1 in criterion4_draws():
+        seen.append(fig_params(K=0.0, R=R, r1=r1))
+        seen.append(equal_params(K=K, R=R))
     seen += [p for p, _ in criterion5_cases()]
     seen += [p for p, _ in criterion6_cases()]
     seen += [equal_params(K=k) for k in FIG_K_VALUES]
@@ -176,8 +179,8 @@ def test_criterion_3_steady_state_criterion():
         verdict = steady_state_verdict(p, init)
         assert verdict.steady == expect_steady
         # (a) pure-imaginary root presence matches the verdict: one root within
-        # 1e-8 lam of the axis when steady, none when decaying
-        on_axis = [s for s in char_roots(p) if abs(s.real) <= 1e-8 * p.lam]
+        # 1e-8 of the axis when steady, none when decaying
+        on_axis = [s for s in char_roots(p) if abs(s.real) <= 1e-8]
         assert len(on_axis) == int(expect_steady)
         # (b) long-time amplitude product survives iff steady
         t_end = asymptotic_t_end(p)
@@ -189,20 +192,20 @@ def test_criterion_3_steady_state_criterion():
 
 
 def test_criterion_4_analytic_pole_identities():
-    for lam, R, K, r1 in criterion4_draws():
-        scale_lin = max(1.0, lam + R + abs(K))
-        scale_cub = max(1.0, lam ** 3 + R ** 3 + abs(K) ** 3)
-        p0 = fig_params(K=0.0, R=R, r1=r1, lam=lam)
+    for R, K, r1 in criterion4_draws():
+        scale_lin = max(1.0, 1.0 + R + abs(K))
+        scale_cub = max(1.0, 1.0 + R ** 3 + abs(K) ** 3)
+        p0 = fig_params(K=0.0, R=R, r1=r1)
         assert abs(char_roots(p0)[0] * 0.0) == 0.0  # no-op guard
         assert min(abs(s) for s in char_roots(p0)) <= 1e-12 * scale_lin
-        pe = equal_params(K=K, R=R, lam=lam)
+        pe = equal_params(K=K, R=R)
         roots = char_roots(pe)
         assert min(abs(s - 1j * K) for s in roots) <= 1e-9 * scale_lin
         from atompair.closedform import char_cubic
 
         assert abs(char_cubic(pe)(1j * K)) <= 1e-9 * scale_cub
     print("\nPASS criterion 4: s=0 root at K=0 and s=iK root at equal couplings "
-          "for 20 random (lam, R, K)")
+          "for 20 random (R, K) in units of lambda")
 
 
 def test_criterion_5_equal_coupling_asymptote():
@@ -276,7 +279,7 @@ def test_criterion_7_decoherence_free_subspace():
 
 def test_criterion_8_figure_ordering_claims():
     grid = np.linspace(0.0, 150.0, 15001)
-    window = 1.0  # 1 / lam
+    window = 1.0  # the reservoir correlation time
 
     def crossing(sign: str, K: float):
         traj = sample_closed_form(fig_params(K=K), bell_state(sign), grid)

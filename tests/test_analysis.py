@@ -58,7 +58,7 @@ class TestVerdict:
 
     @pytest.mark.parametrize("K", [1e5, 1e6])
     def test_equal_coupling_strong_dipole(self, K):
-        # the bright mode's roots decay at about R^2 lam / K^2, within the
+        # the bright mode's roots decay at about R^2 / K^2, within the
         # root finder's axis tolerance, beside the pole at i K
         v = steady_state_verdict(equal_params(K=K), bell_state("minus"))
         assert v.steady and v.regime == "equal_coupling"
@@ -84,7 +84,7 @@ class TestVerdict:
         assert v.asymptotic_concurrence == 0.0
 
     def test_rejects_decoupled_reservoir(self):
-        p = SystemParams(lam=1.0, W=0.0, alpha1=1.0, alpha2=1.0, K=2.0)
+        p = SystemParams(W=0.0, alpha1=1.0, alpha2=1.0, K=2.0)
         with pytest.raises(ValueError, match="W > 0"):
             steady_state_verdict(p, bell_state("minus"))
 
@@ -120,7 +120,7 @@ class TestAsymptoticHorizon:
     @pytest.mark.parametrize("K", [3e4, 1e5, 1e6])
     def test_outlasts_the_bright_mode_at_strong_dipole(self, K):
         # equal couplings: the pole at i K survives, and the bright mode's root
-        # near -i K decays at about R^2 lam / K^2, within about 1e-7 lam of the axis
+        # near -i K decays at about R^2 / K^2, within about 1e-7 of the axis
         p, init = equal_params(K=K), bell_state("plus")
         bright = min(char_roots(p), key=lambda s: abs(s + 1j * K))
         t_end = asymptotic_t_end(p)
@@ -132,16 +132,17 @@ class TestAsymptoticHorizon:
     @pytest.mark.parametrize("d", [1e-8, 1e-10])
     def test_couplings_equal_to_the_root_finders_resolution(self, d):
         # classified as decaying, but the dark mode's root decays at a rate of
-        # order (r1 - r2)^2 R^2 lam / K^2: its real part is rounding, and the
+        # order (r1 - r2)^2 R^2 / K^2: its real part is rounding, and the
         # horizon is at least as long as that decay
-        p = SystemParams(lam=1.0, W=10.0, alpha1=INV_SQRT2 + d, alpha2=INV_SQRT2, K=1e3)
+        p = SystemParams(W=10.0, alpha1=INV_SQRT2 + d, alpha2=INV_SQRT2, K=1e3)
         assert steady_state_verdict(p, bell_state("minus")).regime == "decaying"
         assert asymptotic_t_end(p) >= 1e15
 
     def test_decoupled_reservoir(self):
-        # W = 0: only the mode at -lam decays
-        p = SystemParams(lam=2.0, W=0.0, alpha1=1.0, alpha2=1.0, K=3.0)
-        assert asymptotic_t_end(p) == 25.0
+        # W = 0: only the mode at -1 decays, and the horizon is 50 of its
+        # correlation times
+        p = SystemParams(W=0.0, alpha1=1.0, alpha2=1.0, K=1.5)
+        assert asymptotic_t_end(p) == 50.0
 
 
 class TestSeries:
@@ -160,7 +161,7 @@ class TestSeries:
             assert conc[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_single_excitation_never_entangles(self):
-        p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
+        p = SystemParams(W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         traj = integrate_pseudomode(p, InitialAmplitudes(1.0, 0.0), 10.0)
         _, conc = concurrence_series(traj)
         assert conc.max() == 0.0

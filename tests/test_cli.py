@@ -28,14 +28,14 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
-from atompair import SystemParams, char_roots, concurrence_array, dynamics, verification
+from atompair import char_roots, concurrence_array, dynamics, verification
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
 from conftest import SQRT3_2, fig_params, random_init
 
-# K = 0, R = lam/2 gives a double root at -lam/2; r2 = 0, K = lam/sqrt(27),
-# R = sqrt(8/27) lam a triple root at -lam/3
+# K = 0, R = lambda/2 gives a double root at -lambda/2; r2 = 0,
+# K = lambda/sqrt(27), R = sqrt(8/27) lambda a triple root at -lambda/3
 CONFLUENT = {
     "double": {"lambda": 1.0, "W": 0.5, "alpha1": 1.0, "alpha2": 0.0, "K": 0.0},
     "triple": {"lambda": 1.0, "W": math.sqrt(8.0 / 27.0), "alpha1": 1.0, "alpha2": 0.0,
@@ -81,7 +81,7 @@ def _fmt_reference(x):
 
 def write_trajectory_csv_reference(path, traj):
     """The per-cell trajectory writer, kept as the byte-for-byte reference."""
-    tau = traj.params.lam * traj.t
+    tau = traj.t
     _, p_leak = leak_series(traj)
     conc = np.minimum(2.0 * np.abs(traj.c1) * np.abs(traj.c2), 1.0)
     clip = lambda a: np.clip(a, 0.0, 1.0)
@@ -153,7 +153,8 @@ class TestCsvBytes:
     def test_trajectory_csv_matches_per_cell_writer(self, tmp_path, rng):
         grid = np.linspace(0.0, 4.0, 41)
         trajs = [
-            sample_closed_form(fig_params(K=2.0, lam=0.5), bell_state("minus"), grid),
+            # lambda = 0.5 in units of lambda
+            sample_closed_form(fig_params(K=4.0, R=20.0), bell_state("minus"), 0.5 * grid),
             integrate_pseudomode(fig_params(K=-7.0, R=0.5, r1=0.3), random_init(rng), 4.0, times=grid),
         ]
         for k, traj in enumerate(trajs):
@@ -490,6 +491,22 @@ class TestStepBudget:
         cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 4000})
         assert main(argv) == EXIT_OK
 
+    def test_volterra_ceiling_names_samples(self, tmp_path, capsys, monkeypatch):
+        # the route takes a step per sample interval at least, so samples - 1
+        # above the ceiling is refused whatever n_steps is, and named
+        monkeypatch.setattr(dynamics, "_MAX_VOLTERRA_STEPS", 5000)
+        out = tmp_path / "o.csv"
+        for samples in (5002, 10001):
+            cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 200, "samples": samples})
+            assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert f"'samples' = {samples}" in captured.err and "its 5000 steps" in captured.err
+            assert "n_steps" not in captured.err
+            assert captured.out == "" and not out.exists()
+        # one step per sample interval, up to the ceiling, runs
+        cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 200, "samples": 5001})
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_OK
+
 
 class TestRateScale:
     """A config is solved in units of lambda, so any normal lambda reproduces lambda = 1."""
@@ -541,10 +558,27 @@ class TestRateScale:
             if command == "roots":
                 assert rows.tolist() == ref_rows.tolist()
 
+    @staticmethod
+    def _physical_amplitudes(lam, W, alpha1, alpha2, K, t):
+        """(c1, c2, b) from phi_minus at the physical times ``t``, shape (3, t.size).
+
+        The reference shares no code with atompair: numpy's eigendecomposition
+        of the amplitude matrix in physical units, lambda included.
+        """
+        M = np.array([
+            [0.0, -1j * K, -1j * W * alpha1],
+            [-1j * K, 0.0, -1j * W * alpha2],
+            [-1j * W * alpha1, -1j * W * alpha2, -lam],
+        ])
+        w, V = np.linalg.eig(M)
+        init = bell_state("minus")
+        weights = np.linalg.solve(V, np.array([init.c10, init.c20, 0.0]))
+        return V @ (weights[:, None] * np.exp(np.outer(w, t)))
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_scaling_matches_the_unscaled_closed_form(self, tmp_path, command):
         # every route gets the same scaled parameters, so their agreement
-        # cannot catch a mistake in the scaling: compare with the closed form
+        # cannot catch a mistake in the scaling: compare with the dynamics
         # of the unscaled parameters at t = tau / lambda
         lam = 2.5
         payload = {
@@ -560,15 +594,14 @@ class TestRateScale:
         assert np.abs(tau - np.linspace(0.0, 10.0, 41)).max() <= 1e-12
         unscaled = {k: payload[k] for k in ("W", "alpha1", "alpha2", "K")}
         if command == "run":
-            traj = sample_closed_form(SystemParams(lam, **unscaled), bell_state("minus"), tau / lam)
+            ref = self._physical_amplitudes(lam, **unscaled, t=tau / lam)
             got = rows[:, 1:7:2] + 1j * rows[:, 2:7:2]
-            assert np.abs(got - np.array([traj.c1, traj.c2, traj.b]).T).max() <= 1e-12
+            assert np.abs(got - ref.T).max() <= 1e-12
             return
         assert header == ["tau", "K=5", "K=-12.5"]
         for j, K in enumerate(payload["K_values"], start=1):
-            traj = sample_closed_form(SystemParams(lam, **{**unscaled, "K": K}),
-                                      bell_state("minus"), tau / lam)
-            assert np.abs(rows[:, j] - concurrence_array(traj.c1, traj.c2)).max() <= 1e-12
+            c1, c2, _ = self._physical_amplitudes(lam, **{**unscaled, "K": K}, t=tau / lam)
+            assert np.abs(rows[:, j] - concurrence_array(c1, c2)).max() <= 1e-12
 
 
 class TestRun:

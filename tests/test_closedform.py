@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,10 @@ from atompair import (
     residue_coefficients,
     sample_closed_form,
 )
+from atompair import closedform
 from atompair.closedform import (
     _SEPARATED,
+    _amplitudes,
     _clustered_differences,
     _cubic_roots,
     _exp_divided_differences,
@@ -28,7 +31,7 @@ from conftest import INV_SQRT2, equal_params, fig_params, random_init, random_pa
 
 
 def cubic_scale(params: SystemParams) -> float:
-    return max(1.0, params.lam ** 3 + params.R ** 3 + abs(params.K) ** 3)
+    return max(1.0, 1.0 + params.R ** 3 + abs(params.K) ** 3)
 
 
 def assert_root_invariants(params: SystemParams) -> None:
@@ -39,9 +42,9 @@ def assert_root_invariants(params: SystemParams) -> None:
     bound = 1e-9 * cubic_scale(params)
     for s in roots:
         assert abs(cubic(s)) <= bound
-        assert s.real <= 1e-9 * params.lam
-    scale = params.lam + params.R + abs(params.K)
-    assert abs((s1 + s2 + s3) + cubic.a2) <= 1e-9 * max(1.0, scale)
+        assert s.real <= 1e-9
+    scale = 1.0 + params.R + abs(params.K)
+    assert abs((s1 + s2 + s3) + 1.0) <= 1e-9 * max(1.0, scale)
     assert abs((s1 * s2 + s1 * s3 + s2 * s3) - cubic.a1) <= 1e-9 * max(1.0, scale ** 2)
     assert abs((s1 * s2 * s3) + cubic.a0) <= 1e-9 * max(1.0, scale ** 3)
 
@@ -54,11 +57,12 @@ class TestCharPoly:
     def test_equal_coupling_imaginary_zero(self, rng):
         # D(iK) cancels exactly when r1 r2 = 1/2: the imaginary parts
         # K(R^2 + K^2) - K^3 - 2 K R^2 r1 r2 collapse to zero
+        # R/lambda and K/lambda as quotients of a rate and a half-width
         for _ in range(20):
             lam = rng.uniform(0.2, 5.0)
-            R = rng.uniform(0.5, 20.0)
-            K = rng.uniform(-20.0, 20.0)
-            p = equal_params(K=K, R=R, lam=lam)
+            R = rng.uniform(0.5, 20.0) / lam
+            K = rng.uniform(-20.0, 20.0) / lam
+            p = equal_params(K=K, R=R)
             val = char_cubic(p)(1j * K)
             assert abs(val) <= 1e-9 * cubic_scale(p)
 
@@ -76,7 +80,7 @@ class TestCharRoots:
             assert min(abs(s) for s in roots) <= 1e-12 * cubic_scale(p)
 
     def test_equal_coupling_root_at_iK(self):
-        p = equal_params(K=5.0, R=10.0, lam=1.0)
+        p = equal_params(K=5.0, R=10.0)
         roots = char_roots(p)
         assert min(abs(s - 5j) for s in roots) <= 1e-9
 
@@ -96,8 +100,8 @@ class TestCharRoots:
             p = random_params(rng)
             cubic = char_cubic(p)
             ours = list(char_roots(p))
-            ref = np.roots([1.0, cubic.a2, cubic.a1, cubic.a0])
-            scale = p.lam + p.R + abs(p.K)
+            ref = np.roots([1.0, 1.0, cubic.a1, cubic.a0])
+            scale = 1.0 + p.R + abs(p.K)
             for s in ref:
                 assert min(abs(s - z) for z in ours) < 1e-9 * scale
 
@@ -106,8 +110,9 @@ class TestCharRoots:
         # conjugates, so that sorting by (real, imag) is stable
         pairs = 0
         for _ in range(300):
-            p = fig_params(K=0.0, R=rng.uniform(0.6, 20.0), r1=rng.uniform(0.05, 0.95),
-                           lam=rng.uniform(0.2, 5.0))
+            # R/lambda as the quotient of a rate and a half-width
+            R, r1, lam = rng.uniform(0.6, 20.0), rng.uniform(0.05, 0.95), rng.uniform(0.2, 5.0)
+            p = fig_params(K=0.0, R=R / lam, r1=r1)
             pair = [s for s in char_roots(p) if abs(s.imag) > 1e-9]
             if pair:  # otherwise all three roots are real (overdamped)
                 assert len(pair) == 2 and pair[0] == pair[1].conjugate()
@@ -148,7 +153,7 @@ class TestResidues:
     def test_uncoupled_unexcited_atom_stays_empty(self):
         # alpha2 = 0 and K = 0 with all weight on atom 1: the numerator of
         # the second amplitude vanishes identically
-        p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
+        p = SystemParams(W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         sol = residue_coefficients(p, InitialAmplitudes(1.0, 0.0))
         assert all(abs(c) == 0.0 for c in sol.newton[1])
 
@@ -165,23 +170,19 @@ class TestResidues:
 
 
 def triple_root_params() -> SystemParams:
-    """Atom 2 uncoupled, K = lam/sqrt(27), R = sqrt(8/27) lam: a triple root at -lam/3."""
-    return SystemParams(
-        lam=1.0, W=math.sqrt(8.0 / 27.0), alpha1=1.0, alpha2=0.0, K=1.0 / math.sqrt(27.0)
-    )
+    """Atom 2 uncoupled, K = 1/sqrt(27), R = sqrt(8/27): a triple root at -1/3."""
+    return SystemParams(W=math.sqrt(8.0 / 27.0), alpha1=1.0, alpha2=0.0, K=1.0 / math.sqrt(27.0))
 
 
-def damped_rabi_amplitude(t: np.ndarray, lam: float, R: float) -> np.ndarray:
+def damped_rabi_amplitude(t: np.ndarray, R: float) -> np.ndarray:
     """Single-atom reference: solve the reduced 2x2 system independently.
 
-    For one coupled atom the Laplace transform is (s + lam) / (s^2 + lam s
+    For one coupled atom the Laplace transform is (s + 1) / (s^2 + s
     + R^2); inverting over the conjugate pole pair gives the damped
-    oscillation below (underdamped branch, 4 R^2 > lam^2).
+    oscillation below (underdamped branch, 4 R^2 > 1).
     """
-    omega = math.sqrt(4.0 * R * R - lam * lam)
-    return np.exp(-0.5 * lam * t) * (
-        np.cos(0.5 * omega * t) + (lam / omega) * np.sin(0.5 * omega * t)
-    )
+    omega = math.sqrt(4.0 * R * R - 1.0)
+    return np.exp(-0.5 * t) * (np.cos(0.5 * omega * t) + np.sin(0.5 * omega * t) / omega)
 
 
 class TestClosedFormEvolution:
@@ -195,23 +196,23 @@ class TestClosedFormEvolution:
             assert np.abs(np.abs(c2) - INV_SQRT2).max() < 1e-9
 
     def test_single_atom_damped_oscillation(self):
-        p = SystemParams(lam=1.0, W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
+        p = SystemParams(W=10.0, alpha1=1.0, alpha2=0.0, K=0.0)
         sol = residue_coefficients(p, InitialAmplitudes(1.0, 0.0))
         t = np.linspace(0.0, 6.0, 301)
         c1, c2, _ = sol.evolve(t)
-        assert np.abs(c1 - damped_rabi_amplitude(t, 1.0, 10.0)).max() < 1e-9
+        assert np.abs(c1 - damped_rabi_amplitude(t, 10.0)).max() < 1e-9
         assert np.abs(c2).max() == 0.0
 
     def test_critically_damped_single_atom(self):
-        # K = 0 and R = lam/2: C1(s) = (s + 1) / (s + 1/2)^2, a double root
-        p = SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
+        # K = 0 and R = 1/2: C1(s) = (s + 1) / (s + 1/2)^2, a double root
+        p = SystemParams(W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
         t = np.linspace(0.0, 200.0, 2001)
         c1, c2, _ = residue_coefficients(p, InitialAmplitudes(1.0, 0.0)).evolve(t)
         assert np.abs(c1 - np.exp(-0.5 * t) * (1.0 + 0.5 * t)).max() <= 1e-12
         assert np.abs(c2).max() == 0.0
 
     def test_triple_root(self):
-        # r2 = 0, K^2 = lam^2/27, R^2 = 8 lam^2/27: D(s) = (s + lam/3)^3
+        # r2 = 0, K^2 = 1/27, R^2 = 8/27: D(s) = (s + 1/3)^3
         p = triple_root_params()
         t = np.linspace(0.0, 200.0, 2001)
         c1, _, _ = residue_coefficients(p, InitialAmplitudes(1.0, 0.0)).evolve(t)
@@ -219,9 +220,9 @@ class TestClosedFormEvolution:
         assert np.abs(c1 - expected).max() <= 1e-12
 
     def test_double_root_long_horizon(self):
-        # the decaying double root at -lam/2 next to the surviving pole at 0:
+        # the decaying double root at -1/2 next to the surviving pole at 0:
         # far out, only the dark-state projection remains
-        p = SystemParams(lam=1.0, W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
+        p = SystemParams(W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
         init = bell_state("minus")
         c1, c2, b = residue_coefficients(p, init).evolve(np.array([1e3, 1e4, 1e5]))
         dark = 0.8 * init.c10 - 0.6 * init.c20
@@ -236,14 +237,14 @@ class TestClosedFormEvolution:
         from atompair.dynamics import _system_matrix
 
         base = (
-            SystemParams(lam=1.0, W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
+            SystemParams(W=0.5, alpha1=1.0, alpha2=0.0, K=0.0)
             if point == "double" else triple_root_params()
         )
         t = np.linspace(0.0, 200.0, 101)
         for W, K, a2 in ((base.W * (1 + rel), base.K, 0.0),
                          (base.W * (1 - rel), base.K, 0.0),
                          (base.W, base.K + rel, rel)):
-            p = SystemParams(lam=1.0, W=W, alpha1=1.0, alpha2=a2, K=K)
+            p = SystemParams(W=W, alpha1=1.0, alpha2=a2, K=K)
             init = bell_state("minus")
             got = np.array(residue_coefficients(p, init).evolve(t))
             M = _system_matrix(p)
@@ -264,14 +265,43 @@ class TestClosedFormEvolution:
         assert c2a[1] == pytest.approx(c2s, rel=1e-14)
         assert ba[1] == pytest.approx(bs, rel=1e-14)
 
+    @pytest.mark.parametrize("point", ["separated", "double", "triple"])
+    def test_blocks_change_no_bit(self, monkeypatch, point):
+        # the form of the divided differences is chosen per root set, so the
+        # times evaluated a block at a time give the one-block bits
+        p = {
+            "separated": fig_params(K=2.0),
+            "double": SystemParams(W=0.5, alpha1=1.0, alpha2=0.0, K=0.0),
+            "triple": triple_root_params(),
+        }[point]
+        sol = residue_coefficients(p, bell_state("minus"))
+        t = np.linspace(0.0, 50.0, 10_001)
+        whole = _amplitudes(sol.nodes[None], sol.newton[None], t)[:, 0]
+        monkeypatch.setattr(closedform, "_EVOLVE_BLOCK", 1000)
+        assert np.array(sol.evolve(t)).tobytes() == whole.tobytes()
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        # beyond its (3, n) result of 48 B a sample, evolve holds one block's
+        # working arrays; on the whole grid at once it held about twice the
+        # result more, 7.7 MB at the larger size here
+        monkeypatch.setattr(closedform, "_EVOLVE_BLOCK", 1000)
+        sol = residue_coefficients(fig_params(K=2.0), bell_state("minus"))
+        for n in (20_001, 80_001):
+            t = np.linspace(0.0, 10.0, n)
+            tracemalloc.start()
+            try:
+                sol.evolve(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - 48 * n < 1e6
+
 
 class TestSymmetries:
     def test_swap_exchanges_amplitude_coefficients(self, rng):
         p = fig_params(K=4.0, r1=0.8)
         init = random_init(rng)
-        swapped_p = SystemParams(
-            lam=p.lam, W=p.W, alpha1=p.alpha2, alpha2=p.alpha1, K=p.K
-        )
+        swapped_p = replace(p, alpha1=p.alpha2, alpha2=p.alpha1)
         swapped_init = InitialAmplitudes(init.c20, init.c10)
         a = residue_coefficients(p, init)
         b = residue_coefficients(swapped_p, swapped_init)
@@ -284,7 +314,7 @@ class TestSymmetries:
 
     def test_conjugation_symmetry(self, rng):
         p = fig_params(K=6.0)
-        flipped = SystemParams(lam=p.lam, W=p.W, alpha1=p.alpha1, alpha2=p.alpha2, K=-p.K)
+        flipped = replace(p, K=-p.K)
         init = random_init(rng)
         conj_init = InitialAmplitudes(init.c10.conjugate(), init.c20.conjugate())
         t = np.linspace(0.0, 8.0, 81)
@@ -347,10 +377,10 @@ class TestBatchedOverK:
 
     @pytest.mark.parametrize("point", ["double", "triple"])
     def test_matches_per_point_closed_form(self, rng, point):
-        # the double root: K = 0, R = lam/2; the triple root: r2 = 0,
-        # K = lam/sqrt(27), R = sqrt(8/27) lam
+        # the double root: K = 0, R = 1/2; the triple root: r2 = 0,
+        # K = 1/sqrt(27), R = sqrt(8/27)
         base = (
-            SystemParams(lam=1.0, W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
+            SystemParams(W=0.5, alpha1=0.6, alpha2=0.8, K=0.0)
             if point == "double" else triple_root_params()
         )
         K = self.axis(base.K)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,29 +16,33 @@ from conftest import fig_params, random_init, random_params
 
 
 class TestSystemParams:
-    def test_rejects_nonpositive_lam(self):
-        with pytest.raises(ValueError, match="lam"):
-            SystemParams(lam=0.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
-        with pytest.raises(ValueError, match="lam"):
-            SystemParams(lam=-1.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+    def test_lam_keyword_accepts_only_the_unit(self):
+        # rates are in units of lambda: a caller's lam = 1 is the unit itself
+        # and changes nothing, and any other value, finite or not, is refused
+        p = SystemParams(W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
+        assert SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0) == p
+        assert [f.name for f in dataclasses.fields(p)] == ["W", "alpha1", "alpha2", "K"]
+        for lam in (0.0, -1.0, 2.5, math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lam must be 1"):
+                SystemParams(lam=lam, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
 
     def test_rejects_negative_couplings(self):
         with pytest.raises(ValueError, match="W"):
-            SystemParams(lam=1.0, W=-1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+            SystemParams(W=-1.0, alpha1=1.0, alpha2=1.0, K=0.0)
         with pytest.raises(ValueError, match="alpha"):
-            SystemParams(lam=1.0, W=1.0, alpha1=-0.5, alpha2=1.0, K=0.0)
+            SystemParams(W=1.0, alpha1=-0.5, alpha2=1.0, K=0.0)
 
     def test_rejects_fully_uncoupled_atoms(self):
         with pytest.raises(ValueError, match="alpha1 and alpha2"):
-            SystemParams(lam=1.0, W=1.0, alpha1=0.0, alpha2=0.0, K=0.0)
+            SystemParams(W=1.0, alpha1=0.0, alpha2=0.0, K=0.0)
 
     def test_signed_dipole_strength_allowed(self):
-        SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=-3.0)
+        SystemParams(W=1.0, alpha1=1.0, alpha2=0.5, K=-3.0)
 
-    @pytest.mark.parametrize("field", ["lam", "W", "alpha1", "alpha2", "K"])
+    @pytest.mark.parametrize("field", ["W", "alpha1", "alpha2", "K"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_fields(self, field, value):
-        kwargs = dict(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
+        kwargs = dict(W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SystemParams(**kwargs)
@@ -47,22 +52,22 @@ class TestDerive:
     """R, r1 and r2, the properties of SystemParams."""
 
     def test_printed_definitions(self):
-        p = SystemParams(lam=1.0, W=5.0, alpha1=math.sqrt(3.0), alpha2=1.0, K=0.0)
+        p = SystemParams(W=5.0, alpha1=math.sqrt(3.0), alpha2=1.0, K=0.0)
         assert p.R == pytest.approx(10.0, abs=1e-12)
         assert p.r1 == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
         assert p.r2 == pytest.approx(0.5, abs=1e-15)
 
     def test_symmetric_case(self):
-        p = SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+        p = SystemParams(W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
         assert p.r1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
         assert p.r2 == p.r1
         assert p.R == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_good_cavity_regime(self):
-        # any alphas with W = 10/sqrt(a1^2+a2^2) give R = 10 at lam = 1
+        # any alphas with W = 10/sqrt(a1^2+a2^2) give R = 10
         for a1, a2 in [(2.0, 1.0), (0.3, 0.7), (1.0, 0.0)]:
             W = 10.0 / math.hypot(a1, a2)
-            p = SystemParams(lam=1.0, W=W, alpha1=a1, alpha2=a2, K=0.0)
+            p = SystemParams(W=W, alpha1=a1, alpha2=a2, K=0.0)
             assert p.R == pytest.approx(10.0, rel=1e-14)
 
     def test_unit_relative_couplings(self, rng):
@@ -71,12 +76,12 @@ class TestDerive:
             assert abs(p.r1 ** 2 + p.r2 ** 2 - 1.0) < 1e-12
 
     def test_uncoupled_second_atom_has_no_ratio(self):
-        p = SystemParams(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.0, K=0.0)
+        p = SystemParams(W=1.0, alpha1=1.0, alpha2=0.0, K=0.0)
         assert p.r2 == 0.0
 
     def test_rel_quantities_exact_by_construction(self):
         # each property is its one expression in the inputs, bit for bit
-        p = SystemParams(lam=2.5, W=4.0, alpha1=1.0, alpha2=2.0, K=-3.0)
+        p = SystemParams(W=4.0, alpha1=1.0, alpha2=2.0, K=-3.0)
         norm = math.hypot(p.alpha1, p.alpha2)
         assert (p.R, p.r1, p.r2) == (p.W * norm, p.alpha1 / norm, p.alpha2 / norm)
 
@@ -140,18 +145,3 @@ class TestCovariances:
         b = residue_coefficients(p, shifted).evolve(t)
         for x, y in zip(a, b):
             assert np.abs(y - phase * x).max() < 1e-10
-
-    def test_scale_covariance(self, rng):
-        # (lam, W, K) -> (s lam, s W, s K) sampled at t / s reproduces the run
-        sigma = 2.5
-        p = fig_params(K=7.0)
-        ps = SystemParams(
-            lam=sigma * p.lam, W=sigma * p.W, alpha1=p.alpha1, alpha2=p.alpha2,
-            K=sigma * p.K,
-        )
-        init = random_init(rng)
-        t = np.linspace(0.0, 6.0, 31)
-        a = residue_coefficients(p, init).evolve(t)
-        b = residue_coefficients(ps, init).evolve(t / sigma)
-        for x, y in zip(a, b):
-            assert np.abs(y - x).max() < 1e-9
