@@ -66,6 +66,10 @@ class SystemParams:
     lam: InitVar[float] = 1.0
 
     def __post_init__(self, lam: float) -> None:
+        if not math.isfinite(lam):
+            raise ValueError(
+                f"lam must be finite; rates are in units of lambda, so lam must be 1, got {lam}"
+            )
         if lam != 1.0:
             raise ValueError(f"rates are in units of lambda, so lam must be 1, got {lam}")
         for name in ("W", "alpha1", "alpha2", "K"):

@@ -26,6 +26,12 @@ class TestSystemParams:
             with pytest.raises(ValueError, match="lam must be 1"):
                 SystemParams(lam=lam, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
 
+    def test_rejects_nonpositive_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            SystemParams(lam=0.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+        with pytest.raises(ValueError, match="lam"):
+            SystemParams(lam=-1.0, W=1.0, alpha1=1.0, alpha2=1.0, K=0.0)
+
     def test_rejects_negative_couplings(self):
         with pytest.raises(ValueError, match="W"):
             SystemParams(W=-1.0, alpha1=1.0, alpha2=1.0, K=0.0)
@@ -39,10 +45,11 @@ class TestSystemParams:
     def test_signed_dipole_strength_allowed(self):
         SystemParams(W=1.0, alpha1=1.0, alpha2=0.5, K=-3.0)
 
-    @pytest.mark.parametrize("field", ["W", "alpha1", "alpha2", "K"])
+    @pytest.mark.parametrize("field", ["lam", "W", "alpha1", "alpha2", "K"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_fields(self, field, value):
-        kwargs = dict(W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
+        # lam is the keyword kept for callers written for a general half-width
+        kwargs = dict(lam=1.0, W=1.0, alpha1=1.0, alpha2=0.5, K=2.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SystemParams(**kwargs)
