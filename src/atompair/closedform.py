@@ -256,9 +256,10 @@ def _amplitudes(nodes: np.ndarray, newton: np.ndarray, t: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class ResidueSolution:
-    """The sorted ``roots``; the ``nodes`` (a, b, c), shape (3,), the same roots
-    with (a, c) the widest pair; and ``newton``, shape (3, 3), whose row k holds
-    the Newton coefficients (N(a), n2 (a + b) + n1, n2) of amplitude k of
+    """One point's residue solution, as ``evolve`` reads it: the sorted
+    ``roots``; the ``nodes`` (a, b, c), shape (3,), the same roots with (a, c)
+    the widest pair; and ``newton``, shape (3, 3), whose row k holds the
+    Newton coefficients (N(a), n2 (a + b) + n1, n2) of amplitude k of
     (c1, c2, b), with numerator N(s) = n2 s^2 + n1 s + n0.  The arrays are
     read-only.
 
@@ -266,8 +267,6 @@ class ResidueSolution:
     so the initial data are reproduced exactly.
     """
 
-    params: SystemParams
-    init: InitialAmplitudes
     roots: tuple[complex, complex, complex]
     nodes: np.ndarray
     newton: np.ndarray
@@ -338,7 +337,7 @@ def residue_coefficients(
     """Newton coefficients of the residue sum, valid for every root configuration:
     the one-point case of :func:`evolve_over_K`'s K axis."""
     roots, nodes, newton = _newton_form(params, init, [params.K])
-    return ResidueSolution(params, init, tuple(roots[0].tolist()), nodes[0], newton[0])
+    return ResidueSolution(tuple(roots[0].tolist()), nodes[0], newton[0])
 
 
 def evolve_over_K(

@@ -100,7 +100,7 @@ class Trajectory:
                 raise ValueError(f"{name} and t have mismatched shapes")
         if t.ndim != 1 or t.size == 0:
             raise ValueError("t must be a nonempty 1-D array")
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("sample times must be strictly increasing")
         if t[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
@@ -205,7 +205,7 @@ def integrate_pseudomode(
         times = np.asarray(times, dtype=float)
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("sample grid must start at t = 0")
-        if not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("sample grid must be strictly increasing")
         if times[-1] > t_end:
             raise ValueError("sample grid extends past t_end")
@@ -658,10 +658,15 @@ def integrate_volterra(
     u[0] = a1 * c1[0] + a2 * c2[0]
     conv[0] = 0.0
 
+    def rhs(c1, c2, conv):
+        """dc1/dt and dc2/dt, given the convolution integral."""
+        m = W2 * conv
+        return -a1 * m - 1j * K * c2, -a2 * m - 1j * K * c1
+
     # Node-0..3 startup: integrals of the cubic interpolant (exact for
     # cubics) give one-interval, Simpson, and 3/8 weights; the resulting
     # collocation equations are linear in the six unknown amplitudes, so
-    # probe the affine map once per basis vector and solve directly.
+    # probe the affine map at zero and at each basis vector and solve directly.
     g_row = [np.exp(h * (np.arange(4.0) - k)) for k in range(4)]
     w1 = h * np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
     w2 = h * np.array([1.0, 4.0, 1.0, 0.0]) / 3.0
@@ -669,36 +674,27 @@ def integrate_volterra(
     weights = (w1, w2, w3)
 
     def startup_map(x: np.ndarray) -> np.ndarray:
-        cc1 = np.array([c1[0], x[0], x[2], x[4]])
-        cc2 = np.array([c2[0], x[1], x[3], x[5]])
+        """The amplitudes at nodes 1..3 that the collocation equations give
+        for guesses ``x``; each entry of ``x`` is a row of probes."""
+        first = np.ones_like(x[0])
+        cc1 = np.array([c1[0] * first, x[0], x[2], x[4]])
+        cc2 = np.array([c2[0] * first, x[1], x[3], x[5]])
         uu = a1 * cc1 + a2 * cc2
         integ = np.array(
-            [0.0] + [np.dot(w, g_row[k + 1] * uu) for k, w in enumerate(weights)]
+            [np.zeros_like(first)] + [np.dot(w, g_row[k + 1][:, None] * uu) for k, w in enumerate(weights)]
         )
-        f1 = -a1 * W2 * integ - 1j * K * cc2
-        f2 = -a2 * W2 * integ - 1j * K * cc1
-        out = np.empty(6, dtype=complex)
-        for k, w in enumerate(weights):
-            out[2 * k] = c1[0] + np.dot(w, f1)
-            out[2 * k + 1] = c2[0] + np.dot(w, f2)
-        return out
+        f1, f2 = rhs(cc1, cc2, integ)
+        return np.array([c[0] + np.dot(w, f) for w in weights for c, f in ((c1, f1), (c2, f2))])
 
-    d0 = startup_map(np.zeros(6, dtype=complex))
-    T = np.empty((6, 6), dtype=complex)
-    for j in range(6):
-        e = np.zeros(6, dtype=complex)
-        e[j] = 1.0
-        T[:, j] = startup_map(e) - d0
-    x = np.linalg.solve(np.eye(6) - T, d0)
+    # column 0 probes at zero, column j + 1 at the j-th basis vector
+    out = startup_map(np.eye(6, 7, 1, dtype=complex))
+    d0 = out[:, 0]
+    x = np.linalg.solve(np.eye(6) - (out[:, 1:] - d0[:, None]), d0)
     c1[1:4] = x[0::2]
     c2[1:4] = x[1::2]
     u[1:4] = a1 * c1[1:4] + a2 * c2[1:4]
     for k, w in enumerate(weights):
         conv[k + 1] = np.dot(w, g_row[k + 1] * u[:4])
-
-    def f_at(k: int) -> tuple[complex, complex]:
-        m = W2 * conv[k]
-        return (-a1 * m - 1j * K * c2[k], -a2 * m - 1j * K * c1[k])
 
     h38 = 3.0 * h / 8.0
     h13 = h / 3.0
@@ -717,9 +713,7 @@ def integrate_volterra(
         state so that no slowly changing entry is rounded to 1 + small.
         """
         c1k, c2k, conv_k, f1a, f2a, f1b, f2b, f1c, f2c, u1, u2, E_old, E_new = x
-        m = W2 * conv_k
-        f1k = -a1 * m - 1j * K * c2k
-        f2k = -a2 * m - 1j * K * c1k
+        f1k, f2k = rhs(c1k, c2k, conv_k)
         p1 = c1k + ab[0] * f1k + ab[1] * f1a + ab[2] * f1b + ab[3] * f1c
         p2 = c2k + ab[0] * f2k + ab[1] * f2a + ab[2] * f2b + ab[3] * f2c
         up = a1 * p1 + a2 * p2
@@ -731,9 +725,7 @@ def integrate_volterra(
         else:
             base = e3 * E_old + h38 * (e3 * u2 + 3.0 * e2 * u1 + 3.0 * e1 * uk)
             w_last = h38
-        mem_p = W2 * (base + w_last * up)
-        fp1 = -a1 * mem_p - 1j * K * p2
-        fp2 = -a2 * mem_p - 1j * K * p1
+        fp1, fp2 = rhs(p1, p2, base + w_last * up)
         d1 = am[0] * fp1 + am[1] * f1k + am[2] * f1a + am[3] * f1b
         d2 = am[0] * fp2 + am[1] * f2k + am[2] * f2a + am[3] * f2b
         um = a1 * (c1k + d1) + a2 * (c2k + d2)
@@ -749,8 +741,9 @@ def integrate_volterra(
 
     probes = np.eye(13, dtype=complex)
     D_even, D_odd = abm_increment(probes, True), abm_increment(probes, False)
+    f1, f2 = rhs(c1[:3], c2[:3], conv[:3])
     x3 = np.array(
-        [c1[3], c2[3], conv[3], *f_at(2), *f_at(1), *f_at(0), u[2], u[1], conv[0], conv[2]]
+        [c1[3], c2[3], conv[3], f1[2], f2[2], f1[1], f2[1], f1[0], f2[0], u[2], u[1], conv[0], conv[2]]
     )
     # Node 3 is odd, so the steps from it alternate even, odd: scan their
     # product, I + D_pair, and read off each odd node and the even node after it.

@@ -6,7 +6,6 @@ output.  Only what the CLI needs: multi-series line charts and a heatmap.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -22,9 +21,10 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 # _Frame starts with the opening tag, the background, the title and the two
 # axis labels; rows handed to _Frame.save are written after them
 _HEAD_PARTS = 5
-# the heatmap colours this many drawn rows at a time and writes them as that
-# many copies of its row layout, so that no whole-grid array of colours or
-# bytes is ever held: on the figure's 401 x 301 grid, about 1 MB at the peak
+# the heatmap colours this many drawn rows at a time and writes each row as
+# it is filled in from its row template, so that no whole-grid array of
+# colours or bytes is ever held: on the figure's 401 x 301 grid, about 0.5 MB
+# at the peak
 _HEATMAP_ROWS = 16
 
 
@@ -96,8 +96,8 @@ class _Frame:
     def save(self, path, rows=()) -> None:
         """Write the parts, one line each, with ``rows`` after the header parts.
 
-        ``rows`` may be any iterable of byte strings or uint8 arrays, each
-        one or more lines that begin with a newline; each is written as it
+        ``rows`` may be any iterable of bytes-like objects, each one or
+        more lines that begin with a newline; each is written as it
         comes, and nothing is joined into one string first.
         """
         self.parts.append("</svg>")
@@ -179,33 +179,31 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="") -> None:
     x1 = np.append(x0[1:], fr.px(fr.xhi))
     y0 = fr.py(ys)
     y1 = np.append(y0[1:], fr.py(fr.yhi))
-    # every row has one layout, with the columns' x and width baked in; only
-    # the lengths of its top and height strings move the rest
-    lefts = [f"{v:.1f}" for v in x0.tolist()]
-    widths = [f"{v:.1f}" for v in (np.abs(x1 - x0) + 0.5).tolist()]
+    # one row's bytes: each column's <rect> with its x and width filled in,
+    # and \x01, \x02 and six \x03 where the row's top, height and fill go
+    template = bytearray("".join(
+        f'\n<rect x="{left:.1f}" y="\x01" width="{width:.1f}" height="\x02" fill="#\x03\x03\x03\x03\x03\x03"/>'
+        for left, width in zip(x0.tolist(), (np.abs(x1 - x0) + 0.5).tolist())
+    ).encode())
     tops = [f"{v:.1f}".encode() for v in np.minimum(y0, y1).tolist()]
     heights = [f"{v:.1f}".encode() for v in (np.abs(y0 - y1) + 0.5).tolist()]
     drawn = order[::sy]  # z's rows, in the order they are drawn
-    layouts = {}
+    # the fills' positions depend only on how many bytes longer than the
+    # template a row came out, since each fill follows its rect's top and height
+    fill_at = {}
 
     def rows():
         for start in range(0, drawn.size, _HEATMAP_ROWS):
-            stop = min(start + _HEATMAP_ROWS, drawn.size)
             # the fills' bytes, red first, as hex digit pairs
-            rgb = _viridis_rgb(z[drawn[start:stop], ::sx]).astype(">u4")
+            rgb = _viridis_rgb(z[drawn[start:start + _HEATMAP_ROWS], ::sx]).astype(">u4")
             fills = _HEX.take(rgb.view(np.uint8).reshape(*rgb.shape, 4)[..., 1:], axis=0)
-            # each run of rows whose top and height strings keep their lengths
-            runs = itertools.groupby(range(start, stop), lambda j: (len(tops[j]), len(heights[j])))
-            for key, run in runs:
-                run = list(run)
-                if key not in layouts:
-                    layouts[key] = _row_layout(lefts, widths, *key)
-                template, top_at, height_at, fill_at = layouts[key]
-                out = np.tile(template, (len(run), 1))
-                out[:, top_at] = _ascii(tops[run[0]:run[-1] + 1])[:, None, :]
-                out[:, height_at] = _ascii(heights[run[0]:run[-1] + 1])[:, None, :]
-                out[:, fill_at] = fills[run[0] - start:run[-1] + 1 - start].reshape(len(run), -1, 6)
-                yield out
+            for j, fill in enumerate(fills, start):
+                row = template.replace(b"\x01", tops[j]).replace(b"\x02", heights[j])
+                grown = len(row) - len(template)
+                if grown not in fill_at:
+                    fill_at[grown] = np.flatnonzero(np.frombuffer(row, dtype=np.uint8) == 3)
+                np.frombuffer(row, dtype=np.uint8)[fill_at[grown]] = fill.ravel()
+                yield row
 
     fr.axes()
     fr.save(path, rows())
@@ -213,33 +211,3 @@ def heatmap(path, x, y, z: np.ndarray, title="", xlabel="", ylabel="") -> None:
 
 # the two lowercase hex digits of each byte value
 _HEX = np.frombuffer(bytes(range(256)).hex().encode(), dtype=np.uint8).reshape(256, 2)
-
-
-def _ascii(strings: list[bytes]) -> np.ndarray:
-    """Byte strings of one length as a (len(strings), length) uint8 array."""
-    return np.frombuffer(b"".join(strings), dtype=np.uint8).reshape(len(strings), -1)
-
-
-def _row_layout(lefts, widths, top_len: int, height_len: int):
-    """One heatmap row's bytes, a newline and a ``<rect>`` for each column, with
-    blanks for its top and height strings, of these lengths, and its fills.
-
-    Returns the row as a uint8 array and the (columns, length) indices of the
-    top, height and fill bytes in it.
-    """
-    row = bytearray()
-    top_at, height_at, fill_at = [], [], []
-
-    def blank(at: list, n: int) -> None:
-        at.append(range(len(row), len(row) + n))
-        row.extend(b" " * n)
-
-    for left, width in zip(lefts, widths):
-        row += f'\n<rect x="{left}" y="'.encode()
-        blank(top_at, top_len)
-        row += f'" width="{width}" height="'.encode()
-        blank(height_at, height_len)
-        row += b'" fill="#'
-        blank(fill_at, 6)
-        row += b'"/>'
-    return np.frombuffer(row, dtype=np.uint8), np.array(top_at), np.array(height_at), np.array(fill_at)

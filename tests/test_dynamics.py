@@ -132,10 +132,9 @@ class TestPseudomode:
         assert time.perf_counter() - start < 1.0
 
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError, match="increasing"):
-            integrate_pseudomode(
-                fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array([0.0, 2.0, 1.0])
-            )
+        for times in ([0.0, 2.0, 1.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="increasing"):
+                integrate_pseudomode(fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array(times))
 
     def test_keeps_only_step_ends_without_grid(self):
         # the route keeps each accepted step's start and state, not the
@@ -1083,6 +1082,21 @@ class TestTrajectoryType:
             Trajectory(**{**good, "c1": np.array([0.0j, 0.1 + 0j])})
         with pytest.raises(ValueError, match="solver_tag"):
             Trajectory(**{**good, "solver_tag": "magic"})
+
+    def test_increasing_check_makes_no_full_length_temporary(self):
+        # comparing neighbouring times holds a 1 MB mask at 1,000,001
+        # samples; an array of their differences would add 8 MB
+        init = bell_state("plus")
+        t = np.linspace(0.0, 1.0, 1_000_001)
+        c1, c2 = np.full(t.size, init.c10), np.full(t.size, init.c20)
+        b = np.zeros(t.size, dtype=complex)
+        tracemalloc.start()
+        try:
+            Trajectory(init=init, t=t, c1=c1, c2=c2, b=b, solver_tag="closed_form")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestLeak:
