@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -28,15 +29,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import concurrence_array, concurrence_series, steady_state_verdict
+from .analysis import concurrence_array, steady_state_verdict
 from .closedform import char_cubic, char_roots, evolve_over_K
-from .dynamics import (
-    StepBudgetError,
-    Trajectory,
-    integrate_pseudomode,
-    leak_series,
-    sample_closed_form,
-)
+from .dynamics import StepBudgetError, Trajectory, integrate_pseudomode, sample_closed_form
 from .model import InitialAmplitudes, SystemParams, bell_state
 from .verification import (
     LEAK_IDENTITY_TOL,
@@ -55,6 +50,9 @@ TRAJECTORY_COLUMNS = (
     "tau", "re_c1", "im_c1", "re_c2", "im_c2", "re_b", "im_b",
     "p1", "p2", "pb", "p_leak", "concurrence",
 )
+
+# the solution routes ``run`` offers, as the solver field and --solver spell them
+_SOLVERS = ("closed", "ode", "volterra")
 
 
 class ConfigError(Exception):
@@ -180,8 +178,7 @@ _FIELDS = {
     # a subnormal t_end leaves no room for distinct sample times
     "t_end": (_rule(lambda x: x >= sys.float_info.min, "be positive and normal", _finite), None,
               {"run", "verify"}),
-    "solver": (_rule(lambda v: v in ("closed", "ode", "volterra"),
-                     "be one of closed|ode|volterra"), None, {"run"}),
+    "solver": (_rule(lambda v: v in _SOLVERS, "be one of " + "|".join(_SOLVERS)), None, {"run"}),
     "samples": (_rule(lambda n: n >= 2, "be >= 2", _integer), 2001, {"run"}),
     "n_steps": (_rule(lambda n: n >= 1, "be >= 1", _integer), 20000, {"run", "verify"}),
     # read by no command, but accepted: existing configs, the benchmark's among them, carry it
@@ -313,25 +310,27 @@ def _merged_config(args: argparse.Namespace) -> dict:
 # CSV emission
 
 
+def _trajectory_rows(traj: Trajectory, s: slice) -> np.ndarray:
+    """The rows ``s`` of the trajectory table, one column per TRAJECTORY_COLUMNS entry."""
+    c1, c2, b = traj.c1[s], traj.c2[s], traj.b[s]
+    p1, p2, pb = np.abs(c1) ** 2, np.abs(c2) ** 2, np.abs(b) ** 2
+    # the leak and the concurrence as leak_series and concurrence_series form them
+    p_leak = np.maximum(1.0 - (p1 + p2 + pb), 0.0)
+    return np.column_stack((
+        traj.t[s],
+        c1.real, c1.imag, c2.real, c2.imag, b.real, b.imag,
+        *np.clip((p1, p2, pb), 0.0, 1.0), p_leak, concurrence_array(c1, c2),
+    ))
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Write the canonical trajectory table; its times are already tau, in units of 1/lambda.
 
     The derived columns are formed a block of rows at a time, so only the
-    trajectory's own arrays span every sample.
+    trajectory's own arrays span every sample.  ``run --svg`` draws its
+    chart from the same rows, formed only for the samples the chart keeps.
     """
-
-    def rows(s: slice) -> np.ndarray:
-        c1, c2, b = traj.c1[s], traj.c2[s], traj.b[s]
-        p1, p2, pb = np.abs(c1) ** 2, np.abs(c2) ** 2, np.abs(b) ** 2
-        # the leak and the concurrence as leak_series and concurrence_series form them
-        p_leak = np.maximum(1.0 - (p1 + p2 + pb), 0.0)
-        return np.column_stack((
-            traj.t[s],
-            c1.real, c1.imag, c2.real, c2.imag, b.real, b.imag,
-            *np.clip((p1, p2, pb), 0.0, 1.0), p_leak, concurrence_array(c1, c2),
-        ))
-
-    _write_table(path, TRAJECTORY_COLUMNS, len(traj), rows)
+    _write_table(path, TRAJECTORY_COLUMNS, len(traj), functools.partial(_trajectory_rows, traj))
 
 
 def _write_sweep_csv(path: str, tau: np.ndarray, k_values, columns) -> None:
@@ -567,22 +566,14 @@ def _run_trajectory(
             traj = sample_closed_form(params, init, grid)
         _check_closed_form("t_end", t_end, traj.c1, traj.c2, traj.b)
         return traj
-    if solver == "ode":
-        try:
-            return integrate_pseudomode(params, init, tau_end, times=grid)
-        except StepBudgetError as exc:
-            raise _too_many_steps(exc, ", or use --solver closed") from exc
-    # the memory-kernel route, the one left, takes a step per sample interval at least
-    if samples - 1 > dynamics._MAX_VOLTERRA_STEPS:
+    # the memory-kernel route takes a step per sample interval at least
+    if solver == "volterra" and samples - 1 > dynamics._MAX_VOLTERRA_STEPS:
         raise ConfigError(f"field 'samples' = {samples} asks the memory-kernel route for more "
                           f"than its {dynamics._MAX_VOLTERRA_STEPS} steps, one per interval")
-    n_steps = cfg["n_steps"]
-    try:
-        return sample_volterra(params, init, tau_end, n_steps, samples)
-    except ValueError as exc:
-        raise _steps_out_of_range(n_steps, exc) from exc
-    except PopulationGrowthError as exc:
-        raise _too_coarse(n_steps, t_end, exc) from exc
+    with _route_refusals(cfg["n_steps"], t_end, ", or use --solver closed"):
+        if solver == "ode":
+            return integrate_pseudomode(params, init, tau_end, times=grid)
+        return sample_volterra(params, init, tau_end, cfg["n_steps"], samples)
 
 
 def _check_closed_form(field: str, reach: float, *amplitudes: np.ndarray) -> None:
@@ -595,27 +586,25 @@ def _check_closed_form(field: str, reach: float, *amplitudes: np.ndarray) -> Non
         )
 
 
-def _too_coarse(n_steps: int, t_end: float, exc: PopulationGrowthError) -> ConfigError:
-    """The refusal of a memory-kernel run to ``t_end`` whose population grew, asked
-    for with ``n_steps`` steps and run with ``exc.steps``."""
-    return ConfigError(
-        f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
-        f"t_end / {exc.steps} = {t_end / exc.steps:.3g}; use more steps, or a shorter 't_end'"
-    )
-
-
-def _steps_out_of_range(n_steps: int, exc: ValueError) -> ConfigError:
-    """The refusal of a memory-kernel run that would take too few or too many steps."""
-    return ConfigError(
-        f"field 'n_steps' = {n_steps}, rounded up per sample interval, is out of range: {exc}"
-    )
-
-
-def _too_many_steps(exc: StepBudgetError, alternative: str = "") -> ConfigError:
-    """The refusal of an adaptive run that used up its step budget short of
-    ``t_end``; ``alternative`` follows the advice to lower it."""
-    return ConfigError(f"field 't_end' asks for too many steps ({exc}, in units of 1/lambda): "
-                       f"lower it{alternative}")
+@contextlib.contextmanager
+def _route_refusals(n_steps: int, t_end: float, alternative: str = ""):
+    """Refuse, naming the field, a route that gives up inside the block: the adaptive
+    route's spent step budget names ``t_end``, with ``alternative`` after the advice
+    to lower it, and the memory-kernel route's step count, out of range
+    (ValueError) or too coarse (PopulationGrowthError), names ``n_steps``."""
+    try:
+        yield
+    except StepBudgetError as exc:
+        raise ConfigError(f"field 't_end' asks for too many steps ({exc}, in units of "
+                          f"1/lambda): lower it{alternative}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"field 'n_steps' = {n_steps}, rounded up per sample interval, "
+                          f"is out of range: {exc}") from exc
+    except PopulationGrowthError as exc:
+        raise ConfigError(
+            f"field 'n_steps' = {n_steps} is too coarse for these parameters: {exc} at the step "
+            f"t_end / {exc.steps} = {t_end / exc.steps:.3g}; use more steps, or a shorter 't_end'"
+        ) from exc
 
 
 def _chart_path(cfg: dict, out: str) -> str | None:
@@ -655,17 +644,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_trajectory_csv(out, traj)
     print(f"wrote {len(traj)} samples to {out} (solver: {traj.solver_tag})")
     if svg_path:
-        tau, conc = concurrence_series(traj)
-        _, p_leak = leak_series(traj)
+        # only the rows line_chart draws, every (n // 1600)-th of a long run
+        rows = _trajectory_rows(traj, slice(None, None, max(1, len(traj) // 1600)))
+        col = dict(zip(TRAJECTORY_COLUMNS, rows.T))
         _write_chart(
             svg_path,
             svgplot.line_chart,
-            tau,
+            col["tau"],
             {
-                "concurrence": conc,
-                "p1 + p2": traj.p1 + traj.p2,
-                "pb": traj.pb,
-                "p_leak": p_leak,
+                "concurrence": col["concurrence"],
+                "p1 + p2": col["p1"] + col["p2"],
+                "pb": col["pb"],
+                "p_leak": col["p_leak"],
             },
             title="time evolution",
             xlabel="tau = lam * t",
@@ -783,16 +773,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_steps = cfg["n_steps"]
     kernel_sign = -1.0 if args.corrupt_kernel_sign else 1.0
 
-    try:
+    with _route_refusals(n_steps, t_end):
         comp = compare_solvers(
             params, init, t_end=_horizon(cfg, t_end), n_steps=n_steps, _kernel_sign=kernel_sign
         )
-    except StepBudgetError as exc:
-        raise _too_many_steps(exc) from exc
-    except ValueError as exc:  # the memory-kernel route's step count
-        raise _steps_out_of_range(n_steps, exc) from exc
-    except PopulationGrowthError as exc:
-        raise _too_coarse(n_steps, t_end, exc) from exc
 
     failures = 0
     sup = ("sup-norm", THREE_SOLVER_TOL)
@@ -831,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the config field behind each flag, --t-end for t_end
     flags = {
-        "solver": {"choices": ("closed", "ode", "volterra"), "help": "solution route"},
+        "solver": {"choices": _SOLVERS, "help": "solution route"},
         "out": {"help": "output path (overrides config)"},
         "svg": {"action": "store_true", "help": "also write an SVG chart"},
         "t_end": {"type": float, "help": "integration horizon"},

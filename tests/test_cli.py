@@ -28,7 +28,7 @@ from atompair.cli import (
     params_from_config,
     write_trajectory_csv,
 )
-from atompair import char_roots, concurrence_array, dynamics, verification
+from atompair import char_roots, concurrence_array, dynamics, svgplot, verification
 from atompair.dynamics import integrate_pseudomode, leak_series, sample_closed_form
 from atompair.model import bell_state
 
@@ -409,14 +409,25 @@ class TestFaultyInputs:
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_OK
 
     @pytest.mark.parametrize("command", [["verify"], ["run", "--solver", "volterra"]])
-    def test_overflowing_volterra_step_is_named(self, tmp_path, capsys, command):
-        # the refusal gives the step, so that t_end shows as what sets it
-        cfg = write_config(tmp_path, "c.json", _VOLTERRA_OVERFLOW)
+    @pytest.mark.parametrize("n_steps, line", [
+        (None, "error: field 'n_steps' = 20000 is too coarse for these parameters: the "
+               "memory-kernel route's tracked population grew to nan at the step "
+               "t_end / 20000 = 5e+295; use more steps, or a shorter 't_end'"),
+        # the steps taken: 3000 rounded up to 2 per interval of a 2001-point grid
+        (3000, "error: field 'n_steps' = 3000 is too coarse for these parameters: the "
+               "memory-kernel route's tracked population grew to nan at the step "
+               "t_end / 4000 = 2.5e+296; use more steps, or a shorter 't_end'"),
+    ])
+    def test_overflowing_volterra_step_is_named(self, tmp_path, capsys, command, n_steps, line):
+        # the refusal gives the step, so that t_end shows as what sets it;
+        # run and verify write the same line
+        payload = {**_VOLTERRA_OVERFLOW, **({} if n_steps is None else {"n_steps": n_steps})}
+        cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o.csv"
         out_flag = [] if command == ["verify"] else ["--out", str(out)]
         assert main([*command, "--config", cfg, *out_flag]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "'n_steps'" in captured.err and "t_end / 20000 = 5e+295" in captured.err
+        assert captured.err.splitlines()[-1] == line
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command, payload", [("run", _RUN), ("sweep", _SWEEP)])
@@ -465,11 +476,16 @@ class TestStepBudget:
         cfg = write_config(tmp_path, "c.json", _RUN)
         out = tmp_path / "o.csv"
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "ode"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "'t_end'" in err and "--solver closed" in err
+        assert capsys.readouterr().err == (
+            "error: field 't_end' asks for too many steps (more than 20 adaptive steps tried "
+            "by t = 0.8197449534227375, in units of 1/lambda): lower it, or use --solver closed\n")
         assert not out.exists()
+        # verify has no closed-form alternative to offer
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
-        assert "'t_end'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "note: verify does not read config field(s) 'samples'\n"
+            "error: field 't_end' asks for too many steps (more than 20 adaptive steps tried "
+            "by t = 0.4887752899686609, in units of 1/lambda): lower it\n")
         # the closed form reaches the same horizon
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed"]) == EXIT_OK
 
@@ -480,13 +496,16 @@ class TestStepBudget:
         cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 6000})
         out = tmp_path / "o.csv"
         argv = ["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]
+        line = ("error: field 'n_steps' = 6000, rounded up per sample interval, is out of "
+                "range: n_steps must lie in [100, 5000], got 6000")
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "'n_steps' = 6000" in captured.err and "[100, 5000], got 6000" in captured.err
+        assert captured.err == line + "\n"
         assert captured.out == "" and not out.exists()
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "'n_steps' = 6000" in captured.err and captured.out == ""
+        assert captured.err == "note: verify does not read config field(s) 'samples'\n" + line + "\n"
+        assert captured.out == ""
         # a count within the ceiling runs
         cfg = write_config(tmp_path, "c.json", {**_RUN, "n_steps": 4000})
         assert main(argv) == EXIT_OK
@@ -681,6 +700,27 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_OK
         svg = (tmp_path / "c.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_chart_forms_only_the_rows_it_draws(self, tmp_path, monkeypatch):
+        # 40,001 samples thin to every 25th: the chart's series are the CSV's
+        # own columns at those 1,601 rows, not full-length arrays
+        drawn = []
+        line_chart = svgplot.line_chart
+        monkeypatch.setattr(svgplot, "line_chart",
+                            lambda *a, **k: drawn.append(a) or line_chart(*a, **k))
+        payload = {**FIG1A_K0, "t_end": 5.0, "samples": 40001}
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "c.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed",
+                     "--svg"]) == EXIT_OK
+        [(_, tau, series)] = drawn
+        col = dict(zip(TRAJECTORY_COLUMNS, np.loadtxt(out, delimiter=",", skiprows=1)[::25].T))
+        assert list(series) == ["concurrence", "p1 + p2", "pb", "p_leak"]
+        expected = {"concurrence": col["concurrence"], "p1 + p2": col["p1"] + col["p2"],
+                    "pb": col["pb"], "p_leak": col["p_leak"]}
+        for y, want in [(tau, col["tau"]), *zip(series.values(), expected.values())]:
+            assert y.shape == (1601,)
+            np.testing.assert_array_equal(y, want)
 
 
 class TestSweep:
