@@ -408,20 +408,9 @@ class TestFaultyInputs:
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["run", "--config", cfg, "--out", str(out), "--solver", "volterra"]) == EXIT_OK
 
-    @pytest.mark.parametrize("command", [["verify"], ["run", "--solver", "volterra"]])
-    @pytest.mark.parametrize("n_steps, line", [
-        (None, "error: field 'n_steps' = 20000 is too coarse for these parameters: the "
-               "memory-kernel route's tracked population grew to nan at the step "
-               "t_end / 20000 = 5e+295; use more steps, or a shorter 't_end'"),
-        # the steps taken: 3000 rounded up to 2 per interval of a 2001-point grid
-        (3000, "error: field 'n_steps' = 3000 is too coarse for these parameters: the "
-               "memory-kernel route's tracked population grew to nan at the step "
-               "t_end / 4000 = 2.5e+296; use more steps, or a shorter 't_end'"),
-    ])
-    def test_overflowing_volterra_step_is_named(self, tmp_path, capsys, command, n_steps, line):
-        # the refusal gives the step, so that t_end shows as what sets it;
+    @staticmethod
+    def _assert_volterra_refusal(tmp_path, capsys, command, payload, line):
         # run and verify write the same line
-        payload = {**_VOLTERRA_OVERFLOW, **({} if n_steps is None else {"n_steps": n_steps})}
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o.csv"
         out_flag = [] if command == ["verify"] else ["--out", str(out)]
@@ -429,6 +418,24 @@ class TestFaultyInputs:
         captured = capsys.readouterr()
         assert captured.err.splitlines()[-1] == line
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["run", "--solver", "volterra"]])
+    def test_overflowing_volterra_step_is_named(self, tmp_path, capsys, command):
+        # the refusal gives the step, so that t_end shows as what sets it
+        self._assert_volterra_refusal(
+            tmp_path, capsys, command, _VOLTERRA_OVERFLOW,
+            "error: field 'n_steps' = 20000 is too coarse for these parameters: the "
+            "memory-kernel route's tracked population grew to nan at the step "
+            "t_end / 20000 = 5e+295; use more steps, or a shorter 't_end'")
+
+    @pytest.mark.parametrize("command", [["verify"], ["run", "--solver", "volterra"]])
+    def test_overflowing_volterra_step_is_the_one_taken(self, tmp_path, capsys, command):
+        # the steps taken: 3000 rounded up to 2 per interval of a 2001-point grid
+        self._assert_volterra_refusal(
+            tmp_path, capsys, command, {**_VOLTERRA_OVERFLOW, "n_steps": 3000},
+            "error: field 'n_steps' = 3000 is too coarse for these parameters: the "
+            "memory-kernel route's tracked population grew to nan at the step "
+            "t_end / 4000 = 2.5e+296; use more steps, or a shorter 't_end'")
 
     @pytest.mark.parametrize("command, payload", [("run", _RUN), ("sweep", _SWEEP)])
     def test_chart_over_the_csv_is_refused(self, tmp_path, capsys, command, payload):
