@@ -644,7 +644,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_trajectory_csv(out, traj)
     print(f"wrote {len(traj)} samples to {out} (solver: {traj.solver_tag})")
     if svg_path:
-        # only the rows line_chart draws, every (n // 1600)-th of a long run
+        # the chart's one thinning: every (n // 1600)-th row, plenty for 880 px
         rows = _trajectory_rows(traj, slice(None, None, max(1, len(traj) // 1600)))
         col = dict(zip(TRAJECTORY_COLUMNS, rows.T))
         _write_chart(

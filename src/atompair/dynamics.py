@@ -12,19 +12,19 @@ mode decays at rate 1.  Two independent routes produce trajectories:
   product with the four distinct entries of ``hM``: M is symmetric, with
   zeros where the atoms would couple to themselves.  The same polynomial
   at a fraction x of the step is a step of length ``x h``, and it is the
-  dense output: no interpolant of its own, and at ``x = 1`` the accepted
-  state bit for bit.  :func:`_dop853` returns the accepted steps only; one
-  function, :func:`_dense_coefficients`, forms the step polynomials on
-  them, both for a sample grid (:func:`_dense_output`) and for the
-  population-balance check of :mod:`atompair.verification`
-  (:func:`_balance_residual`), which evaluates the polynomials and their
-  derivatives on every step.  One function, :func:`_adaptive_run`, runs
-  the stepper for both :func:`integrate_pseudomode` and
-  :mod:`atompair.verification`, each at its own fixed pair of tolerances:
-  ``_TOLERANCES`` (1e-9 relative, 1e-12 absolute) here, and the tighter
-  ``LEAK_IDENTITY_CONFIG`` for the checks.  The route takes no other
-  settings.  It stops with :class:`StepBudgetError` once it has tried
-  ``_MAX_STEPS`` steps short of ``t_end``.
+  dense output: no interpolant of its own, and each step's end is the
+  state the stepper accepted there.  :func:`_dop853` returns the accepted
+  steps only; :func:`_dense_coefficients` forms the step polynomials on
+  them and :func:`_horner` evaluates them, both for a sample grid
+  (:func:`_dense_output`) and for the population-balance check of
+  :mod:`atompair.verification` (:func:`_balance_residual`), which reads
+  the polynomials and their derivatives on every step.  One function,
+  :func:`_adaptive_run`, runs the stepper for both :func:`integrate_pseudomode`
+  and :mod:`atompair.verification`, each at its own fixed pair of
+  tolerances: ``_TOLERANCES`` (1e-9 relative, 1e-12 absolute) here, and the
+  tighter ``LEAK_IDENTITY_CONFIG`` for the checks.  The route takes no
+  other settings.  It stops with :class:`StepBudgetError` once it has
+  tried ``_MAX_STEPS`` steps short of ``t_end``.
 
 * :func:`integrate_volterra` discretizes the original integro-differential
   equations directly, where the reservoir enters through the memory kernel
@@ -245,8 +245,8 @@ _E3 = (
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # Sample times the dense output evaluates at once, so that its working
 # arrays stay in cache.  On the README reference case's 185 steps, 200,001
-# times took 25-39 ms in blocks of 1024 to 16384, 8192 the least, and
-# 100 ms in one block; 1,000,001 times took 158 ms at 8192 and 579 ms in
+# times took 24-35 ms in blocks of 1024 to 16384, 8192 the least, and
+# 56 ms in one block; 1,000,001 times took 125 ms at 8192 and 415 ms in
 # one block (2-CPU x86-64 machine, numpy 2.4).
 _DENSE_BLOCK = 8192
 
@@ -462,34 +462,29 @@ def _dense_coefficients(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, steps
     """The polynomials of the steps ``steps`` of the :func:`_dop853` run ``(bounds, ys)``.
 
     Step n spans ``bounds[n]..bounds[n + 1]`` from ``ys[:, n]``.  Returns
-    each step's length, and the coefficients ``_W[j] z_j`` of ``x^j``,
+    each step's length, and the coefficients ``_W[j] (hM)^j y`` of ``x^j``,
     ``j = 0..12``, x the fraction of the step elapsed, shape
-    ``(13, 3, steps.size)``, for all the steps at once.  The z_j are formed
-    in real arithmetic that repeats the stepper's complex products and sums
-    term for term, so each coefficient is the value the stepper weighed.
+    ``(13, 3, steps.size)``, formed by :func:`numpy.einsum`, without BLAS.
     """
     length = bounds[steps + 1] - bounds[steps]
-    (_, mk, mw1), (_, _, mw2), (_, _, ml) = M.tolist()
-    # the stepper's z_j+1 = (nk b + nw1 c, nk a + nw2 c, (nw1 a + nw2 b) + nl c)
-    # for z_j = (a, b, c): the entries of hM that take (b, a, a), those that
-    # take (c, c, b), and nl, each as real and imaginary parts
-    entries = np.array([[mk, mk, mw1], [mw1, mw2, mw2]])
-    hr, hi = entries.real[..., None] * length, entries.imag[..., None] * length
-    lr, li = ml.real * length, ml.imag * length
+    hM = M[..., None] * length
     coef = np.empty((len(_W), 3, steps.size), dtype=complex)
     coef[0] = z = ys[:, steps]
-    re, im = z.real, z.imag
     for j in range(1, len(_W)):
-        pr, pi = re[[1, 0, 0]], im[[1, 0, 0]]
-        qr, qi = re[[2, 2, 1]], im[[2, 2, 1]]
-        new_re = (hr[0] * pr - hi[0] * pi) + (hr[1] * qr - hi[1] * qi)
-        new_im = (hr[0] * pi + hi[0] * pr) + (hr[1] * qi + hi[1] * qr)
-        new_re[2] += lr * re[2] - li * im[2]
-        new_im[2] += lr * im[2] + li * re[2]
-        re, im = new_re, new_im
-        coef.real[j] = _W[j] * re
-        coef.imag[j] = _W[j] * im
+        z = np.einsum("ikn,kn->in", hM, z)
+        coef[j] = _W[j] * z
     return length, coef
+
+
+def _horner(x: np.ndarray, coef) -> np.ndarray:
+    """``sum_j c_j x^j`` by Horner's rule, ``coef`` yielding the c_j one at a
+    time from the highest power (at least 1) down, each broadcasting against x."""
+    coef = iter(coef)
+    acc = next(coef) * x + next(coef)
+    for c in coef:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.ndarray):
@@ -497,12 +492,11 @@ def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.n
     ``(bounds, ys)`` of ``M`` at sorted ``times``, from each step's polynomial.
 
     A time ``x`` of the way through a step is a step of length ``x h`` from
-    its start, ``sum_j coef[j] x^j``, summed in order of j as the stepper
-    sums the step; the coefficients are formed only for the steps that hold
-    a time.  A time equal to a step's end belongs to that step, and its
-    value, at ``x = 1``, is the state the stepper accepted there.  The times
+    its start, ``sum_j coef[j] x^j``, evaluated by :func:`_horner`; the
+    coefficients are formed only for the steps that hold a time.  The times
     go ``_DENSE_BLOCK`` at a time, each block's steps found by counting the
-    times each step holds.
+    times each step holds.  A time equal to a step's end is given the state
+    the stepper accepted there, ``ys[:, n + 1]``.
     """
     steps = np.flatnonzero(np.diff(np.searchsorted(times, bounds[1:], side="right"), prepend=0))
     start, end = bounds[steps], bounds[steps + 1]
@@ -514,12 +508,10 @@ def _dense_output(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray, times: np.n
         held = np.searchsorted(block, end[first : last + 1], side="right")
         k = np.repeat(np.arange(first, last + 1), np.diff(held, prepend=0))
         x = (block - start[k]) / length[k]
-        acc = coef[0].take(k, axis=-1)
-        power = x.copy()
-        for c in coef[1:]:
-            acc += power * c.take(k, axis=-1)
-            power *= x
-        y[:, lo : lo + _DENSE_BLOCK] = acc
+        y[:, lo : lo + _DENSE_BLOCK] = _horner(x, (c.take(k, axis=-1) for c in coef[::-1]))
+    i = np.searchsorted(times, end).clip(max=times.size - 1)
+    on_end = times[i] == end
+    y[:, i[on_end]] = ys[:, steps[on_end] + 1]
     return y
 
 
@@ -536,27 +528,19 @@ def _balance_residual(M: np.ndarray, bounds: np.ndarray, ys: np.ndarray) -> floa
     dP/dt = -2 |b|^2 exactly.  On each step the state is the step's
     polynomial ``y(x) = sum_j c_j x^j`` of :func:`_dense_coefficients`, x
     the fraction of the step elapsed, and ``dy/dt = y'(x) / h``.  Both are
-    evaluated by Horner at ``_BALANCE_NODES`` midpoints of each step, and
-    the largest ``|dP/dt + 2 |b|^2|``, with
-    ``dP/dt = 2 Re(conj(y) . y'(x)) / h``, is returned; a NaN anywhere makes
-    it NaN.  The steps go ``_BALANCE_BLOCK`` at a time.
+    evaluated by :func:`_horner` at ``_BALANCE_NODES`` midpoints of each
+    step, and the largest ``|dP/dt + 2 |b|^2|``, with ``dP/dt = 2
+    Re(conj(y) . y'(x)) / h``, is returned; a NaN anywhere makes it NaN.
+    The steps go ``_BALANCE_BLOCK`` at a time.
     """
     x = (np.arange(_BALANCE_NODES) + 0.5) / _BALANCE_NODES
 
     def defect(steps: np.ndarray) -> float:
         length, coef = _dense_coefficients(M, bounds, ys, steps)
-        top = coef.shape[0] - 1
-        y = coef[top][..., None] * np.ones_like(x)
-        dy = top * y
-        for j in range(top - 1, -1, -1):
-            y *= x
-            y += coef[j][..., None]
-            if j:
-                dy *= x
-                dy += j * coef[j][..., None]
+        y = _horner(x, coef[::-1, ..., None])
+        dy = _horner(x, (j * coef[j, ..., None] for j in range(len(coef) - 1, 0, -1)))
         dpop = sum(v.real * d.real + v.imag * d.imag for v, d in zip(y, dy))
-        b = y[2]
-        r = 2.0 * dpop / length[:, None] + 2.0 * (b.real * b.real + b.imag * b.imag)
+        r = 2.0 * (dpop / length[:, None] + y[2].real ** 2 + y[2].imag ** 2)
         return np.abs(r).max()
 
     n = bounds.size - 1

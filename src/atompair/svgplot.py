@@ -110,19 +110,18 @@ class _Frame:
 
 
 def line_chart(path, x, series: dict[str, np.ndarray], title="", xlabel="", ylabel="") -> None:
-    """Write a multi-series line chart; ``series`` maps legend label to y values."""
+    """Write a multi-series line chart of every point given; ``series`` maps
+    legend label to y values, and a caller thins a long trace first."""
     x = np.asarray(x, dtype=float)
     ylo = min(float(np.min(v)) for v in series.values())
     yhi = max(float(np.max(v)) for v in series.values())
     fr = _Frame(float(x[0]), float(x[-1]), ylo, yhi, title, xlabel, ylabel)
     fr.axes()
-    # thin long traces so files stay small; 1600 points are plenty for 880 px
-    step = max(1, x.size // 1600)
-    px = fr.px(x[::step])
+    px = fr.px(x)
     points = " ".join(["%.1f,%.1f"] * px.size)
     for k, (label, y) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        py = fr.py(np.asarray(y, dtype=float)[::step])
+        py = fr.py(np.asarray(y, dtype=float))
         pts = points % tuple(np.column_stack((px, py)).ravel().tolist())
         fr.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * k

@@ -203,6 +203,11 @@ class TestDisentanglementTime:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="threshold"):
             disentanglement_time((t, np.ones_like(t)), 1.5, window=1.0)
+        # the window and the series are checked too
+        with pytest.raises(ValueError, match="window"):
+            disentanglement_time((t, np.ones_like(t)), 0.5, window=-1.0)
+        with pytest.raises(ValueError, match="equally sized"):
+            disentanglement_time((t, np.ones(5)), 0.5, window=1.0)
 
     def test_matches_per_sample_loop(self, rng):
         # values on three levels, so that runs below the threshold alternate

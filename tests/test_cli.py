@@ -280,6 +280,9 @@ _SWEEP = {
     "R_rel": 10.0, "r1": SQRT3_2, "init": "phi_minus",
     "K_rel_values": [0.0, 2.0], "tau_grid": [0.0, 2.0, 21],
 }
+# the reference rates given explicitly, in units of lambda = 1
+_EXPLICIT = {"lambda": 1.0, "W": 10.0, "alpha1": SQRT3_2, "alpha2": 0.5, "K": 2.0,
+             "init": "phi_minus", "t_end": 2.0}
 
 
 # equal couplings keep an undamped pole at i K_rel: at tau = 1e308 its phase
@@ -353,6 +356,14 @@ class TestFaultyInputs:
               for command in ("run", "sweep", "roots", "verify")),
             # a negative R_rel is refused as itself, not as the W it once became
             ("run", {"R_rel": -1, "r1": 0.5, "init": "phi_minus", "t_end": 2.0}, [], "R_rel"),
+            # W / lambda overflows; a JSON integer too large for a float;
+            # lambda * t_end underflows to zero
+            ("run", {**_EXPLICIT, "lambda": 1e-300, "W": 1e300}, [], "W"),
+            ("run", {**_RUN, "t_end": 10**400}, [], "t_end"),
+            ("run", {**_EXPLICIT, "lambda": 1e-300, "W": 1e-300, "K": 0.0, "t_end": 1e-300},
+             [], "t_end"),
+            ("sweep", {**_SWEEP, "tau_grid": [0.0, 2.0, 1.5]}, [], "tau_grid"),
+            ("sweep", {**_SWEEP, "K_values": [0.0, 2.0]}, [], "K_values"),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, payload, extra, field):
@@ -363,6 +374,12 @@ class TestFaultyInputs:
         assert main([command, "--config", cfg, *out_flag, *extra]) == EXIT_CONFIG
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists() and not out.with_suffix(".svg").exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", [_RUN])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("value", [True, "", None, ["o.csv"]])
     def test_out_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
@@ -456,6 +473,12 @@ class TestFaultyInputs:
         out = tmp_path / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == EXIT_CONFIG
         assert f"cannot write {chart}" in capsys.readouterr().err
+
+    def test_unwritable_csv_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        cfg = write_config(tmp_path, "c.json", _RUN)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_max_step_is_an_unknown_field(self, tmp_path, capsys):
         # the adaptive step has no cap: a config that sets one is refused
@@ -709,25 +732,33 @@ class TestRun:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_chart_forms_only_the_rows_it_draws(self, tmp_path, monkeypatch):
-        # 40,001 samples thin to every 25th: the chart's series are the CSV's
-        # own columns at those 1,601 rows, not full-length arrays
+        # a run keeps every (samples // 1600)-th row: all 3,199 rows, every
+        # 2nd of 3,200 and every 25th of 40,001.  The chart's series are the
+        # CSV's own columns at those rows, not full-length arrays, and
+        # line_chart draws each of their points
         drawn = []
         line_chart = svgplot.line_chart
         monkeypatch.setattr(svgplot, "line_chart",
                             lambda *a, **k: drawn.append(a) or line_chart(*a, **k))
-        payload = {**FIG1A_K0, "t_end": 5.0, "samples": 40001}
-        cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "c.csv"
-        assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed",
-                     "--svg"]) == EXIT_OK
-        [(_, tau, series)] = drawn
-        col = dict(zip(TRAJECTORY_COLUMNS, np.loadtxt(out, delimiter=",", skiprows=1)[::25].T))
-        assert list(series) == ["concurrence", "p1 + p2", "pb", "p_leak"]
-        expected = {"concurrence": col["concurrence"], "p1 + p2": col["p1"] + col["p2"],
-                    "pb": col["pb"], "p_leak": col["p_leak"]}
-        for y, want in [(tau, col["tau"]), *zip(series.values(), expected.values())]:
-            assert y.shape == (1601,)
-            np.testing.assert_array_equal(y, want)
+        for samples, stride, points in [(3199, 1, 3199), (3200, 2, 1600), (40001, 25, 1601)]:
+            drawn.clear()
+            payload = {**FIG1A_K0, "t_end": 5.0, "samples": samples}
+            cfg = write_config(tmp_path, "c.json", payload)
+            assert main(["run", "--config", cfg, "--out", str(out), "--solver", "closed",
+                         "--svg"]) == EXIT_OK
+            [(_, tau, series)] = drawn
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)[::stride]
+            col = dict(zip(TRAJECTORY_COLUMNS, rows.T))
+            assert list(series) == ["concurrence", "p1 + p2", "pb", "p_leak"]
+            expected = {"concurrence": col["concurrence"], "p1 + p2": col["p1"] + col["p2"],
+                        "pb": col["pb"], "p_leak": col["p_leak"]}
+            for y, want in [(tau, col["tau"]), *zip(series.values(), expected.values())]:
+                assert y.shape == (points,)
+                np.testing.assert_array_equal(y, want)
+            svg = out.with_suffix(".svg").read_text()
+            polylines = re.findall(r'points="([^"]*)"', svg)
+            assert [p.count(",") for p in polylines] == [points] * 4
 
 
 class TestSweep:

@@ -135,6 +135,10 @@ class TestPseudomode:
         for times in ([0.0, 2.0, 1.0], [0.0, np.nan, 1.0]):
             with pytest.raises(ValueError, match="increasing"):
                 integrate_pseudomode(fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array(times))
+        # a grid must also start at 0 and stay within t_end
+        for times, match in (([0.5, 1.0], "start"), ([], "start"), ([0.0, 5.5], "past t_end")):
+            with pytest.raises(ValueError, match=match):
+                integrate_pseudomode(fig_params(K=1.0), bell_state("plus"), 5.0, times=np.array(times))
 
     def test_keeps_only_step_ends_without_grid(self):
         # the route keeps each accepted step's start and state, not the
@@ -539,8 +543,8 @@ def dop853_polynomial_reference(M, y0, t_end, rtol, atol, times):
     kept as the byte-for-byte reference for the four-entry step of ``_dop853``.
 
     Returns ``(t, y)`` as ``_dop853`` does with ``times`` None; on ``times``
-    the dense output forms every step's coefficients and evaluates them
-    unblocked.
+    the dense output forms every step's coefficients on Python complex
+    scalars and evaluates them unblocked.
     """
     f = general_product(M, 1.0)
     rtol = max(rtol, 100.0 * np.finfo(float).eps)
@@ -608,7 +612,7 @@ def dop853_polynomial_reference(M, y0, t_end, rtol, atol, times):
     ys = np.array(states + [y], dtype=complex).T
     if times is None:
         return bounds, ys
-    return times, dense_unblocked_reference(bounds, dense_coefficients(M, bounds, ys), times)
+    return times, dense_unblocked_reference(bounds, ys, dense_coefficients(M, bounds, ys), times)
 
 
 def dense_coefficients(M, bounds, ys):
@@ -634,7 +638,8 @@ SINGLE_ATOM = fig_params(K=0.0, r1=1.0)
 
 
 class TestFourEntryStep:
-    """The four-entry step of ``_dop853`` is the general-M loop, byte for byte."""
+    """The four-entry step of ``_dop853`` is the general-M loop, byte for byte,
+    and its dense output that loop's to rounding."""
 
     @ADAPTIVE_CONFIGS
     def test_same_bytes_as_general_product(self, rng, tols):
@@ -655,27 +660,34 @@ class TestFourEntryStep:
             assert y.tobytes() == y_ref.tobytes()
             on_grid = dyn._dense_output(M, t, y, grid)
             _, on_grid_ref = dop853_polynomial_reference(*args, grid)
-            assert on_grid.tobytes() == on_grid_ref.tobytes()
+            assert np.abs(on_grid - on_grid_ref).max() <= 1e-15 * np.abs(y).max()
         # with atom 2 uncoupled and no dipole, c2 never leaves zero
         assert not y[1].any() and not on_grid[1].any()
 
 
-def dense_unblocked_reference(bounds, coef, times):
+def dense_unblocked_reference(bounds, ys, coef, times):
     """Every time at once: binary search for its step, then the step's
-    polynomial summed in order of the powers of x."""
+    polynomial by Horner's rule; a time on a step's end takes the state
+    accepted there."""
     idx = np.searchsorted(bounds[1:], times, side="left")
     step = np.diff(bounds)
     x = (times - bounds[idx]) / step[idx]
-    acc = coef[0][:, idx]
-    power = x
-    for c in coef[1:]:
-        acc = acc + power * c[:, idx]
-        power = power * x
+    acc = coef[-1][:, idx]
+    for c in coef[-2::-1]:
+        acc = acc * x + c[:, idx]
+    on_end = times == bounds[idx + 1]
+    acc[:, on_end] = ys[:, idx[on_end] + 1]
     return acc
 
 
+def module_coefficients(M, bounds, ys):
+    """Every step's coefficients, formed by ``_dense_coefficients`` at once."""
+    return dyn._dense_coefficients(M, bounds, ys, np.arange(bounds.size - 1))[1]
+
+
 class TestDenseOutput:
-    """The dense output, a block of times at a time, is the unblocked evaluation, byte for byte."""
+    """The dense output, a block of times at a time, is the unblocked evaluation of
+    the same coefficients, byte for byte."""
 
     @pytest.fixture
     def steps(self, rng):
@@ -685,7 +697,7 @@ class TestDenseOutput:
         bounds[-1] = 10.0
         ys = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
         M = _system_matrix(random_params(rng))
-        return M, bounds, ys, dense_coefficients(M, bounds, ys)
+        return M, bounds, ys, module_coefficients(M, bounds, ys)
 
     @pytest.mark.parametrize(
         "size",
@@ -695,19 +707,25 @@ class TestDenseOutput:
     def test_matches_unblocked(self, steps, size, end):
         M, bounds, ys, coef = steps
         times = np.linspace(0.0, end * bounds[-1], size)
-        ref = dense_unblocked_reference(bounds, coef, times)
+        ref = dense_unblocked_reference(bounds, ys, coef, times)
         assert dyn._dense_output(M, bounds, ys, times).tobytes() == ref.tobytes()
+        # the coefficients are the general product's on Python complex
+        # scalars, to rounding of each step's largest coefficient
+        general = dense_coefficients(M, bounds, ys)
+        largest = np.abs(general).max(axis=(0, 1))
+        assert np.all(np.abs(coef - general).max(axis=(0, 1)) <= 1e-15 * largest)
 
     def test_times_on_step_ends(self, steps):
         M, bounds, ys, coef = steps
         times = np.union1d(bounds, np.linspace(0.0, bounds[-1], 2 * dyn._DENSE_BLOCK + 3))
         out = dyn._dense_output(M, bounds, ys, times)
-        ref = dense_unblocked_reference(bounds, coef, times)
+        ref = dense_unblocked_reference(bounds, ys, coef, times)
         assert out.tobytes() == ref.tobytes()
-        # a step end is x = 1 of the step it closes: the coefficients summed
-        # from the state up, as the stepper sums the step
+        # a step end is the state accepted there, whatever the step's
+        # polynomial gives at x = 1: these states are random, not stepped
         ends = np.searchsorted(times, bounds[1:])
-        assert np.array_equal(out[:, ends], functools.reduce(np.add, coef))
+        assert out[:, ends].tobytes() == ys[:, 1:].tobytes()
+        assert np.all(functools.reduce(np.add, coef) != ys[:, 1:])
 
     def test_forms_coefficients_for_the_steps_passed_only(self, rng):
         # every step's coefficients would take 13 x 3 x 16 B = 624 B a step,
@@ -726,7 +744,7 @@ class TestDenseOutput:
         finally:
             tracemalloc.stop()
         assert peak < 0.6e6
-        ref = dense_unblocked_reference(bounds, dense_coefficients(M, bounds, ys), times)
+        ref = dense_unblocked_reference(bounds, ys, module_coefficients(M, bounds, ys), times)
         assert out.tobytes() == ref.tobytes()
 
     def test_both_callers_use_it(self, monkeypatch):
@@ -870,6 +888,10 @@ class TestVolterra:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ValueError, match="n_steps"):
             integrate_volterra(fig_params(K=0.0), bell_state("minus"), 10.0, 99)
+        # and a horizon that is not positive
+        for t_end in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t_end must be positive"):
+                integrate_volterra(fig_params(K=0.0), bell_state("minus"), t_end, 1000)
 
     def test_rejects_steps_past_the_ceiling_before_allocating(self, monkeypatch):
         monkeypatch.setattr(dyn, "_MAX_VOLTERRA_STEPS", 1000)
@@ -1082,6 +1104,11 @@ class TestTrajectoryType:
             Trajectory(**{**good, "c1": np.array([0.0j, 0.1 + 0j])})
         with pytest.raises(ValueError, match="solver_tag"):
             Trajectory(**{**good, "solver_tag": "magic"})
+        with pytest.raises(ValueError, match="c2 and t have mismatched shapes"):
+            Trajectory(**{**good, "c2": np.array([init.c20])})
+        empty = np.array([], dtype=complex)
+        with pytest.raises(ValueError, match="nonempty"):
+            Trajectory(**{**good, "t": np.array([]), "c1": empty, "c2": empty, "b": empty})
 
     def test_increasing_check_makes_no_full_length_temporary(self):
         # comparing neighbouring times holds a 1 MB mask at 1,000,001

@@ -180,12 +180,11 @@ def line_chart_reference(path, x, series, title="", xlabel="", ylabel=""):
     yhi = max(float(np.max(v)) for v in series.values())
     fr = svgplot._Frame(float(x[0]), float(x[-1]), ylo, yhi, title, xlabel, ylabel)
     fr.axes()
-    step = max(1, x.size // 1600)
     for k, (label, y) in enumerate(series.items()):
         color = svgplot._PALETTE[k % len(svgplot._PALETTE)]
         pts = " ".join(
             f"{fr.px(float(xi)):.1f},{fr.py(float(yi)):.1f}"
-            for xi, yi in zip(x[::step], np.asarray(y, dtype=float)[::step])
+            for xi, yi in zip(x, np.asarray(y, dtype=float))
         )
         fr.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = svgplot._MT + 16 + 16 * k
@@ -203,8 +202,8 @@ def line_chart_reference(path, x, series, title="", xlabel="", ylabel=""):
     [(2001, "run"), (4001, "run"), (1601, "run"), (50, "constant"), (3, "run")],
 )
 def test_line_chart_bytes_match_per_point_loop(tmp_path, n, kind):
-    # 2001 samples is the run command's default; above 1600 points the
-    # trace is thinned
+    # 2001 samples is the run command's default; every point is drawn,
+    # the run command thinning a long trace before it calls line_chart
     rng = np.random.default_rng(n)
     x = np.linspace(0.0, 10.0, n)
     if kind == "constant":
